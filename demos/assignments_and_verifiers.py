@@ -28,7 +28,7 @@ def main():
     print(f"meet precedes both: {precedes(meet(a, b), a)}, {precedes(meet(a, b), b)}")
     print()
 
-    f = gen_modular(3, 2, monotone=False, seed=12)
+    f = gen_modular(3, 2, monotone=False, seed=13)
     print("random modular function, table rows:", [list(r) for r in f.table])
     print("  lattice inequality:", verify_k_submodular(f))
     print("  orthant + pairwise:", verify_orthant_pairwise(f))

@@ -12,6 +12,7 @@ inequalities, instance generators, and a small CLI.
 from .core import (
     Assignment,
     CapExceededError,
+    GainState,
     KSubFunction,
     OracleCounters,
     enumerate_assignments,
@@ -68,6 +69,7 @@ __all__ = [
     "CoverageFunction",
     "ExplicitMatroid",
     "ExplicitTableFunction",
+    "GainState",
     "InstanceFormatError",
     "InstanceSpec",
     "KSubFunction",

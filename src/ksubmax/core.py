@@ -56,6 +56,19 @@ class Assignment:
                 )
 
     @classmethod
+    def _trusted(cls, labels: tuple[int, ...], k: int) -> "Assignment":
+        """Build without ``__post_init__``; for labels valid by construction.
+
+        ``labels`` must already be a tuple of ints in ``{0,...,k}`` with
+        ``k >= 1``.  Only internal operations whose inputs are themselves
+        valid assignments use this; the public constructor checks everything.
+        """
+        a = object.__new__(cls)
+        object.__setattr__(a, "labels", labels)
+        object.__setattr__(a, "k", k)
+        return a
+
+    @classmethod
     def zero(cls, n: int, k: int) -> "Assignment":
         """The empty assignment on an n-element ground set."""
         return cls((0,) * n, k)
@@ -68,17 +81,20 @@ class Assignment:
         """Indices of all placed elements."""
         return frozenset(e for e, lab in enumerate(self.labels) if lab != 0)
 
-    def assign(self, e: int, i: int) -> "Assignment":
-        """New assignment with unplaced element ``e`` put into set ``i``."""
-        if not 0 <= e < self.n:
+    def check_open(self, e: int, i: int) -> None:
+        """Raise ValueError unless ``e`` is an unplaced element and ``1 <= i <= k``."""
+        if not 0 <= e < len(self.labels):
             raise ValueError(f"element {e} outside ground set of size {self.n}")
         if not 1 <= i <= self.k:
             raise ValueError(f"position {i} outside {{1,...,{self.k}}}")
         if self.labels[e] != 0:
             raise ValueError(f"element {e} already placed (label {self.labels[e]})")
-        labels = list(self.labels)
-        labels[e] = i
-        return Assignment(tuple(labels), self.k)
+
+    def assign(self, e: int, i: int) -> "Assignment":
+        """New assignment with unplaced element ``e`` put into set ``i``."""
+        self.check_open(e, i)
+        labels = self.labels
+        return Assignment._trusted(labels[:e] + (i,) + labels[e + 1:], self.k)
 
     def restrict(self, keep: Iterable[int]) -> "Assignment":
         """Copy with labels kept only on ``keep``; everything else unplaced."""
@@ -110,7 +126,7 @@ def meet(a: Assignment, b: Assignment) -> Assignment:
     """Componentwise intersection: keep a label only where both agree."""
     _check_same_shape(a, b)
     labels = tuple(la if la == lb else 0 for la, lb in zip(a.labels, b.labels))
-    return Assignment(labels, a.k)
+    return Assignment._trusted(labels, a.k)
 
 
 def join(a: Assignment, b: Assignment) -> Assignment:
@@ -129,7 +145,7 @@ def join(a: Assignment, b: Assignment) -> Assignment:
             out.append(la)
         else:
             out.append(0)
-    return Assignment(tuple(out), a.k)
+    return Assignment._trusted(tuple(out), a.k)
 
 
 class KSubFunction(ABC):
@@ -168,6 +184,14 @@ class KSubFunction(ABC):
         """The empty assignment matching this function's shape."""
         return Assignment.zero(self.n, self.k)
 
+    def gain_state(self, counters: Optional[OracleCounters] = None) -> "GainState":
+        """A fresh running state at the empty assignment (see :class:`GainState`).
+
+        Families with cheaper incremental gains override this; the default
+        computes every gain through :meth:`evaluate`.
+        """
+        return GainState(self, counters)
+
 
 def marginal_gain(
     f: KSubFunction,
@@ -191,7 +215,46 @@ def marginal_gain(
     return f.evaluate(extended, counters) - base
 
 
+class GainState:
+    """Running assignment and value of one solver run, with counted gains.
+
+    Starts at the empty assignment with value 0.  :meth:`gain` prices one
+    placement against the running assignment at 1 EO call, the same policy
+    as ``marginal_gain(f, assignment, e, i, counters, base=value)``, and
+    :meth:`place` commits one, adding the priced gain to ``value``.
+
+    This default goes through ``f.evaluate`` and so works for every
+    function; it is the reference path.  Function families override
+    :meth:`KSubFunction.gain_state` with states that price a gain without
+    a full evaluation.  On values from the 1/64 grid the incremental gains
+    are exact, so both paths give identical gains, values and solver runs.
+    """
+
+    def __init__(self, f: KSubFunction, counters: Optional[OracleCounters] = None):
+        self.f = f
+        self.counters = counters
+        self.assignment = f.zero()
+        self.value = 0.0
+
+    def gain(self, e: int, i: int) -> float:
+        """Gain of putting unplaced element ``e`` into set ``i``; 1 EO call."""
+        return marginal_gain(self.f, self.assignment, e, i, self.counters, base=self.value)
+
+    def place(self, e: int, i: int, gain: float) -> None:
+        """Put ``e`` into set ``i``; ``gain`` must be what :meth:`gain` returned."""
+        self.assignment = self.assignment.assign(e, i)
+        self.value += gain
+
+    def _charge(self, e: int, i: int) -> None:
+        """For overrides of :meth:`gain`: check the placement, count 1 EO call."""
+        self.assignment.check_open(e, i)
+        if self.counters is not None:
+            self.counters.eo_calls += 1
+
+
 def enumerate_assignments(n: int, k: int) -> Iterator[Assignment]:
     """All (k+1)^n assignments on an n-element ground set, in label order."""
+    if k < 1:
+        raise ValueError(f"k must be a positive integer, got {k}")
     for labels in itertools.product(range(k + 1), repeat=n):
-        yield Assignment(labels, k)
+        yield Assignment._trusted(labels, k)

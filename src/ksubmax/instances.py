@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import json
 import math
+import operator
+import random
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-import numpy as np
-
-from .core import Assignment, KSubFunction, enumerate_assignments
+from .core import Assignment, GainState, KSubFunction, OracleCounters, enumerate_assignments
 from .matroids import ExplicitMatroid, Matroid, PartitionMatroid, UniformMatroid
 
 VALUE_GRID = 64  # generated values are integers divided by this
@@ -78,6 +78,9 @@ class ModularFunction(KSubFunction):
             if lab:
                 total += self.table[e][lab - 1]
         return total
+
+    def gain_state(self, counters: Optional[OracleCounters] = None) -> GainState:
+        return _ModularGainState(self, counters)
 
     def __eq__(self, other):
         return (
@@ -141,12 +144,20 @@ class CoverageFunction(KSubFunction):
         for e, lab in enumerate(a.labels):
             if lab:
                 covered |= self._masks[e][lab - 1]
+        return self._weight(covered)
+
+    def _weight(self, points: int) -> float:
+        """Total weight of the universe points in bitmask ``points``."""
+        weights = self.weights
         total = 0.0
-        while covered:
-            low = covered & -covered
-            total += self.weights[low.bit_length() - 1]
-            covered ^= low
+        while points:
+            low = points & -points
+            total += weights[low.bit_length() - 1]
+            points ^= low
         return total
+
+    def gain_state(self, counters: Optional[OracleCounters] = None) -> GainState:
+        return _CoverageGainState(self, counters)
 
     def __eq__(self, other):
         return (
@@ -163,6 +174,30 @@ class CoverageFunction(KSubFunction):
             f"CoverageFunction(n={self.n}, k={self.k}, "
             f"universe={self.universe_size})"
         )
+
+
+class _ModularGainState(GainState):
+    """Modular gains are table lookups: f(p + (e, i)) - f(p) = table[e][i-1]."""
+
+    def gain(self, e: int, i: int) -> float:
+        self._charge(e, i)
+        return self.f.table[e][i - 1]
+
+
+class _CoverageGainState(GainState):
+    """Keeps the covered points as a bitmask; a gain weighs only new points."""
+
+    def __init__(self, f: CoverageFunction, counters: Optional[OracleCounters] = None):
+        super().__init__(f, counters)
+        self.covered = 0
+
+    def gain(self, e: int, i: int) -> float:
+        self._charge(e, i)
+        return self.f._weight(self.f._masks[e][i - 1] & ~self.covered)
+
+    def place(self, e: int, i: int, gain: float) -> None:
+        super().place(e, i, gain)
+        self.covered |= self.f._masks[e][i - 1]
 
 
 class ExplicitTableFunction(KSubFunction):
@@ -248,13 +283,20 @@ class InstanceSpec:
 # Random generators.  Values land on the 1/64 grid for exact test arithmetic.
 # ---------------------------------------------------------------------------
 
-def _grid_values(rng: np.random.Generator, lo: float, hi: float, count: int) -> list[float]:
+def _rng(seed: int) -> random.Random:
+    """The generators' random source; seeds are nonnegative integers."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
+    return random.Random(seed)
+
+
+def _grid_values(rng: random.Random, lo: float, hi: float, count: int) -> list[float]:
     lo64 = math.ceil(lo * VALUE_GRID)
     hi64 = math.floor(hi * VALUE_GRID)
     if hi64 < lo64:
         raise ValueError(f"empty value range [{lo}, {hi}] on the 1/{VALUE_GRID} grid")
-    draws = rng.integers(lo64, hi64 + 1, size=count)
-    return [int(v) / VALUE_GRID for v in draws]
+    return [rng.randint(lo64, hi64) / VALUE_GRID for _ in range(count)]
 
 
 def gen_modular(
@@ -280,7 +322,7 @@ def gen_modular(
         raise ValueError(f"impossible value range for monotone={monotone}: ({lo}, {hi})")
     if not monotone and k >= 2 and 2 * hi < 0:
         raise ValueError("pairwise sums cannot be nonnegative with an all-negative range")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     table = []
     for e in range(n):
         for _ in range(10_000):
@@ -310,12 +352,13 @@ def gen_coverage(
         raise ValueError("n, k and universe_size must be at least 1")
     if not 0.0 <= density <= 1.0:
         raise ValueError(f"density must lie in [0, 1], got {density}")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     weights = _grid_values(rng, 0.0, 1.0, universe_size)
-    membership = rng.random((n, k, universe_size)) < density
+    draw = rng.random
+    universe = range(universe_size)
     sets = [
-        [np.flatnonzero(membership[e, i]).tolist() for i in range(k)]
-        for e in range(n)
+        [[u for u in universe if draw() < density] for _ in range(k)]
+        for _ in range(n)
     ]
     return CoverageFunction(weights, sets)
 
@@ -324,12 +367,13 @@ def gen_partition_matroid(n: int, seed: int = 0, max_blocks: int = 4) -> Partiti
     """Random partition matroid: random blocks, random per-block capacities."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    rng = np.random.default_rng(seed)
-    n_blocks = int(rng.integers(1, max_blocks + 1))
-    labels = rng.integers(0, n_blocks, size=n)
-    blocks = [np.flatnonzero(labels == j).tolist() for j in range(n_blocks)]
+    rng = _rng(seed)
+    n_blocks = rng.randint(1, max_blocks)
+    blocks: list[list[int]] = [[] for _ in range(n_blocks)]
+    for e in range(n):
+        blocks[rng.randrange(n_blocks)].append(e)
     blocks = [b for b in blocks if b]
-    caps = [int(rng.integers(0, len(b) + 1)) for b in blocks]
+    caps = [rng.randint(0, len(b)) for b in blocks]
     return PartitionMatroid(n, blocks, caps)
 
 
@@ -342,12 +386,9 @@ def gen_explicit_matroid(n: int, seed: int = 0) -> ExplicitMatroid:
     """
     if not 1 <= n <= 10:
         raise ValueError("explicit matroid generation supports 1 <= n <= 10")
-    rng = np.random.default_rng(seed)
-    n_vertices = int(rng.integers(2, n + 2))
-    edges = [
-        (int(rng.integers(0, n_vertices)), int(rng.integers(0, n_vertices)))
-        for _ in range(n)
-    ]
+    rng = _rng(seed)
+    n_vertices = rng.randint(2, n + 1)
+    edges = [(rng.randrange(n_vertices), rng.randrange(n_vertices)) for _ in range(n)]
 
     def acyclic(mask: int) -> bool:
         parent = list(range(n_vertices))

@@ -204,16 +204,33 @@ class ExplicitMatroid(Matroid):
         return _mask_of(subset) in self.family
 
 
+def greedy_basis(
+    m: Matroid,
+    order: Iterable[int],
+    counters: Optional[OracleCounters] = None,
+) -> list[int]:
+    """Basis built by greedy extension, visiting elements in ``order``.
+
+    ``order`` must list every element once.  Issues exactly n counted
+    independence tests and returns the accepted elements in visit order.
+    Every test before the first acceptance is a singleton test, so the
+    first accepted element is the first independent singleton in ``order``.
+    """
+    current: set[int] = set()
+    basis: list[int] = []
+    for e in order:
+        if m.is_independent(current | {e}, counters):
+            current.add(e)
+            basis.append(e)
+    return basis
+
+
 def rank(m: Matroid, counters: Optional[OracleCounters] = None) -> int:
     """Size of a maximal independent set, by greedy extension over 0..n-1.
 
     Issues exactly n counted independence tests.
     """
-    current: set[int] = set()
-    for e in range(m.ground_size):
-        if m.is_independent(current | {e}, counters):
-            current.add(e)
-    return len(current)
+    return len(greedy_basis(m, range(m.ground_size), counters))
 
 
 def feasible_extensions(

@@ -6,6 +6,7 @@ from ksubmax import (
     CapExceededError,
     ExplicitTableFunction,
     ModularFunction,
+    PartitionMatroid,
     UniformMatroid,
     brute_force_solve,
     enumerate_assignments,
@@ -106,7 +107,29 @@ class TestThresholdSolver:
         m = UniformMatroid(2, 1)
         rep = threshold_decreasing_solve(f, m, 0.5, matroid_rank=1)
         assert rep.value == 5.0
-        assert rep.counters.io_calls == 2  # candidate visits only
+        # one singleton test picks d (element 0 is independent), then the
+        # two candidate visits
+        assert rep.counters.io_calls == 3
+
+    def test_start_threshold_skips_loops(self):
+        """d comes from independent singletons only.
+
+        Element 0 is a loop (its block has capacity 0) worth 64; taking d
+        from it would start the bar at 64 and stop at
+        0.9 * 0.1 * 64 / 2 = 2.88 before the bar ever reaches element 1's
+        value 1, returning 0 against OPT 1.
+        """
+        f = ModularFunction([[64.0], [1.0]])
+        m = PartitionMatroid(2, [[0], [1]], [0, 1])
+        assert brute_force_solve(f, m).value == 1.0
+        rep = threshold_decreasing_solve(f, m, 0.1)
+        assert rep.value == 1.0
+        assert rep.assignment.labels == (0, 1)
+        assert rep.rounds[0] == (1.0, 1)
+        assert rep.counters.io_calls == 2 + 2  # rank scan, then both visits
+        supplied = threshold_decreasing_solve(f, m, 0.1, matroid_rank=1)
+        assert supplied.assignment == rep.assignment
+        assert supplied.counters.io_calls == 2 + 2  # two singleton tests, both visits
 
     def test_deterministic(self):
         f = gen_modular(8, 2, monotone=False, seed=11)

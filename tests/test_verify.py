@@ -5,6 +5,7 @@ import pytest
 from ksubmax import (
     Assignment,
     ExplicitTableFunction,
+    ModularFunction,
     check_marginal_sum_bound,
     enumerate_assignments,
     gen_coverage,
@@ -129,9 +130,8 @@ class TestMonotoneVerifier:
         assert verify_monotone(f).holds
 
     def test_negative_entry_detected(self):
-        f = gen_modular(3, 2, monotone=False, seed=0)
-        if all(v >= 0 for row in f.table for v in row):  # pragma: no cover
-            pytest.skip("seed produced a nonnegative table")
+        # every row meets the pairwise-sum rule, and two entries are negative
+        f = ModularFunction([[-1.0, 2.0], [0.5, 0.25], [3.0, -3.0]])
         v = verify_monotone(f)
         assert not v.holds
         p, q = v.counterexample
