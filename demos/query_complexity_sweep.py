@@ -1,10 +1,12 @@
 """Where the threshold solver earns its keep: value-oracle calls vs rank.
 
 Greedy pays roughly rank * n * k evaluations because every addition
-re-scans the whole ground set.  The threshold solver's bill is governed
-by the number of decay rounds, which depends on the rank only inside a
-logarithm, so raising the budget barely moves it.  This sweep fixes
-n=200, k=2 and grows a uniform matroid's budget from 2 to 32.
+re-scans the whole ground set.  The threshold solver's bill is an
+opening scan of every element plus one visit per candidate whose last
+computed gain can still meet the bar, over a number of decay rounds that
+depends on the rank only inside a logarithm, so raising the budget
+barely moves it.  This sweep fixes n=200, k=2 and grows a uniform
+matroid's budget from 2 to 32.
 """
 
 from ksubmax import (

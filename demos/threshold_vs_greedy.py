@@ -1,8 +1,9 @@
 """Threshold-decreasing search versus the greedy baseline on one instance.
 
 The threshold solver sweeps a decaying acceptance bar over the candidate
-pool and takes anything whose best-position gain clears it; greedy
-re-scans everything for the single best pair at every step.  Both land
+pool and takes anything whose best-position gain clears it, skipping at
+no cost any candidate whose last computed gain is already below the bar;
+greedy re-scans everything for the single best pair at every step.  Both land
 close to the optimum here, but their oracle bills differ, and on
 non-monotone objectives greedy can talk itself into negative gains.
 """

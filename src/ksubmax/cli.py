@@ -394,6 +394,8 @@ def cmd_verify(args) -> int:
 
     budget = DEFAULT_PAIR_BUDGET
     if args.sample is not None:
+        if args.sample < 1:
+            return _fail(f"--sample must be at least 1, got {args.sample}", EXIT_PARSE)
         budget = args.sample
     elif _verification_cost(spec.n, spec.k) > budget:
         return _fail(

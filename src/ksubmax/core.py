@@ -61,7 +61,8 @@ class Assignment:
 
         ``labels`` must already be a tuple of ints in ``{0,...,k}`` with
         ``k >= 1``.  Only internal operations whose inputs are themselves
-        valid assignments use this; the public constructor checks everything.
+        valid assignments (or whose labels come from ``range(k + 1)``) use
+        this; the public constructor checks everything.
         """
         a = object.__new__(cls)
         object.__setattr__(a, "labels", labels)
@@ -99,7 +100,7 @@ class Assignment:
     def restrict(self, keep: Iterable[int]) -> "Assignment":
         """Copy with labels kept only on ``keep``; everything else unplaced."""
         keep = set(keep)
-        return Assignment(
+        return Assignment._trusted(
             tuple(lab if e in keep else 0 for e, lab in enumerate(self.labels)),
             self.k,
         )

@@ -467,6 +467,16 @@ def _require(doc: dict, key: str, where: str):
     return doc[key]
 
 
+def _is_int(value) -> bool:
+    """True for JSON integers only: ``true`` and ``1.9`` are not counts."""
+    return type(value) is int
+
+
+def _all_ints(values) -> bool:
+    """``_is_int`` for every item of a list, with the loop run in C."""
+    return set(map(type, values)) <= {int}
+
+
 def _parse_function(doc, n: int, k: int) -> KSubFunction:
     if not isinstance(doc, dict) or len(doc) != 1:
         raise InstanceFormatError(
@@ -480,6 +490,10 @@ def _parse_function(doc, n: int, k: int) -> KSubFunction:
         elif tag == "coverage":
             weights = _require(body, "weights", "function.coverage")
             sets = _require(body, "sets", "function.coverage")
+            if not all(_all_ints(members) for row in sets for members in row):
+                raise InstanceFormatError(
+                    "function.coverage: sets must list integer universe points"
+                )
             fn = CoverageFunction(weights, sets)
         elif tag == "explicit":
             values = _require(body, "values", "function.explicit")
@@ -506,12 +520,28 @@ def _parse_matroid(doc, n: int) -> Matroid:
     (tag, body), = doc.items()
     try:
         if tag == "uniform":
-            return UniformMatroid(n, int(body))
+            if not _is_int(body):
+                raise InstanceFormatError(
+                    f"matroid.uniform: budget must be an integer, got {body!r}"
+                )
+            return UniformMatroid(n, body)
         if tag == "partition":
             blocks = _require(body, "blocks", "matroid.partition")
             caps = _require(body, "caps", "matroid.partition")
+            if not all(_all_ints(block) for block in blocks):
+                raise InstanceFormatError(
+                    "matroid.partition: block elements must be integers"
+                )
+            if not _all_ints(caps):
+                raise InstanceFormatError(
+                    f"matroid.partition: caps must be integers, got {caps!r}"
+                )
             return PartitionMatroid(n, blocks, caps)
         if tag == "explicit":
+            if not _all_ints(body):
+                raise InstanceFormatError(
+                    "matroid.explicit: bitmasks must be integers"
+                )
             return ExplicitMatroid(n, body)
     except InstanceFormatError:
         raise
@@ -543,9 +573,9 @@ def parse_instance(text: str) -> InstanceSpec:
         raise InstanceFormatError("top level: expected an object")
     n = _require(doc, "n", "top level")
     k = _require(doc, "k", "top level")
-    if not isinstance(n, int) or n < 0:
+    if not _is_int(n) or n < 0:
         raise InstanceFormatError(f"n: expected a nonnegative integer, got {n!r}")
-    if not isinstance(k, int) or k < 1:
+    if not _is_int(k) or k < 1:
         raise InstanceFormatError(f"k: expected a positive integer, got {k!r}")
     fn = _parse_function(_require(doc, "function", "top level"), n, k)
     matroid = _parse_matroid(_require(doc, "matroid", "top level"), n)

@@ -94,12 +94,27 @@ def threshold_decreasing_solve(
     """Maximize ``f`` over assignments with independent support.
 
     The threshold starts at the best value d of an independent singleton
-    and decays by a factor (1 - eps) per round; each round visits the
+    and decays by a factor (1 - eps) per round; each round walks the
     surviving candidates (ascending index order, or a seeded shuffle when
-    ``order_seed`` is given), re-checks feasibility with one IO call, finds
-    the best position with k EO calls, and accepts the element if its gain
-    meets the threshold.  The loop stops when the threshold reaches
-    (1 - eps) * eps * d / (2r) or no candidate is left.
+    ``order_seed`` is given) and accepts an element when its best
+    single-position gain meets the threshold.  The loop stops when the
+    threshold reaches (1 - eps) * eps * d / (2r), no candidate is left, or
+    the support reaches the rank r.
+
+    The walk is lazy.  Each element keeps ``bound[e]``, the last best gain
+    computed for it (seeded by the opening singleton scan).  By orthant
+    submodularity a gain can only shrink as the assignment grows, so
+    ``bound[e]`` is an upper bound on the current gain; a candidate with
+    ``bound[e] < w`` cannot be accepted at bar w and is skipped at no
+    oracle cost, staying a candidate.  Otherwise it is visited: one IO call
+    re-checks feasibility, k EO calls find its best position, ``bound[e]``
+    is updated, and it is accepted if the gain meets the bar.  Every
+    acceptance is the one a visit-everything loop makes, in the same order
+    with the same gain, so the assignment and value are identical to that
+    loop's and the recorded rounds are a prefix of its rounds.  This holds for every
+    k-submodular ``f``, monotone or not; an unchecked
+    :class:`ExplicitTableFunction` that is not k-submodular may come out
+    differently.
 
     Gains are priced against the running state from ``f.gain_state``: a
     table lookup for modular functions, the weight of newly covered points
@@ -107,15 +122,18 @@ def threshold_decreasing_solve(
     1/64 value grid, so the run does not depend on which one prices it.
 
     Exact oracle accounting: n*k EO for the initial single-element scan
-    plus k EO per feasible candidate visit (one gain costs one evaluation);
-    n IO for the rank scan, which visits elements by descending singleton
-    value (ties by index) so that d is the value of its first accepted
-    element, plus one IO per candidate visit.  With ``matroid_rank``
-    supplied the rank scan is replaced by singleton tests in the same order
-    up to the first independent one (1 IO on a matroid without loops).  If
-    no singleton has a positive value the solver stops before any IO.
-    Candidates found infeasible are dropped permanently, which is sound
-    because supersets of a dependent set stay dependent.
+    plus k EO per candidate visit that passes its IO test (one gain costs
+    one evaluation); n IO for the rank scan, which visits elements by
+    descending singleton value (ties by index) so that d is the value of
+    its first accepted element, plus one IO per candidate visit.  Skipped
+    candidates cost nothing.  With ``matroid_rank`` supplied the rank scan
+    is replaced by singleton tests in the same order up to the first
+    independent one (1 IO on a matroid without loops); the supplied value
+    must be the true rank, because the solver stops once the support has
+    that many elements.  If no singleton has a positive value the solver
+    stops before any IO.  Candidates found infeasible are dropped
+    permanently, which is sound because supersets of a dependent set stay
+    dependent.
     """
     _check_inputs(f, m)
     if not 0.0 < epsilon < 1.0:
@@ -161,14 +179,18 @@ def threshold_decreasing_solve(
     if order_seed is not None:
         random.Random(order_seed).shuffle(order)
 
+    bound = single  # last best gain per element: bounds its current gain
     candidates = order  # unassigned, not yet known infeasible, visit order
     support: set[int] = set()
     stop = (1 - epsilon) * epsilon * d / (2 * r)
     w = d
-    while w > stop and candidates:
+    while w > stop and candidates and len(support) < r:
         added = 0
         survivors = []
         for e in candidates:
+            if bound[e] < w:
+                survivors.append(e)
+                continue
             if not m.is_independent(support | {e}, counters):
                 continue
             best_gain = -math.inf
@@ -178,10 +200,13 @@ def threshold_decreasing_solve(
                 if gain > best_gain:
                     best_gain = gain
                     best_i = i
+            bound[e] = best_gain
             if best_gain >= w:
                 state.place(e, best_i, best_gain)
                 support.add(e)
                 added += 1
+                if len(support) == r:
+                    break
             else:
                 survivors.append(e)
         candidates = survivors
@@ -256,7 +281,7 @@ def brute_force_solve(
     def visit(e: int, support: frozenset[int]) -> None:
         nonlocal best_value, best_size, best_labels
         if e == n:
-            a = Assignment(tuple(labels), k)
+            a = Assignment._trusted(tuple(labels), k)
             v = f.evaluate(a)
             size = len(support)
             if v > best_value or (v == best_value and size > best_size):

@@ -8,7 +8,9 @@ gains at two distinct positions sum to >= 0).  The two verifiers must agree
 on every input; tests exploit this as a cross-check.
 
 Enumeration is capped: verdicts obtained by sampling instead of exhaustive
-enumeration are flagged as such, never silently treated as exhaustive.
+enumeration are flagged as such, never silently treated as exhaustive.  A
+budget below one check is refused with ValueError, so no verdict rests on
+zero checks.
 """
 
 from __future__ import annotations
@@ -41,12 +43,18 @@ class Verdict:
         return self.holds
 
 
+def _check_budget(pair_budget: int) -> None:
+    """A verdict needs at least one check, so the budget must allow one."""
+    if pair_budget < 1:
+        raise ValueError(f"pair_budget must be at least 1, got {pair_budget}")
+
+
 def _value_table(f: KSubFunction) -> dict[tuple[int, ...], float]:
     return {a.labels: f.evaluate(a) for a in enumerate_assignments(f.n, f.k)}
 
 
 def _random_assignment(rng: random.Random, n: int, k: int) -> Assignment:
-    return Assignment(tuple(rng.randrange(k + 1) for _ in range(n)), k)
+    return Assignment._trusted(tuple(rng.randrange(k + 1) for _ in range(n)), k)
 
 
 def _random_restriction(rng: random.Random, q: Assignment) -> Assignment:
@@ -65,6 +73,7 @@ def verify_k_submodular(
     otherwise samples ``pair_budget`` random pairs.  Returns the first
     violating (p, q) as counterexample.
     """
+    _check_budget(pair_budget)
     n, k = f.n, f.k
     total = (k + 1) ** n
     n_pairs = total * (total + 1) // 2
@@ -110,6 +119,7 @@ def verify_orthant_pairwise(
     i != j, the two gains sum to >= 0.  Counterexamples are tagged
     ("orthant", p, q, e, i) or ("pairwise", p, e, i, j).
     """
+    _check_budget(pair_budget)
     n, k = f.n, f.k
     if _ordered_pairs_count(n, k) <= pair_budget:
         table = _value_table(f)
@@ -175,6 +185,7 @@ def verify_monotone(
     seed: int = 0,
 ) -> Verdict:
     """Check f(p) <= f(q) for all p preceding q (sampled beyond the budget)."""
+    _check_budget(pair_budget)
     n, k = f.n, f.k
     if _ordered_pairs_count(n, k) <= pair_budget:
         table = _value_table(f)

@@ -11,7 +11,10 @@ from ksubmax import (
     UniformMatroid,
     serialize_instance,
 )
+import ksubmax.cli
 from ksubmax.cli import main
+
+from helpers import eager_threshold_solve
 
 
 HAND_INSTANCE = InstanceSpec(
@@ -35,12 +38,25 @@ def write_config(tmp_path, doc):
 
 
 class TestSolve:
-    def test_threshold_human(self, instance_file, capsys):
+    def test_threshold_human(self, instance_file, capsys, monkeypatch):
+        """The eager reference loop's bill, printed through the CLI."""
+        monkeypatch.setattr(ksubmax.cli, "threshold_decreasing_solve",
+                            eager_threshold_solve)
         assert main(["solve", instance_file, "--epsilon", "0.5"]) == 0
         out = capsys.readouterr().out
         assert "value: 5.0" in out
         assert "eo_calls: 6" in out
         assert "io_calls: 4" in out
+
+    def test_threshold_human_lazy(self, instance_file, capsys):
+        """The shipped lazy solver: 4 EO scan + 2 IO rank scan, then one
+        visit to element 0 (1 IO, 2 EO) fills the budget and ends the run,
+        so element 1 is never visited."""
+        assert main(["solve", instance_file, "--epsilon", "0.5"]) == 0
+        out = capsys.readouterr().out
+        assert "value: 5.0" in out
+        assert "eo_calls: 6" in out
+        assert "io_calls: 3" in out
 
     def test_threshold_json(self, instance_file, capsys):
         assert main(["solve", instance_file, "--epsilon", "0.5",
@@ -126,6 +142,22 @@ class TestVerify:
         assert main(["verify", str(path), "--sample", "200"]) == 0
         out = capsys.readouterr().out
         assert "sampled" in out
+
+    @pytest.mark.parametrize("size", ["0", "-5"])
+    def test_sample_below_one_exits_2(self, tmp_path, capsys, size):
+        """No verdict on zero checks: the table fails exhaustively, and a
+        sampled run of no checks must not print "holds" instead."""
+        spec = InstanceSpec(
+            n=1, k=2,
+            function=ExplicitTableFunction(1, 2, [0.0, 1.0, -2.0]),
+            matroid=UniformMatroid(1, 1),
+        )
+        path = tmp_path / "bad_table.json"
+        path.write_text(serialize_instance(spec))
+        assert main(["verify", str(path), "--sample", size]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--sample must be at least 1" in captured.err
 
     def test_oversized_opt_skipped(self, tmp_path, capsys):
         spec = InstanceSpec(

@@ -144,6 +144,8 @@ pairs = st.integers(1, 6).flatmap(
 @settings(max_examples=300, deadline=None)
 @given(pairs)
 def test_lattice_results_equal_validated_construction(pair):
+    """join, meet, assign and restrict skip validation; each must equal
+    the validated construction of its labels."""
     p_labels, q_labels, k = pair
     p, q = Assignment(tuple(p_labels), k), Assignment(tuple(q_labels), k)
     for got in (join(p, q), meet(p, q)):
@@ -153,6 +155,13 @@ def test_lattice_results_equal_validated_construction(pair):
     for e in range(len(p_labels)):
         if p.labels[e] == 0:
             assert p.assign(e, k) == Assignment(p.labels[:e] + (k,) + p.labels[e + 1:], k)
+    keep = [e for e, lab in enumerate(q_labels) if lab]
+    restricted = p.restrict(keep)
+    validated = Assignment(
+        tuple(lab if e in keep else 0 for e, lab in enumerate(p_labels)), k
+    )
+    assert restricted == validated and hash(restricted) == hash(validated)
+    assert all(type(v) is int for v in restricted.labels)
 
 
 def test_enumerated_assignments_equal_validated_construction():

@@ -293,6 +293,41 @@ class TestParseErrors:
         )
         assert "matroid.partition" in msg
 
+    def test_bool_n_k_rejected(self):
+        """``true`` is an int in Python; it must not pass as n=1 or k=1."""
+        table = '"function": {"modular": {"table": [[1.0]]}}, "matroid": {"uniform": 1}'
+        assert "nonnegative integer, got True" in self.err('{"n": true, "k": 1, ' + table + "}")
+        assert "positive integer, got True" in self.err('{"n": 1, "k": true, ' + table + "}")
+
+    def test_non_integer_uniform_budget_rejected(self):
+        """A budget of 1.9 was truncated to 1 and solved."""
+        for budget in ("1.9", "2.0", "true", '"1"'):
+            msg = self.err(
+                '{"n": 2, "k": 1, "function": {"modular": {"table": [[1.0], [1.0]]}}, '
+                '"matroid": {"uniform": ' + budget + "}}"
+            )
+            assert "matroid.uniform: budget must be an integer" in msg
+
+    def test_non_integer_partition_caps_rejected(self):
+        """Caps of 1.7 were truncated to 1."""
+        msg = self.err(
+            '{"n": 2, "k": 1, "function": {"modular": {"table": [[1.0], [1.0]]}}, '
+            '"matroid": {"partition": {"blocks": [[0, 1]], "caps": [1.7]}}}'
+        )
+        assert "matroid.partition: caps must be integers" in msg
+
+    @pytest.mark.parametrize("matroid, function, where", [
+        ('{"partition": {"blocks": [[0, 1.0]], "caps": [1]}}', None,
+         "matroid.partition: block elements"),
+        ('{"explicit": [0, 1, 2.5]}', None, "matroid.explicit: bitmasks"),
+        ('{"uniform": 1}', '{"coverage": {"weights": [1.0, 1.0], "sets": [[[0.5]], [[1]]]}}',
+         "function.coverage: sets must list integer"),
+    ])
+    def test_other_non_integer_indices_rejected(self, matroid, function, where):
+        function = function or '{"modular": {"table": [[1.0], [1.0]]}}'
+        msg = self.err(f'{{"n": 2, "k": 1, "function": {function}, "matroid": {matroid}}}')
+        assert where in msg
+
     def test_metadata_must_be_object(self):
         msg = self.err(
             '{"n": 1, "k": 1, "function": {"modular": {"table": [[1.0]]}}, '

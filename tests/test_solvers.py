@@ -20,7 +20,7 @@ from ksubmax import (
     threshold_decreasing_solve,
 )
 
-from helpers import CountingWrapper
+from helpers import CountingWrapper, eager_threshold_solve
 
 
 def naive_optimum(f, m):
@@ -41,10 +41,27 @@ class TestThresholdSolver:
     def test_hand_worked_example(self):
         """Two elements, budget one: picks the 5 and leaves the pair worth 4.
 
-        Counter arithmetic: the opening scan of single-element values costs
-        n*k = 4 EO; round one visits both candidates (2 IO, 2*k = 4 EO) and
-        accepts element 0 at threshold 5; round two starts below the stop
-        value.  Rank costs 2 IO.
+        Eager reference arithmetic: the opening scan of single-element
+        values costs n*k = 4 EO; round one visits both candidates (2 IO,
+        2*k = 4 EO) and accepts element 0 at threshold 5; round two starts
+        below the stop value.  Rank costs 2 IO.
+        """
+        f = ModularFunction([[5.0, -3.0], [2.0, 2.0]])
+        m = UniformMatroid(2, 1)
+        rep = eager_threshold_solve(f, m, epsilon=0.5)
+        assert rep.value == 5.0
+        assert rep.assignment.labels == (1, 0)
+        assert rep.counters.eo_calls == 6
+        assert rep.counters.io_calls == 4
+        assert rep.rounds == [(5.0, 1)]
+
+    def test_hand_worked_example_lazy(self):
+        """The same instance through the lazy solver.
+
+        Opening scan 4 EO, rank scan 2 IO (r = 1, d = 5).  Round one at
+        bar 5 visits element 0 (bound 5 >= 5: 1 IO, 2 EO), accepts it, and
+        the support now has r elements, so the run ends before element 1
+        is visited: 6 EO, 3 IO.
         """
         f = ModularFunction([[5.0, -3.0], [2.0, 2.0]])
         m = UniformMatroid(2, 1)
@@ -52,20 +69,34 @@ class TestThresholdSolver:
         assert rep.value == 5.0
         assert rep.assignment.labels == (1, 0)
         assert rep.counters.eo_calls == 6
-        assert rep.counters.io_calls == 4
+        assert rep.counters.io_calls == 3
         assert rep.rounds == [(5.0, 1)]
 
     def test_threshold_schedule(self):
         """d=10, eps=0.5, r=2: thresholds 10, 5, 2.5, 1.25, then stop at 0.625."""
         f = ModularFunction([[10.0], [0.125], [0.125], [0.125]])
         m = UniformMatroid(4, 2)
-        rep = threshold_decreasing_solve(f, m, epsilon=0.5)
+        rep = eager_threshold_solve(f, m, epsilon=0.5)
         assert [w for w, _ in rep.rounds] == [10.0, 5.0, 2.5, 1.25]
         assert [added for _, added in rep.rounds] == [1, 0, 0, 0]
         assert rep.counters.eo_calls == 4 + (4 + 3 + 3 + 3)
         assert rep.counters.io_calls == 4 + (4 + 3 + 3 + 3)
         assert len(rep.rounds) == predicted_round_bound(0.5, 2)
 
+    def test_threshold_schedule_lazy(self):
+        """Same schedule; only element 0 ever meets its bar.
+
+        Opening scan 4 EO, rank scan 4 IO.  At bar 10 element 0 (bound 10)
+        is visited (1 IO, 1 EO) and accepted; the others keep bound 0.125,
+        below every bar down to 1.25, so all later visits are skipped:
+        5 EO, 5 IO over the same four rounds.
+        """
+        f = ModularFunction([[10.0], [0.125], [0.125], [0.125]])
+        m = UniformMatroid(4, 2)
+        rep = threshold_decreasing_solve(f, m, epsilon=0.5)
+        assert rep.rounds == [(10.0, 1), (5.0, 0), (2.5, 0), (1.25, 0)]
+        assert rep.counters.eo_calls == 4 + 1
+        assert rep.counters.io_calls == 4 + 1
     def test_epsilon_validation(self):
         f = ModularFunction([[1.0]])
         m = UniformMatroid(1, 1)
@@ -105,11 +136,20 @@ class TestThresholdSolver:
     def test_supplied_rank_skips_rank_scan(self):
         f = ModularFunction([[5.0, -3.0], [2.0, 2.0]])
         m = UniformMatroid(2, 1)
-        rep = threshold_decreasing_solve(f, m, 0.5, matroid_rank=1)
+        rep = eager_threshold_solve(f, m, 0.5, matroid_rank=1)
         assert rep.value == 5.0
         # one singleton test picks d (element 0 is independent), then the
         # two candidate visits
         assert rep.counters.io_calls == 3
+
+    def test_supplied_rank_skips_rank_scan_lazy(self):
+        f = ModularFunction([[5.0, -3.0], [2.0, 2.0]])
+        m = UniformMatroid(2, 1)
+        rep = threshold_decreasing_solve(f, m, 0.5, matroid_rank=1)
+        assert rep.value == 5.0
+        # one singleton test picks d, then one visit to element 0 fills
+        # the rank-1 support and ends the run
+        assert rep.counters.io_calls == 2
 
     def test_start_threshold_skips_loops(self):
         """d comes from independent singletons only.

@@ -144,6 +144,16 @@ class TestMonotoneVerifier:
         assert v.holds and not v.exhaustive
 
 
+@pytest.mark.parametrize("verifier", [
+    verify_k_submodular, verify_orthant_pairwise, verify_monotone,
+])
+@pytest.mark.parametrize("budget", [0, -5])
+def test_budget_below_one_refused(verifier, budget):
+    """A verdict on zero checks would say "holds" about anything."""
+    with pytest.raises(ValueError, match="pair_budget must be at least 1"):
+        verifier(support_squared(2, 2), pair_budget=budget)
+
+
 class TestMarginalSumBound:
     def test_requires_order(self):
         f = gen_modular(2, 2, seed=0)
