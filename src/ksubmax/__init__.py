@@ -36,6 +36,7 @@ from .instances import (
 )
 from .matroids import (
     ExplicitMatroid,
+    IndependenceState,
     Matroid,
     PartitionMatroid,
     UniformMatroid,
@@ -70,6 +71,7 @@ __all__ = [
     "ExplicitMatroid",
     "ExplicitTableFunction",
     "GainState",
+    "IndependenceState",
     "InstanceFormatError",
     "InstanceSpec",
     "KSubFunction",

@@ -25,10 +25,12 @@ from .core import Assignment, CapExceededError, KSubFunction
 from .instances import (
     InstanceFormatError,
     InstanceSpec,
+    _is_int,
     gen_coverage,
     gen_explicit_matroid,
     gen_modular,
     gen_partition_matroid,
+    load_json,
     parse_instance,
 )
 from .matroids import UniformMatroid, check_matroid_axioms, rank
@@ -207,11 +209,15 @@ def _check_config(doc) -> Optional[str]:
     if not isinstance(solvers, list) or any(s not in SOLVER_NAMES for s in solvers):
         return f"solvers: expected a list drawn from {SOLVER_NAMES}"
     epsilons = doc.get("epsilons", [])
+    if not isinstance(epsilons, list):
+        return "epsilons: expected a list"
     if "threshold" in solvers and not epsilons:
         return "epsilons: required when the threshold solver is configured"
     for eps in epsilons:
         if not isinstance(eps, (int, float)) or not 0.0 < eps < 1.0:
             return f"epsilons: every entry must lie in (0, 1), got {eps!r}"
+    if "cap" in doc and not _is_int(doc["cap"]):
+        return f"cap: expected an integer, got {doc['cap']!r}"
     for idx, entry in enumerate(grid):
         where = f"grid[{idx}]"
         if not isinstance(entry, dict):
@@ -225,8 +231,11 @@ def _check_config(doc) -> Optional[str]:
             return f"{where}.matroid: unknown matroid family {entry['matroid']!r}"
         if entry["matroid"] == "uniform" and "budget" not in entry:
             return f"{where}: uniform matroid needs a 'budget' field"
+        for key in ("n", "k", "budget"):
+            if key in entry and not _is_int(entry[key]):
+                return f"{where}.{key}: expected an integer, got {entry[key]!r}"
         if not isinstance(entry["seeds"], list) or not all(
-            isinstance(s, int) for s in entry["seeds"]
+            _is_int(s) for s in entry["seeds"]
         ):
             return f"{where}.seeds: expected a list of integers"
     return None
@@ -339,12 +348,9 @@ def cmd_bench(args) -> int:
     except OSError as err:
         return _fail(f"cannot read {args.config}: {err}", EXIT_PARSE)
     try:
-        config = json.loads(text)
-    except json.JSONDecodeError as err:
-        return _fail(
-            f"{args.config}: line {err.lineno} column {err.colno}: {err.msg}",
-            EXIT_PARSE,
-        )
+        config = load_json(text)
+    except InstanceFormatError as err:
+        return _fail(f"{args.config}: {err}", EXIT_PARSE)
     problem = _check_config(config)
     if problem is not None:
         return _fail(f"{args.config}: {problem}", EXIT_PARSE)

@@ -15,6 +15,7 @@ is exact in double precision.  Instance files are JSON documents; see
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import operator
@@ -33,7 +34,10 @@ class InstanceFormatError(ValueError):
 
 
 def _check_finite(value: float, where: str) -> float:
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:
+        raise ValueError(f"{where}: value {value} is not finite") from None
     if not math.isfinite(value):
         raise ValueError(f"{where}: value {value} is not finite")
     return value
@@ -211,11 +215,13 @@ class ExplicitTableFunction(KSubFunction):
 
     def __init__(self, n: int, k: int, values: Sequence[float]):
         super().__init__(n, k)
-        expected = (k + 1) ** n
         vals = tuple(_check_finite(v, f"values[{i}]") for i, v in enumerate(values))
-        if len(vals) != expected:
+        # (k+1)^n >= 2^n exceeds the length once n reaches its bit length;
+        # checking that first keeps a huge n from building a huge power
+        if n >= len(vals).bit_length() or len(vals) != (k + 1) ** n:
             raise ValueError(
-                f"value table has {len(vals)} entries, expected (k+1)^n = {expected}"
+                f"value table has {len(vals)} entries, expected (k+1)^n "
+                f"for n={n}, k={k}"
             )
         if vals[0] != 0.0:
             raise ValueError(
@@ -292,6 +298,8 @@ def _rng(seed: int) -> random.Random:
 
 
 def _grid_values(rng: random.Random, lo: float, hi: float, count: int) -> list[float]:
+    if not math.isfinite(lo * VALUE_GRID) or not math.isfinite(hi * VALUE_GRID):
+        raise ValueError(f"value range [{lo}, {hi}] is too wide for the 1/{VALUE_GRID} grid")
     lo64 = math.ceil(lo * VALUE_GRID)
     hi64 = math.floor(hi * VALUE_GRID)
     if hi64 < lo64:
@@ -477,6 +485,11 @@ def _all_ints(values) -> bool:
     return set(map(type, values)) <= {int}
 
 
+def _all_numbers(values) -> bool:
+    """True when every item is a JSON number: not a string, not a boolean."""
+    return set(map(type, values)) <= {int, float}
+
+
 def _parse_function(doc, n: int, k: int) -> KSubFunction:
     if not isinstance(doc, dict) or len(doc) != 1:
         raise InstanceFormatError(
@@ -486,10 +499,14 @@ def _parse_function(doc, n: int, k: int) -> KSubFunction:
     try:
         if tag == "modular":
             table = _require(body, "table", "function.modular")
+            if not _all_numbers(itertools.chain.from_iterable(table)):
+                raise InstanceFormatError("function.modular: table entries must be numbers")
             fn = ModularFunction(table)
         elif tag == "coverage":
             weights = _require(body, "weights", "function.coverage")
             sets = _require(body, "sets", "function.coverage")
+            if not _all_numbers(weights):
+                raise InstanceFormatError("function.coverage: weights must be numbers")
             if not all(_all_ints(members) for row in sets for members in row):
                 raise InstanceFormatError(
                     "function.coverage: sets must list integer universe points"
@@ -497,6 +514,8 @@ def _parse_function(doc, n: int, k: int) -> KSubFunction:
             fn = CoverageFunction(weights, sets)
         elif tag == "explicit":
             values = _require(body, "values", "function.explicit")
+            if not _all_numbers(values):
+                raise InstanceFormatError("function.explicit: values must be numbers")
             fn = ExplicitTableFunction(n, k, values)
         else:
             raise InstanceFormatError(f"function: unknown family '{tag}'")
@@ -550,6 +569,24 @@ def _parse_matroid(doc, n: int) -> Matroid:
     raise InstanceFormatError(f"matroid: unknown family '{tag}'")
 
 
+def load_json(text: str):
+    """``json.loads`` that fails only with :class:`InstanceFormatError`.
+
+    Besides malformed JSON (reported with its position) this covers the
+    two documents ``json`` refuses with other errors: an integer literal
+    past the interpreter's digit limit and nesting deeper than the
+    recursion limit.
+    """
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as err:
+        raise InstanceFormatError(
+            f"line {err.lineno} column {err.colno}: {err.msg}"
+        ) from err
+    except (ValueError, RecursionError) as err:
+        raise InstanceFormatError(f"unreadable JSON: {err}") from err
+
+
 def parse_instance(text: str) -> InstanceSpec:
     """Parse an instance document.
 
@@ -563,12 +600,7 @@ def parse_instance(text: str) -> InstanceSpec:
     position-annotated error; inconsistent dimensions name the offending
     field.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise InstanceFormatError(
-            f"line {err.lineno} column {err.colno}: {err.msg}"
-        ) from err
+    doc = load_json(text)
     if not isinstance(doc, dict):
         raise InstanceFormatError("top level: expected an object")
     n = _require(doc, "n", "top level")

@@ -6,6 +6,11 @@ validated against the matroid axioms at construction).  Every counted call
 to :meth:`Matroid.is_independent` tallies one IO call, which is the unit
 the solvers' query-complexity assertions are written in.
 
+Solvers that grow one independent support test extensions through an
+:class:`IndependenceState` from :meth:`Matroid.independence_state`: one
+``can_add`` is one counted IO call, answered in constant time by the
+shipped families.
+
 Subsets are plain Python sets of element indices at the API boundary; the
 explicit family stores bitmasks internally.
 """
@@ -37,12 +42,67 @@ class Matroid(ABC):
         fs = frozenset(subset)
         for e in fs:
             if not 0 <= e < self.ground_size:
-                raise ValueError(
-                    f"element {e} outside ground set of size {self.ground_size}"
-                )
+                raise _outside(e, self.ground_size)
         if counters is not None:
             counters.io_calls += 1
         return self._independent(fs)
+
+    def independence_state(
+        self, counters: Optional[OracleCounters] = None
+    ) -> "IndependenceState":
+        """A running independent support, starting empty; see :class:`IndependenceState`."""
+        return IndependenceState(self, counters)
+
+
+def _outside(e: int, n: int) -> ValueError:
+    return ValueError(f"element {e} outside ground set of size {n}")
+
+
+class IndependenceState:
+    """Running independent support of one solver run, with counted tests.
+
+    Starts at the empty support.  :meth:`can_add` answers
+    ``m.is_independent(support | {e})`` at 1 IO call, and :meth:`add`
+    commits an element that is new and passes that test; anything else
+    raises ``ValueError`` and leaves the state as it was.  ``support`` is
+    the set of added elements; only :meth:`add` may change it.
+
+    This default tests through :meth:`Matroid.is_independent`, so it works
+    for every matroid and costs time linear in the support per test; it is
+    the reference path.  The shipped families override
+    :meth:`Matroid.independence_state` with states that answer in constant
+    time from a running count, per-block room or bitmask.  Both paths give
+    the same answers and the same IO counts.
+    """
+
+    def __init__(self, m: Matroid, counters: Optional[OracleCounters] = None):
+        self.m = m
+        self.counters = counters
+        self.support: set[int] = set()
+
+    def can_add(self, e: int) -> bool:
+        """Whether ``support | {e}`` is independent; 1 IO call."""
+        if not 0 <= e < self.m.ground_size:
+            raise _outside(e, self.m.ground_size)
+        if self.counters is not None:
+            self.counters.io_calls += 1
+        return self._fits(e) or e in self.support
+
+    def add(self, e: int) -> None:
+        """Put ``e`` into the support; it must be new and pass :meth:`can_add`."""
+        if not 0 <= e < self.m.ground_size:
+            raise _outside(e, self.m.ground_size)
+        if e in self.support:
+            raise ValueError(f"element {e} is already in the support")
+        if not self._fits(e):
+            raise ValueError(f"adding element {e} makes the support dependent")
+        self.support.add(e)
+
+    def _fits(self, e: int) -> bool:
+        """Uncounted test of ``support | {e}`` for ``e`` in range and outside
+        the support; families override this and, to keep their running
+        state, :meth:`add`."""
+        return self.m.is_independent(self.support | {e})
 
 
 @dataclass(frozen=True)
@@ -60,6 +120,18 @@ class UniformMatroid(Matroid):
 
     def _independent(self, subset: frozenset[int]) -> bool:
         return len(subset) <= self.budget
+
+    def independence_state(
+        self, counters: Optional[OracleCounters] = None
+    ) -> IndependenceState:
+        return _UniformIndependenceState(self, counters)
+
+
+class _UniformIndependenceState(IndependenceState):
+    """A support is independent while it has at most ``budget`` elements."""
+
+    def _fits(self, e: int) -> bool:
+        return len(self.support) < self.m.budget
 
 
 @dataclass(frozen=True)
@@ -108,6 +180,27 @@ class PartitionMatroid(Matroid):
         for e in subset:
             counts[self._block_of[e]] += 1
         return all(c <= cap for c, cap in zip(counts, self.capacities))
+
+    def independence_state(
+        self, counters: Optional[OracleCounters] = None
+    ) -> IndependenceState:
+        return _PartitionIndependenceState(self, counters)
+
+
+class _PartitionIndependenceState(IndependenceState):
+    """Keeps the room left in each block; ``e`` fits while its block has room."""
+
+    def __init__(self, m: PartitionMatroid, counters: Optional[OracleCounters] = None):
+        super().__init__(m, counters)
+        self.block_of = m._block_of
+        self.room = list(m.capacities)
+
+    def _fits(self, e: int) -> bool:
+        return self.room[self.block_of[e]] > 0
+
+    def add(self, e: int) -> None:
+        super().add(e)
+        self.room[self.block_of[e]] -= 1
 
 
 def _mask_of(subset: Iterable[int]) -> int:
@@ -203,6 +296,26 @@ class ExplicitMatroid(Matroid):
     def _independent(self, subset: frozenset[int]) -> bool:
         return _mask_of(subset) in self.family
 
+    def independence_state(
+        self, counters: Optional[OracleCounters] = None
+    ) -> IndependenceState:
+        return _ExplicitIndependenceState(self, counters)
+
+
+class _ExplicitIndependenceState(IndependenceState):
+    """Keeps the support as a bitmask; ``e`` fits if the extended mask is listed."""
+
+    def __init__(self, m: ExplicitMatroid, counters: Optional[OracleCounters] = None):
+        super().__init__(m, counters)
+        self.mask = 0
+
+    def _fits(self, e: int) -> bool:
+        return (self.mask | 1 << e) in self.m.family
+
+    def add(self, e: int) -> None:
+        super().add(e)
+        self.mask |= 1 << e
+
 
 def greedy_basis(
     m: Matroid,
@@ -211,16 +324,18 @@ def greedy_basis(
 ) -> list[int]:
     """Basis built by greedy extension, visiting elements in ``order``.
 
-    ``order`` must list every element once.  Issues exactly n counted
-    independence tests and returns the accepted elements in visit order.
-    Every test before the first acceptance is a singleton test, so the
-    first accepted element is the first independent singleton in ``order``.
+    ``order`` must list every element once.  Tests each element against
+    one :meth:`Matroid.independence_state`, so it issues exactly n counted
+    independence tests (constant time each for the shipped families) and
+    returns the accepted elements in visit order.  Every test before the
+    first acceptance is a singleton test, so the first accepted element is
+    the first independent singleton in ``order``.
     """
-    current: set[int] = set()
+    state = m.independence_state(counters)
     basis: list[int] = []
     for e in order:
-        if m.is_independent(current | {e}, counters):
-            current.add(e)
+        if state.can_add(e):
+            state.add(e)
             basis.append(e)
     return basis
 
@@ -228,7 +343,8 @@ def greedy_basis(
 def rank(m: Matroid, counters: Optional[OracleCounters] = None) -> int:
     """Size of a maximal independent set, by greedy extension over 0..n-1.
 
-    Issues exactly n counted independence tests.
+    Runs :func:`greedy_basis` in index order: exactly n counted
+    independence tests, in time linear in n for the shipped families.
     """
     return len(greedy_basis(m, range(m.ground_size), counters))
 

@@ -120,6 +120,10 @@ def threshold_decreasing_solve(
     table lookup for modular functions, the weight of newly covered points
     for coverage, a full evaluation otherwise.  All three are exact on the
     1/64 value grid, so the run does not depend on which one prices it.
+    Independence tests go through ``m.independence_state`` (the rank scan
+    through :func:`greedy_basis`): constant time for the shipped matroid
+    families, ``is_independent`` otherwise, with the same answers and
+    counts either way.
 
     Exact oracle accounting: n*k EO for the initial single-element scan
     plus k EO per candidate visit that passes its IO test (one gain costs
@@ -142,6 +146,7 @@ def threshold_decreasing_solve(
     counters = OracleCounters()
     n, k = f.n, f.k
     state = f.gain_state(counters)
+    indep = m.independence_state(counters)
     rounds: list[tuple[float, int]] = []
 
     def report() -> SolveReport:
@@ -170,7 +175,7 @@ def threshold_decreasing_solve(
         r = matroid_rank
         if r <= 0:
             return report()
-        first = next((e for e in by_value if m.is_independent({e}, counters)), None)
+        first = next((e for e in by_value if indep.can_add(e)), None)
     if first is None or single[first] <= 0.0:
         return report()
     d = single[first]
@@ -181,7 +186,7 @@ def threshold_decreasing_solve(
 
     bound = single  # last best gain per element: bounds its current gain
     candidates = order  # unassigned, not yet known infeasible, visit order
-    support: set[int] = set()
+    support = indep.support
     stop = (1 - epsilon) * epsilon * d / (2 * r)
     w = d
     while w > stop and candidates and len(support) < r:
@@ -191,7 +196,7 @@ def threshold_decreasing_solve(
             if bound[e] < w:
                 survivors.append(e)
                 continue
-            if not m.is_independent(support | {e}, counters):
+            if not indep.can_add(e):
                 continue
             best_gain = -math.inf
             best_i = 0
@@ -203,7 +208,7 @@ def threshold_decreasing_solve(
             bound[e] = best_gain
             if best_gain >= w:
                 state.place(e, best_i, best_gain)
-                support.add(e)
+                indep.add(e)
                 added += 1
                 if len(support) == r:
                     break

@@ -27,6 +27,22 @@ class CountingWrapper(KSubFunction):
         return self.inner._value(a)
 
 
+class ReferenceMatroid(Matroid):
+    """Forwards raw independence tests to another matroid.
+
+    It does not override ``independence_state``, so solvers run on it test
+    independence through the reference ``IndependenceState``, which calls
+    ``is_independent`` on the whole extended support every time.
+    """
+
+    def __init__(self, inner: Matroid):
+        self.inner = inner
+        self.ground_size = inner.ground_size
+
+    def _independent(self, subset: frozenset[int]) -> bool:
+        return self.inner._independent(subset)
+
+
 def eager_threshold_solve(
     f: KSubFunction,
     m: Matroid,

@@ -3,6 +3,7 @@ import io
 import json
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ksubmax import (
     ExplicitTableFunction,
@@ -12,7 +13,8 @@ from ksubmax import (
     serialize_instance,
 )
 import ksubmax.cli
-from ksubmax.cli import main
+from ksubmax.cli import _check_config, main, run_bench
+from ksubmax.solvers import DEFAULT_BRUTE_CAP
 
 from helpers import eager_threshold_solve
 
@@ -29,6 +31,10 @@ def instance_file(tmp_path):
     path = tmp_path / "hand.json"
     path.write_text(serialize_instance(HAND_INSTANCE))
     return str(path)
+
+
+GOOD_ENTRY = {"family": "modular", "n": 4, "k": 2, "matroid": "uniform",
+              "budget": 2, "seeds": [0]}
 
 
 def write_config(tmp_path, doc):
@@ -257,3 +263,87 @@ class TestBench:
     def test_missing_epsilons_for_threshold_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, {"grid": [], "solvers": ["threshold"]})
         assert main(["bench", cfg]) == 2
+
+    def test_non_integer_cap_exits_2(self, tmp_path, capsys):
+        """Used to reach ``(k + 1) ** n <= cap`` and die with a TypeError."""
+        cfg = write_config(tmp_path, {"grid": [GOOD_ENTRY], "solvers": ["greedy"],
+                                      "cap": "x"})
+        assert main(["bench", cfg]) == 2
+        assert "cap" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["n", "k", "budget"])
+    def test_non_integer_grid_field_exits_2(self, tmp_path, capsys, key):
+        """Used to become an "instance generation failed" row with exit 0."""
+        entry = dict(GOOD_ENTRY, **{key: str(GOOD_ENTRY[key])})
+        cfg = write_config(tmp_path, {"grid": [entry], "solvers": ["greedy"]})
+        assert main(["bench", cfg]) == 2
+        assert f"grid[0].{key}" in capsys.readouterr().err
+
+    def test_boolean_seed_exits_2(self, tmp_path, capsys):
+        """Used to run as seed 1 under the instance id ``...-sTrue``."""
+        cfg = write_config(tmp_path, {"grid": [dict(GOOD_ENTRY, seeds=[True])],
+                                      "solvers": ["greedy"]})
+        assert main(["bench", cfg]) == 2
+        assert "seeds" in capsys.readouterr().err
+
+    def test_unreadable_json_exits_2(self, tmp_path, capsys):
+        """An integer past the digit limit used to end in a ValueError traceback."""
+        path = tmp_path / "config.json"
+        path.write_text('{"grid": [], "cap": ' + "9" * 5000 + "}")
+        assert main(["bench", str(path)]) == 2
+        assert "unreadable JSON" in capsys.readouterr().err
+
+    def test_non_list_epsilons_exits_2(self, tmp_path, capsys):
+        """Used to die iterating over the number with a TypeError."""
+        cfg = write_config(tmp_path, {"grid": [GOOD_ENTRY], "solvers": ["threshold"],
+                                      "epsilons": 5})
+        assert main(["bench", cfg]) == 2
+        assert "epsilons" in capsys.readouterr().err
+
+
+# Mostly well-typed small values, with junk of every JSON kind mixed in.
+junk = st.one_of(st.none(), st.booleans(), st.text(max_size=3),
+                 st.floats(allow_nan=False), st.lists(st.integers(0, 3), max_size=2))
+small = st.integers(-1, 5)
+
+
+def field(valid):
+    return st.one_of(valid, valid, valid, junk)
+
+
+bench_entries = st.fixed_dictionaries(
+    {
+        "family": field(st.sampled_from(["modular", "coverage"])),
+        "n": field(small),
+        "k": field(st.integers(0, 3)),
+        "matroid": field(st.sampled_from(["uniform", "partition", "explicit"])),
+        "seeds": field(st.lists(field(st.integers(-1, 50)), max_size=2)),
+    },
+    optional={
+        "budget": field(small),
+        "monotone": field(st.booleans()),
+        "value_range": field(st.lists(st.floats(allow_nan=False), min_size=2, max_size=2)),
+        "universe_size": field(small),
+        "density": field(st.floats(-0.5, 1.5)),
+    },
+)
+bench_configs = st.fixed_dictionaries(
+    {"grid": field(st.lists(bench_entries, max_size=2))},
+    optional={
+        "solvers": field(st.lists(field(st.sampled_from(["threshold", "greedy", "brute"])),
+                                  max_size=3)),
+        "epsilons": field(st.lists(field(st.floats(0.0, 1.0)), max_size=2)),
+        "cap": field(st.integers(-1, 10_000)),
+    },
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(bench_configs)
+@example({"grid": [dict(GOOD_ENTRY, value_range=[1e308, 1e308])], "solvers": ["greedy"]})
+def test_checked_bench_config_runs_without_raising(config):
+    """A config either gets a message from the checker or runs to the end;
+    failures of single instances become rows, never exceptions."""
+    if _check_config(config) is None:
+        for row in run_bench(config, cap=DEFAULT_BRUTE_CAP):
+            assert row.error or row.value is not None

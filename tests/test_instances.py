@@ -2,7 +2,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ksubmax import (
     Assignment,
@@ -342,3 +342,153 @@ class TestParseErrors:
             '"matroid": {"uniform": 1}}'
         )
         assert not verify_k_submodular(spec.function).holds
+
+
+class TestParseNonNumbers:
+    """Value lists take JSON numbers only: a string or ``true`` used to be
+    converted by ``float``, so ``"table": "12"`` parsed as two rows."""
+
+    def err(self, function):
+        with pytest.raises(InstanceFormatError) as info:
+            parse_instance(f'{{"n": 2, "k": 1, "function": {function}, '
+                           '"matroid": {"uniform": 1}}')
+        return str(info.value)
+
+    @pytest.mark.parametrize("function, where", [
+        ('{"modular": {"table": "12"}}', "function.modular: table entries"),
+        ('{"modular": {"table": [["1"], [2.0]]}}', "function.modular: table entries"),
+        ('{"modular": {"table": [[true], [2.0]]}}', "function.modular: table entries"),
+        ('{"coverage": {"weights": [1.0, "2"], "sets": [[[0]], [[1]]]}}',
+         "function.coverage: weights"),
+        ('{"explicit": {"values": [0.0, "1", 2.0, 3.0]}}', "function.explicit: values"),
+    ])
+    def test_non_numbers_rejected(self, function, where):
+        assert where in self.err(function)
+
+    def test_integer_too_large_for_a_float_rejected(self):
+        """``float(10**400)`` raised OverflowError past the format check."""
+        assert "not finite" in self.err('{"modular": {"table": [[1.0], [' + "9" * 400 + "]]}}")
+
+    def test_huge_n_with_explicit_table_rejected_at_once(self):
+        """The length check used to build (k+1)^n first, which for this n
+        does not finish."""
+        with pytest.raises(InstanceFormatError, match="entries"):
+            parse_instance('{"n": 1000000000000, "k": 2, '
+                           '"function": {"explicit": {"values": [0.0, 1.0, 2.0]}}, '
+                           '"matroid": {"uniform": 1}}')
+
+
+@pytest.mark.parametrize("text", [
+    '{"n": ' + "9" * 5000 + "}",  # past the interpreter's integer digit limit
+    "[" * 100_000 + "]" * 100_000,  # past the recursion limit
+])
+def test_json_that_json_refuses_without_a_decode_error(text):
+    """Both used to escape parse_instance as ValueError / RecursionError."""
+    with pytest.raises(InstanceFormatError, match="unreadable JSON"):
+        parse_instance(text)
+
+
+# Strict JSON values (no NaN or infinities), with the awkward scalars a
+# hand-edited file may hold.
+json_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.text(max_size=4),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0, -1, 1.5, 10**400, 2**64, "", "1"]),
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner,
+                                                                max_size=3),
+    max_leaves=10,
+)
+floats = st.floats(-1e300, 1e300)
+
+
+@st.composite
+def drawn_specs(draw):
+    """Valid instances with values drawn anywhere, not only on the 1/64 grid."""
+    n, k = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    family = draw(st.sampled_from(["modular", "coverage", "explicit"]))
+    if family == "modular":
+        table = []
+        for _ in range(n):
+            row = draw(st.lists(st.floats(0, 1e300), min_size=k, max_size=k))
+            if k >= 2 and draw(st.booleans()):
+                # one negative entry no larger than the rest keeps every
+                # pairwise sum nonnegative
+                row[0] = -draw(st.floats(0, min(row[1:])))
+            table.append(row)
+        f = ModularFunction(table)
+    elif family == "coverage":
+        universe = draw(st.integers(1, 5))
+        weights = draw(st.lists(st.floats(0, 1e300), min_size=universe, max_size=universe))
+        members = st.lists(st.integers(0, universe - 1), max_size=universe)
+        sets = draw(st.lists(st.lists(members, min_size=k, max_size=k), min_size=n, max_size=n))
+        f = CoverageFunction(weights, sets)
+    else:
+        n = min(n, 3)
+        size = (k + 1) ** n
+        f = ExplicitTableFunction(n, k, [0.0] + draw(st.lists(floats, min_size=size - 1,
+                                                              max_size=size - 1)))
+    kind = draw(st.sampled_from(["uniform", "partition", "explicit"]))
+    if kind == "uniform":
+        m = UniformMatroid(n, draw(st.integers(0, 10**30)))
+    elif kind == "partition":
+        block = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+        used = sorted(set(block))
+        m = PartitionMatroid(n, [[e for e in range(n) if block[e] == j] for j in used],
+                             draw(st.lists(st.integers(0, 10**30), min_size=len(used),
+                                           max_size=len(used))))
+    else:
+        m = gen_explicit_matroid(n, seed=draw(st.integers(0, 1000)))
+    meta = draw(st.dictionaries(st.text(max_size=5), json_values, max_size=3))
+    return InstanceSpec(n=n, k=k, function=f, matroid=m, metadata=meta)
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn_specs())
+def test_drawn_instances_round_trip(spec):
+    assert parse_instance(serialize_instance(spec)) == spec
+
+
+@st.composite
+def mutated_documents(draw):
+    """A valid instance document with one to three subtrees replaced by
+    arbitrary JSON or removed, so the parser is reached at every depth."""
+    doc = json.loads(serialize_instance(draw(drawn_specs())))
+    for _ in range(draw(st.integers(1, 3))):
+        node = doc
+        while True:
+            key = draw(st.sampled_from(list(node) if isinstance(node, dict)
+                                       else range(len(node))))
+            child = node[key]
+            if isinstance(child, (dict, list)) and child and draw(st.booleans()):
+                node = child
+                continue
+            if isinstance(node, dict) and len(node) > 1 and draw(st.booleans()):
+                del node[key]
+            else:
+                node[key] = draw(json_values)
+            break
+    return doc
+
+
+HAND_DOC = {"n": 2, "k": 1, "function": {"modular": {"table": [[1.0], [2.0]]}},
+            "matroid": {"uniform": 1}}
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(json_values.map(json.dumps), mutated_documents().map(json.dumps),
+                 st.text(max_size=20)))
+@example(json.dumps(dict(HAND_DOC, function={"modular": {"table": [[1.0], [10**400]]}})))
+@example(json.dumps(dict(HAND_DOC, n=10**12, k=2,
+                         function={"explicit": {"values": [0.0, 1.0, 2.0]}})))
+def test_parse_returns_a_valid_instance_or_a_format_error(text):
+    """Nothing but InstanceFormatError escapes, and whatever parses can be
+    written back and read again unchanged."""
+    try:
+        spec = parse_instance(text)
+    except InstanceFormatError:
+        return
+    assert isinstance(spec, InstanceSpec)
+    assert parse_instance(serialize_instance(spec)) == spec
