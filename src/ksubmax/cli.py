@@ -25,6 +25,7 @@ from .core import Assignment, CapExceededError, KSubFunction
 from .instances import (
     InstanceFormatError,
     InstanceSpec,
+    _all_numbers,
     _is_int,
     gen_coverage,
     gen_explicit_matroid,
@@ -231,9 +232,22 @@ def _check_config(doc) -> Optional[str]:
             return f"{where}.matroid: unknown matroid family {entry['matroid']!r}"
         if entry["matroid"] == "uniform" and "budget" not in entry:
             return f"{where}: uniform matroid needs a 'budget' field"
-        for key in ("n", "k", "budget"):
+        for key in ("n", "k", "budget", "universe_size"):
             if key in entry and not _is_int(entry[key]):
                 return f"{where}.{key}: expected an integer, got {entry[key]!r}"
+        if "monotone" in entry and type(entry["monotone"]) is not bool:
+            return f"{where}.monotone: expected true or false, got {entry['monotone']!r}"
+        if "density" in entry and not _all_numbers([entry["density"]]):
+            return f"{where}.density: expected a number, got {entry['density']!r}"
+        if "value_range" in entry and not (
+            isinstance(entry["value_range"], list)
+            and len(entry["value_range"]) == 2
+            and _all_numbers(entry["value_range"])
+        ):
+            return (
+                f"{where}.value_range: expected a list of two numbers, "
+                f"got {entry['value_range']!r}"
+            )
         if not isinstance(entry["seeds"], list) or not all(
             _is_int(s) for s in entry["seeds"]
         ):

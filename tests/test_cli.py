@@ -300,6 +300,39 @@ class TestBench:
         assert main(["bench", cfg]) == 2
         assert "epsilons" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value", [
+        ("monotone", "false"),     # a truthy string built a monotone instance
+        ("monotone", 0),
+        ("universe_size", True),   # ran as universe size 1
+        ("universe_size", 4.0),
+        ("density", True),         # ran as density 1
+        ("density", "0.5"),
+        ("value_range", "ab"),     # an "instance generation failed" row, exit 0
+        ("value_range", [0, "1"]),
+        ("value_range", [0, 1, 2]),
+        ("value_range", [False, 1]),
+    ])
+    def test_mistyped_optional_grid_field_exits_2(self, tmp_path, capsys, key, value):
+        entry = dict(GOOD_ENTRY, **{key: value})
+        if key in ("universe_size", "density"):
+            entry["family"] = "coverage"
+        cfg = write_config(tmp_path, {"grid": [entry], "solvers": ["greedy"]})
+        assert main(["bench", cfg]) == 2
+        err = capsys.readouterr().err
+        assert f"grid[0].{key}" in err
+        assert "Traceback" not in err
+
+    def test_well_typed_optional_grid_fields_run(self, tmp_path, capsys):
+        grid = [
+            dict(GOOD_ENTRY, monotone=False, value_range=[-1, 2.5]),
+            dict(GOOD_ENTRY, family="coverage", universe_size=6, density=1),
+        ]
+        cfg = write_config(tmp_path, {"grid": grid, "solvers": ["greedy"]})
+        assert main(["bench", cfg]) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        records = [dict(zip(rows[0], r)) for r in rows[1:]]
+        assert [r["error"] for r in records] == ["", ""]
+
 
 # Mostly well-typed small values, with junk of every JSON kind mixed in.
 junk = st.one_of(st.none(), st.booleans(), st.text(max_size=3),

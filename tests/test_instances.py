@@ -89,6 +89,65 @@ class TestCoverageFunction:
         assert verify_monotone(f).holds
 
 
+def sequential_weight(weights, points):
+    """The reference: the float sum of the set bits' weights, lowest bit first."""
+    total = 0.0
+    for u, w in enumerate(weights):
+        if points >> u & 1:
+            total += w
+    return total
+
+
+def dyadic_weights(draw, numerators, exponents):
+    """c / 2^s with exponents spread over 64 above a common base, so the
+    numerators over the largest denominator fall on both sides of 2^53."""
+    base = draw(st.integers(0, 1010))
+    return st.builds(lambda c, s: c * 2.0 ** -(base + s), numerators, exponents)
+
+
+@st.composite
+def weights_and_masks(draw):
+    kind = draw(st.sampled_from(["grid", "dyadic", "sparse", "any"]))
+    if kind == "grid":
+        weight = st.integers(0, GRID).map(lambda c: c / GRID)
+    elif kind == "dyadic":
+        weight = dyadic_weights(draw, st.integers(0, 2 ** 24), st.integers(0, 64))
+    elif kind == "sparse":
+        # big and tiny weights about 2^-53 apart with few numerator bits:
+        # fewer planes than points, and sums that round past 2^53
+        gap = draw(st.integers(48, 60))
+        weight = dyadic_weights(draw, st.integers(0, 3), st.sampled_from([0, gap]))
+    else:
+        weight = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+    weights = draw(st.lists(weight, min_size=8 if kind == "sparse" else 1, max_size=80))
+    full = (1 << len(weights)) - 1
+    few = draw(st.sets(st.integers(0, len(weights) - 1), max_size=3))
+    few_mask = sum(1 << u for u in few)
+    points = draw(st.sampled_from([few_mask, full, full ^ few_mask,
+                                   draw(st.integers(0, full))]))
+    return weights, points
+
+
+@settings(max_examples=500, deadline=None)
+@given(weights_and_masks())
+@example(([1.0] + [2.0 ** -53] * 4, 0b11111))
+@example(([i / GRID for i in range(GRID + 1)], (1 << (GRID + 1)) - 1))
+def test_weight_equals_the_sequential_sum(case):
+    """Both sides of the per-call choice (bit planes for many points, the
+    point loop for few or for weights failing the 2^53 test) return the
+    ascending-order float sum bit for bit.  The first example's exact sum,
+    1 + 2^-51, differs from the sequential 1.0."""
+    weights, points = case
+    f = CoverageFunction(weights, [[[]]])
+    assert f._weight(points).hex() == sequential_weight(weights, points).hex()
+
+
+def test_weight_planes_exist_for_grid_weights():
+    f = CoverageFunction([i / GRID for i in range(GRID + 1)], [[[]]])
+    assert [b for b, _ in f._planes] == list(range(7))
+    assert CoverageFunction([1.0] + [2.0 ** -53] * 4, [[[]]])._planes is None
+
+
 class TestExplicitTableFunction:
     def test_index_order(self):
         # index = sum labels[e] * (k+1)^e, element 0 is the fastest digit
