@@ -46,7 +46,6 @@ from .matroids import (
     rank,
 )
 from .solvers import (
-    BruteForceResult,
     SolveReport,
     brute_force_solve,
     greedy_solve,
@@ -65,7 +64,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Assignment",
-    "BruteForceResult",
     "CapExceededError",
     "CoverageFunction",
     "ExplicitMatroid",

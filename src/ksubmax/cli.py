@@ -17,7 +17,6 @@ import csv
 import dataclasses
 import json
 import sys
-import time
 from dataclasses import dataclass
 from typing import Optional
 
@@ -37,6 +36,7 @@ from .instances import (
 from .matroids import UniformMatroid, check_matroid_axioms, rank
 from .solvers import (
     DEFAULT_BRUTE_CAP,
+    SolveReport,
     brute_force_solve,
     greedy_solve,
     threshold_decreasing_solve,
@@ -53,7 +53,17 @@ EXIT_PARSE = 2
 EXIT_CAP = 3
 EXIT_EPSILON = 4
 
-SOLVER_NAMES = ("threshold", "greedy", "brute")
+# Each solver runs on (spec, epsilon, seed, cap) and returns a SolveReport.
+# The lambdas look the solver functions up in this module at call time, so
+# a solver patched here by name is the one that runs.
+SOLVERS = {
+    "threshold": lambda spec, epsilon, seed, cap: threshold_decreasing_solve(
+        spec.function, spec.matroid, epsilon, order_seed=seed),
+    "greedy": lambda spec, epsilon, seed, cap: greedy_solve(spec.function, spec.matroid),
+    "brute": lambda spec, epsilon, seed, cap: brute_force_solve(
+        spec.function, spec.matroid, cap=cap),
+}
+SOLVER_NAMES = tuple(SOLVERS)
 BENCH_COLUMNS = (
     "instance", "solver", "n", "k", "r", "epsilon", "value", "opt",
     "ratio", "eo_calls", "io_calls", "rounds", "elapsed", "error",
@@ -66,9 +76,10 @@ class BenchRow:
 
     ``opt`` and ``ratio`` are filled only when the instance fits the
     brute-force cap and the optimum is positive; ``rounds`` counts the
-    threshold solver's executed outer rounds (0 for the others).  A
-    nonempty ``error`` means the run failed and the measurement columns
-    are absent.
+    threshold solver's executed outer rounds (0 for greedy).  Brute force
+    counts no oracle calls, so its ``eo_calls``, ``io_calls`` and
+    ``rounds`` stay empty.  A nonempty ``error`` means the run failed and
+    the measurement columns are absent.
     """
 
     instance: str
@@ -105,6 +116,22 @@ def _cell(value, column: str) -> str:
     return str(value)
 
 
+def _measures(rep: SolveReport) -> dict:
+    """Value, oracle counts, round count and seconds of one solver run.
+
+    A run that counts no oracle calls (``counters`` is None) has no
+    counts and no round count.
+    """
+    counted = rep.counters is not None
+    return {
+        "value": rep.value,
+        "eo_calls": rep.counters.eo_calls if counted else None,
+        "io_calls": rep.counters.io_calls if counted else None,
+        "rounds": len(rep.rounds) if counted else None,
+        "elapsed": rep.elapsed,
+    }
+
+
 def _emit_rows(rows: list[BenchRow], fmt: str) -> None:
     if fmt == "json":
         print(json.dumps([dataclasses.asdict(r) for r in rows], indent=2))
@@ -132,9 +159,8 @@ def cmd_solve(args) -> int:
     except InstanceFormatError as err:
         return _fail(f"{args.instance}: {err}", EXIT_PARSE)
 
-    f, m = spec.function, spec.matroid
-    extra = {}
-    if args.solver == "threshold":
+    threshold = args.solver == "threshold"
+    if threshold:
         if args.epsilon is None:
             return _fail("the threshold solver requires --epsilon", EXIT_EPSILON)
         if not 0.0 < args.epsilon < 1.0:
@@ -142,38 +168,25 @@ def cmd_solve(args) -> int:
                 f"epsilon must lie strictly between 0 and 1, got {args.epsilon}",
                 EXIT_EPSILON,
             )
-        rep = threshold_decreasing_solve(f, m, args.epsilon, order_seed=args.seed)
-        value, assignment, elapsed = rep.value, rep.assignment, rep.elapsed
-        eo, io, n_rounds = rep.counters.eo_calls, rep.counters.io_calls, len(rep.rounds)
-        extra["rounds_detail"] = [[w, added] for w, added in rep.rounds]
-    elif args.solver == "greedy":
-        rep = greedy_solve(f, m)
-        value, assignment, elapsed = rep.value, rep.assignment, rep.elapsed
-        eo, io, n_rounds = rep.counters.eo_calls, rep.counters.io_calls, 0
-    else:
-        start = time.perf_counter()
-        try:
-            res = brute_force_solve(f, m, cap=args.cap)
-        except CapExceededError as err:
-            return _fail(str(err), EXIT_CAP)
-        elapsed = time.perf_counter() - start
-        value, assignment = res.value, res.assignment
-        eo = io = n_rounds = None
-        extra["max_opt_support_size"] = res.max_opt_support_size
+    try:
+        rep = SOLVERS[args.solver](spec, args.epsilon, args.seed, args.cap)
+    except CapExceededError as err:
+        return _fail(str(err), EXIT_CAP)
 
+    # "value" keeps its place after "k"; the measures only repeat it
     doc = {
         "solver": args.solver,
         "n": spec.n,
         "k": spec.k,
-        "value": value,
-        "assignment": list(assignment.labels),
-        "support": sorted(assignment.support()),
-        "eo_calls": eo,
-        "io_calls": io,
-        "rounds": n_rounds,
-        "elapsed": elapsed,
-        **extra,
+        "value": rep.value,
+        "assignment": list(rep.assignment.labels),
+        "support": sorted(rep.assignment.support()),
+        **_measures(rep),
     }
+    if threshold:
+        doc["rounds_detail"] = [[w, added] for w, added in rep.rounds]
+    if rep.max_opt_support_size is not None:
+        doc["max_opt_support_size"] = rep.max_opt_support_size
     if args.format == "json":
         print(json.dumps(doc, indent=2))
     elif args.format == "csv":
@@ -282,39 +295,14 @@ def _build_instance(entry: dict, seed: int) -> tuple[str, InstanceSpec]:
     return instance_id, InstanceSpec(n=n, k=k, function=fn, matroid=m)
 
 
-def _bench_one(
-    spec: InstanceSpec, solver: str, epsilon: Optional[float], seed: int, cap: int
-) -> dict:
-    f, m = spec.function, spec.matroid
-    if solver == "threshold":
-        rep = threshold_decreasing_solve(f, m, epsilon, order_seed=seed)
-        return {
-            "value": rep.value,
-            "eo_calls": rep.counters.eo_calls,
-            "io_calls": rep.counters.io_calls,
-            "rounds": len(rep.rounds),
-            "elapsed": rep.elapsed,
-        }
-    if solver == "greedy":
-        rep = greedy_solve(f, m)
-        return {
-            "value": rep.value,
-            "eo_calls": rep.counters.eo_calls,
-            "io_calls": rep.counters.io_calls,
-            "rounds": 0,
-            "elapsed": rep.elapsed,
-        }
-    start = time.perf_counter()
-    res = brute_force_solve(f, m, cap=cap)
-    return {"value": res.value, "elapsed": time.perf_counter() - start}
-
-
 def run_bench(config: dict, cap: int) -> list[BenchRow]:
     """Materialize every grid instance and run every configured solver.
 
     Rows appear in deterministic config order: grid entry, then seed, then
-    solver, then epsilon (threshold only).  Failures are captured in the
-    row's ``error`` field and never abort the sweep.
+    solver, then epsilon (threshold only).  Brute force runs once per
+    instance: its report gives the ``opt`` column and is the brute row.
+    Failures are captured in the row's ``error`` field and never abort the
+    sweep.
     """
     solvers = config.get("solvers", ["threshold", "greedy"])
     epsilons = config.get("epsilons", [])
@@ -332,26 +320,27 @@ def run_bench(config: dict, cap: int) -> list[BenchRow]:
                 ))
                 continue
             r = rank(spec.matroid)
-            opt = None
-            if (k + 1) ** n <= cap:
-                opt = brute_force_solve(spec.function, spec.matroid, cap=cap).value
+            try:
+                brute, brute_error = SOLVERS["brute"](spec, None, seed, cap), ""
+            except CapExceededError as err:
+                brute, brute_error = None, str(err)
+            opt = brute.value if brute is not None else None
             for solver in solvers:
                 for epsilon in (epsilons if solver == "threshold" else [None]):
                     row = BenchRow(
                         instance=instance_id, solver=solver, n=n, k=k,
                         r=r, epsilon=epsilon,
                     )
-                    try:
-                        measured = _bench_one(spec, solver, epsilon, seed, cap)
-                    except CapExceededError as err:
-                        row.error = str(err)
-                        rows.append(row)
-                        continue
-                    for key, val in measured.items():
-                        setattr(row, key, val)
-                    row.opt = opt
-                    if opt is not None and opt > 0:
-                        row.ratio = row.value / opt
+                    if solver == "brute":
+                        rep, row.error = brute, brute_error
+                    else:
+                        rep = SOLVERS[solver](spec, epsilon, seed, cap)
+                    if rep is not None:
+                        for key, val in _measures(rep).items():
+                            setattr(row, key, val)
+                        row.opt = opt
+                        if opt is not None and opt > 0:
+                            row.ratio = row.value / opt
                     rows.append(row)
     return rows
 
@@ -439,14 +428,14 @@ def cmd_verify(args) -> int:
     _print_verdict("matroid axioms", axioms)
     print(f"rank: {rank(m)}")
 
-    total = (spec.k + 1) ** spec.n
-    if total <= args.cap:
+    try:
         res = brute_force_solve(f, m, cap=args.cap)
+    except CapExceededError as err:
+        print(f"OPT: skipped ({err})")
+    else:
         print(f"OPT: {res.value}")
         print(f"optimal assignment: {list(res.assignment.labels)}")
         print(f"max optimal support size: {res.max_opt_support_size}")
-    else:
-        print(f"OPT: skipped ((k+1)^n = {total} exceeds cap {args.cap})")
     return EXIT_OK
 
 

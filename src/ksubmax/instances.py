@@ -43,12 +43,28 @@ def _check_finite(value: float, where: str) -> float:
     return value
 
 
+def _check_sums_finite(lo: float, hi: float) -> None:
+    """Refuse a function whose values, or sums of two of them, can overflow.
+
+    ``lo <= 0 <= hi`` bound every value the function takes.  Where values
+    are sums, the bounds add the extreme terms in the same order, so
+    rounding keeps every computed value between them.  When ``2 * lo``
+    and ``2 * hi`` are finite, so is every value and every sum or
+    difference of two.
+    """
+    if not (math.isfinite(2 * lo) and math.isfinite(2 * hi)):
+        raise ValueError(
+            f"values reach [{lo}, {hi}], where a sum of two values overflows a float"
+        )
+
+
 class ModularFunction(KSubFunction):
     """f(p) = sum over placed elements e of table[e][p(e) - 1].
 
     Every row must satisfy table[e][i] + table[e][j] >= 0 for i != j; this
     is checked at construction and guarantees k-submodularity.  The
-    function is monotone iff every entry is nonnegative.
+    function is monotone iff every entry is nonnegative.  Tables whose
+    values, or sums of two values, can overflow a float are refused.
     """
 
     def __init__(self, table: Sequence[Sequence[float]]):
@@ -59,16 +75,21 @@ class ModularFunction(KSubFunction):
         k = len(rows[0])
         if k < 1:
             raise ValueError("table rows must have at least one entry")
+        lo = hi = 0.0
         for e, row in enumerate(rows):
             if len(row) != k:
                 raise ValueError(f"table row {e} has {len(row)} entries, expected {k}")
-            if k >= 2:
-                ordered = sorted(row)
-                if ordered[0] + ordered[1] < 0:
-                    raise ValueError(
-                        f"table row {e} violates the pairwise-sum constraint: "
-                        f"{ordered[0]} + {ordered[1]} < 0"
-                    )
+            ordered = sorted(row)
+            if k >= 2 and ordered[0] + ordered[1] < 0:
+                raise ValueError(
+                    f"table row {e} violates the pairwise-sum constraint: "
+                    f"{ordered[0]} + {ordered[1]} < 0"
+                )
+            if ordered[0] < 0:
+                lo += ordered[0]
+            if ordered[-1] > 0:
+                hi += ordered[-1]
+        _check_sums_finite(lo, hi)
         super().__init__(len(rows), k)
         self.table = rows
 
@@ -115,6 +136,9 @@ class CoverageFunction(KSubFunction):
     in [0, 1] need 7 planes.  Weights that fail the test, and sets with no
     more points than planes, are summed point by point, which gives the
     same float.
+
+    Weights are refused when the points some set covers weigh so much
+    that a sum of two values overflows a float.
     """
 
     def __init__(
@@ -150,6 +174,11 @@ class CoverageFunction(KSubFunction):
             tuple(sum(1 << u for u in fs) for fs in row) for row in self.sets
         )
         self._planes, self._unit = _weight_planes(self.weights)
+        reachable = 0
+        for row in self._masks:
+            for mask in row:
+                reachable |= mask
+        _check_sums_finite(0.0, self._weight(reachable))
 
     @property
     def universe_size(self) -> int:
@@ -255,7 +284,8 @@ class ExplicitTableFunction(KSubFunction):
     The table is indexed by sum(labels[e] * (k+1)**e); the all-zero
     assignment sits at index 0 and must evaluate to 0.  No k-submodularity
     check is performed at construction, so deliberately corrupted tables
-    can be built and fed to the verifiers.
+    can be built and fed to the verifiers.  Tables whose values are so
+    large that a sum of two overflows a float are refused.
     """
 
     def __init__(self, n: int, k: int, values: Sequence[float]):
@@ -272,6 +302,7 @@ class ExplicitTableFunction(KSubFunction):
             raise ValueError(
                 f"value at the empty assignment must be 0, got {vals[0]}"
             )
+        _check_sums_finite(min(vals), max(vals))
         self.values = vals
 
     @classmethod

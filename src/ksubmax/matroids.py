@@ -252,42 +252,14 @@ class ExplicitMatroid(Matroid):
                 raise ValueError(f"bitmask {mask} uses elements outside 0..{n - 1}")
         if 0 not in self.family:
             raise ValueError("family violates axiom (a): empty set missing")
-        by_size: dict[int, list[int]] = {}
-        for mask in self.family:
-            by_size.setdefault(mask.bit_count(), []).append(mask)
-        for mask in self.family:
-            rest = mask
-            while rest:
-                low = rest & -rest
-                if (mask ^ low) not in self.family:
-                    raise ValueError(
-                        f"family violates axiom (b): {mask ^ low} missing "
-                        f"although superset {mask} is listed"
-                    )
-                rest ^= low
-        sizes = sorted(by_size)
-        for s, t in zip(sizes, sizes[1:]):
-            if t != s + 1:
-                # a size gap already contradicts augmentation
+        violation, _ = _axiom_violation(sorted(self.family), self.family)
+        if violation is not None:
+            axiom, a, b = violation
+            if axiom == "axiom-b":
                 raise ValueError(
-                    f"family violates axiom (c): sets of size {s} and {t} "
-                    f"exist but none of size {s + 1}"
+                    f"family violates axiom (b): {b} missing although superset {a} is listed"
                 )
-            for small in by_size[s]:
-                for big in by_size[t]:
-                    extra = big & ~small
-                    ok = False
-                    while extra:
-                        low = extra & -extra
-                        if (small | low) in self.family:
-                            ok = True
-                            break
-                        extra ^= low
-                    if not ok:
-                        raise ValueError(
-                            f"family violates axiom (c): {small} cannot be "
-                            f"augmented from {big}"
-                        )
+            raise ValueError(f"family violates axiom (c): {a} cannot be augmented from {b}")
 
     @classmethod
     def from_sets(cls, ground_size: int, sets: Iterable[Iterable[int]]) -> "ExplicitMatroid":
@@ -400,6 +372,49 @@ def check_basis_exchange(m: Matroid, a: Iterable[int], b: Iterable[int], e: int)
     return False
 
 
+def _axiom_violation(
+    masks: list[int], family: set[int] | frozenset[int], pair_budget: Optional[int] = None
+):
+    """First violation of axiom (b) or (c) in a family of bitmasks, and the checks made.
+
+    ``masks`` lists the family ascending; ``family`` answers membership.
+    Axiom (b) comes first, one check per set and element, lowest first;
+    then axiom (c), one check per set of size s against one of size s + 1.
+    The violation is None, ``("axiom-b", mask, mask_without_one)`` or
+    ``("axiom-c", small, big)``.  With more than ``pair_budget`` pairs, (c)
+    is left untested and the checks are None.
+    """
+    checks = 0
+    for mask in masks:
+        rest = mask
+        while rest:
+            low = rest & -rest
+            checks += 1
+            if (mask ^ low) not in family:
+                return ("axiom-b", mask, mask ^ low), checks
+            rest ^= low
+    by_size: dict[int, list[int]] = {}
+    for mask in masks:
+        by_size.setdefault(mask.bit_count(), []).append(mask)
+    if pair_budget is not None and pair_budget < sum(
+        len(by_size[s]) * len(by_size.get(s + 1, ())) for s in by_size
+    ):
+        return None, None
+    for s in sorted(by_size):
+        for small in by_size[s]:
+            for big in by_size.get(s + 1, ()):
+                checks += 1
+                extra = big & ~small
+                while extra:
+                    low = extra & -extra
+                    if (small | low) in family:
+                        break
+                    extra ^= low
+                else:
+                    return ("axiom-c", small, big), checks
+    return None, checks
+
+
 def check_matroid_axioms(
     m: Matroid,
     budget: int = 1_000_000,
@@ -422,49 +437,12 @@ def check_matroid_axioms(
         ]
         if not m.is_independent(frozenset()):
             return Verdict(False, ("axiom-a",), exhaustive=True, checked=1)
-        indep_set = set(independents)
-        checked = 1 << n
-        for mask in independents:
-            rest = mask
-            while rest:
-                low = rest & -rest
-                checked += 1
-                if (mask ^ low) not in indep_set:
-                    return Verdict(
-                        False,
-                        ("axiom-b", _set_of(mask), _set_of(mask ^ low)),
-                        exhaustive=True,
-                        checked=checked,
-                    )
-                rest ^= low
-        by_size: dict[int, list[int]] = {}
-        for mask in independents:
-            by_size.setdefault(mask.bit_count(), []).append(mask)
-        sizes = sorted(by_size)
-        pair_count = sum(
-            len(by_size[s]) * len(by_size.get(s + 1, [])) for s in sizes
-        )
-        if pair_count <= budget:
-            for s in sizes:
-                for small in by_size[s]:
-                    for big in by_size.get(s + 1, []):
-                        extra = big & ~small
-                        ok = False
-                        while extra:
-                            low = extra & -extra
-                            if (small | low) in indep_set:
-                                ok = True
-                                break
-                            extra ^= low
-                        checked += 1
-                        if not ok:
-                            return Verdict(
-                                False,
-                                ("axiom-c", _set_of(small), _set_of(big)),
-                                exhaustive=True,
-                                checked=checked,
-                            )
-            return Verdict(True, None, exhaustive=True, checked=checked)
+        violation, checks = _axiom_violation(independents, set(independents), budget)
+        if checks is not None:
+            if violation is not None:
+                violation = (violation[0], _set_of(violation[1]), _set_of(violation[2]))
+            return Verdict(violation is None, violation, exhaustive=True,
+                           checked=(1 << n) + checks)
 
     rng = random.Random(seed)
     if not m.is_independent(frozenset()):

@@ -38,28 +38,23 @@ DEFAULT_BRUTE_CAP = 4**10
 
 @dataclass
 class SolveReport:
-    """Result of one counted solver run.
+    """Result of one solver run.
 
     ``rounds`` records, for the threshold solver, one (threshold, elements
-    added) entry per executed outer round; it is empty for the greedy
-    solver.  ``value`` is re-evaluated once at the end outside the counters
-    as an audit.  ``elapsed`` is wall-clock seconds and never deterministic.
+    added) entry per executed outer round; it is empty for the greedy and
+    brute-force solvers.  ``value`` is re-evaluated once at the end outside
+    the counters as an audit.  ``elapsed`` is wall-clock seconds and never
+    deterministic.  ``counters`` is None for brute force, which counts no
+    oracle calls; only brute force sets ``max_opt_support_size``, the
+    largest support among optimal assignments.
     """
 
     assignment: Assignment
     value: float
-    counters: OracleCounters
+    counters: Optional[OracleCounters]
     rounds: list[tuple[float, int]]
     elapsed: float
-
-
-@dataclass
-class BruteForceResult:
-    """Exact optimum: value, largest support size among optima, one witness."""
-
-    value: float
-    max_opt_support_size: int
-    assignment: Assignment
+    max_opt_support_size: Optional[int] = None
 
 
 def _check_inputs(f: KSubFunction, m: Matroid) -> None:
@@ -263,15 +258,17 @@ def greedy_solve(f: KSubFunction, m: Matroid) -> SolveReport:
 
 def brute_force_solve(
     f: KSubFunction, m: Matroid, cap: int = DEFAULT_BRUTE_CAP
-) -> BruteForceResult:
+) -> SolveReport:
     """Exact optimum by enumerating assignments with independent support.
 
     Among all optimal assignments the one with the largest support is
-    reported (its size equals the matroid rank whenever the objective is
-    monotone).  Refuses instances where (k+1)^n exceeds ``cap`` rather than
-    returning a sampled answer.  Oracle calls are not counted.
+    reported, and its size is ``max_opt_support_size`` (it equals the
+    matroid rank whenever the objective is monotone).  Refuses instances
+    where (k+1)^n exceeds ``cap`` rather than returning a sampled answer.
+    Oracle calls are not counted, so ``counters`` is None.
     """
     _check_inputs(f, m)
+    start = time.perf_counter()
     n, k = f.n, f.k
     total = (k + 1) ** n
     if total > cap:
@@ -303,8 +300,11 @@ def brute_force_solve(
             labels[e] = 0
 
     visit(0, frozenset())
-    return BruteForceResult(
-        value=best_value,
-        max_opt_support_size=best_size,
+    return SolveReport(
         assignment=Assignment(best_labels, k),
+        value=best_value,
+        counters=None,
+        rounds=[],
+        elapsed=time.perf_counter() - start,
+        max_opt_support_size=best_size,
     )

@@ -89,6 +89,13 @@ class TestSolve:
         assert doc["value"] == 5.0
         assert doc["max_opt_support_size"] == 1
 
+    def test_brute_json_leaves_counts_null(self, instance_file, capsys):
+        """Brute force counts no oracle calls, so it reports no counts."""
+        assert main(["solve", instance_file, "--solver", "brute",
+                     "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["eo_calls"], doc["io_calls"], doc["rounds"]) == (None, None, None)
+
     def test_missing_epsilon_exits_4(self, instance_file, capsys):
         assert main(["solve", instance_file]) == 4
         assert "epsilon" in capsys.readouterr().err
@@ -223,6 +230,32 @@ class TestBench:
             if rec["opt"] and float(rec["opt"]) > 0:
                 assert float(rec["ratio"]) <= 1.0
 
+    def test_brute_force_runs_once_per_instance(self, tmp_path, capsys, monkeypatch):
+        """One enumeration gives both the opt column and the brute row."""
+        calls = []
+        brute = ksubmax.cli.brute_force_solve
+
+        def counting(f, m, cap):
+            calls.append(f)
+            return brute(f, m, cap=cap)
+
+        monkeypatch.setattr(ksubmax.cli, "brute_force_solve", counting)
+        cfg = write_config(tmp_path, {
+            "grid": [dict(GOOD_ENTRY, seeds=[0, 1]),
+                     dict(GOOD_ENTRY, family="coverage", n=3, seeds=[5])],
+            "solvers": ["threshold", "greedy", "brute"],
+            "epsilons": [0.2],
+        })
+        assert main(["bench", cfg, "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert len(calls) == 3
+        brute_rows = [r for r in rows if r["solver"] == "brute"]
+        assert len(brute_rows) == 3
+        for row in brute_rows:
+            assert (row["eo_calls"], row["io_calls"], row["rounds"]) == (None, None, None)
+            assert row["value"] == row["opt"]
+            assert row["ratio"] == 1.0
+
     def test_json_format(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {
             "grid": [{"family": "modular", "n": 3, "k": 1, "matroid": "uniform",
@@ -332,6 +365,32 @@ class TestBench:
         rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
         records = [dict(zip(rows[0], r)) for r in rows[1:]]
         assert [r["error"] for r in records] == ["", ""]
+
+
+OVERFLOWING_FUNCTIONS = {
+    # each value is finite, but a value or a sum of two is not
+    "modular": (2, 1, {"modular": {"table": [[1.7e308], [1.7e308]]}}),
+    "coverage": (2, 1, {"coverage": {"weights": [1.7e308, 1.7e308],
+                                     "sets": [[[0]], [[1]]]}}),
+    "explicit": (3, 1, {"explicit": {"values": [0.0] + [1.7e308] * 6 + [1.75e308]}}),
+}
+
+
+@pytest.mark.parametrize("family", sorted(OVERFLOWING_FUNCTIONS))
+def test_overflowing_values_exit_2(tmp_path, capsys, family):
+    """Used to print Infinity from solve, and two verifiers that disagree."""
+    n, k, function = OVERFLOWING_FUNCTIONS[family]
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"n": n, "k": k, "function": function,
+                                "matroid": {"uniform": n}}))
+    for argv in (["solve", str(path), "--solver", "greedy", "--format", "json"],
+                 ["verify", str(path)]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"function.{family}" in captured.err
+        assert "overflows a float" in captured.err
+        assert "Traceback" not in captured.err
 
 
 # Mostly well-typed small values, with junk of every JSON kind mixed in.

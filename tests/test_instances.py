@@ -148,6 +148,35 @@ def test_weight_planes_exist_for_grid_weights():
     assert CoverageFunction([1.0] + [2.0 ** -53] * 4, [[[]]])._planes is None
 
 
+class TestOverflow:
+    """A value, or a sum of two values, that overflows a float is refused;
+    each accepted case sits just inside the rule."""
+
+    def test_modular(self):
+        with pytest.raises(ValueError, match="overflows a float"):
+            ModularFunction([[1.7e308], [1.7e308]])
+        with pytest.raises(ValueError, match="overflows a float"):
+            ModularFunction([[-8e307, 9e307]])  # 2 * -8e307 fits, 2 * 9e307 does not
+        with pytest.raises(ValueError, match="overflows a float"):
+            ModularFunction([[-1e308], [-1e308]])
+        f = ModularFunction([[4e307, -4e307], [4e307, 4e307]])
+        assert f.evaluate(Assignment((1, 1), 2)) == 8e307
+
+    def test_coverage(self):
+        with pytest.raises(ValueError, match="overflows a float"):
+            CoverageFunction([1.7e308, 1.7e308], [[[0]], [[1]]])
+        # a point no set covers adds to no value
+        f = CoverageFunction([8e307, 1.7e308], [[[0]]])
+        assert f.evaluate(Assignment((1,), 1)) == 8e307
+
+    def test_explicit(self):
+        with pytest.raises(ValueError, match="overflows a float"):
+            ExplicitTableFunction(3, 1, [0.0] + [1.7e308] * 6 + [1.75e308])
+        with pytest.raises(ValueError, match="overflows a float"):
+            ExplicitTableFunction(1, 1, [0.0, -1e308])
+        assert ExplicitTableFunction(1, 1, [0.0, -8e307]).values == (0.0, -8e307)
+
+
 class TestExplicitTableFunction:
     def test_index_order(self):
         # index = sum labels[e] * (k+1)^e, element 0 is the fastest digit

@@ -189,3 +189,101 @@ class TestAxiomChecker:
     @given(st.integers(0, 10_000), st.integers(1, 6))
     def test_generated_explicit_matroids_pass(self, seed, n):
         assert check_matroid_axioms(gen_explicit_matroid(n, seed=seed)).holds
+
+
+class FamilyMatroid(Matroid):
+    """Independent iff the subset's bitmask is listed; no axiom is checked."""
+
+    def __init__(self, n, family):
+        self.ground_size = n
+        self.family = frozenset(family)
+
+    def _independent(self, subset):
+        return sum(1 << e for e in subset) in self.family
+
+
+def down_closure(generators):
+    """Every subset of every generator, as bitmasks; always holds 0."""
+    closed = {0}
+    for g in generators:
+        sub = g
+        while True:
+            closed.add(sub)
+            if sub == 0:
+                break
+            sub = (sub - 1) & g
+    return closed
+
+
+@st.composite
+def bitmask_families(draw):
+    """A family on n <= 5 elements: arbitrary, downward closed, or
+    downward closed with a nonempty set A that cannot be augmented from a
+    disjoint larger set B (no generator contains all of A and a point of
+    B, so no A + b is listed)."""
+    kind = draw(st.sampled_from(["arbitrary", "closed", "not augmenting"]))
+    n = draw(st.integers(3 if kind == "not augmenting" else 1, 5))
+    masks = st.integers(0, (1 << n) - 1)
+    if kind == "arbitrary":
+        return n, draw(st.sets(masks))
+    if kind == "closed":
+        return n, down_closure(draw(st.lists(masks, max_size=6)))
+    order = draw(st.permutations(range(n)))
+    a_size = draw(st.integers(1, (n - 1) // 2))
+    b_size = draw(st.integers(a_size + 1, n - a_size))
+    a = sum(1 << e for e in order[:a_size])
+    b = sum(1 << e for e in order[a_size:a_size + b_size])
+    extras = draw(st.lists(masks.filter(lambda c: c & a != a), max_size=4))
+    return n, down_closure([a, b, *extras])
+
+
+def axiom_named(message):
+    return next(f"axiom-{x}" for x in "abc" if f"axiom ({x})" in message)
+
+
+class TestAxiomViolations:
+    @settings(max_examples=300, deadline=None)
+    @given(bitmask_families())
+    def test_explicit_matroid_rejects_what_the_checker_fails(self, case):
+        """The constructor and the checker agree on every family, down to
+        the axiom they name."""
+        n, family = case
+        verdict = check_matroid_axioms(FamilyMatroid(n, family))
+        assert verdict.exhaustive
+        try:
+            ExplicitMatroid(n, family)
+        except ValueError as err:
+            assert not verdict.holds
+            assert axiom_named(str(err)) == verdict.counterexample[0]
+        else:
+            assert verdict.holds
+
+    def test_uniform_rank_one_holds(self):
+        """{}, {0}, {1} on n = 2: 4 subsets are tested, then axiom (b) makes
+        one check per element of each listed set (1 + 1) and axiom (c) one
+        per pair of sizes 0 and 1 (1 * 2) and 1 and 2 (2 * 0): 4 + 2 + 2."""
+        v = check_matroid_axioms(FamilyMatroid(2, {0b00, 0b01, 0b10}))
+        assert (v.holds, v.counterexample, v.checked) == (True, None, 8)
+        ExplicitMatroid(2, {0b00, 0b01, 0b10})
+
+    def test_missing_subset_breaks_b(self):
+        """{}, {0, 1} on n = 2: after the 4 subsets, the first check drops
+        element 0 from {0, 1} and finds {1} missing: 4 + 1."""
+        v = check_matroid_axioms(FamilyMatroid(2, {0b00, 0b11}))
+        assert (v.holds, v.counterexample, v.checked) == (
+            False, ("axiom-b", frozenset({0, 1}), frozenset({1})), 5)
+        with pytest.raises(ValueError, match=r"axiom \(b\)"):
+            ExplicitMatroid(2, {0b00, 0b11})
+
+    def test_unaugmentable_set_breaks_c(self):
+        """{}, {0}, {1}, {0, 1}, {2} on n = 3: 8 subsets; axiom (b) holds
+        after one check per element of each listed set (0 + 1 + 1 + 2 + 1
+        = 5); axiom (c) passes the 3 pairs of {} with a singleton, then
+        {0} and {1} against {0, 1}, and fails on {2} against {0, 1}, the
+        6th pair: 8 + 5 + 6."""
+        family = {0b000, 0b001, 0b010, 0b011, 0b100}
+        v = check_matroid_axioms(FamilyMatroid(3, family))
+        assert (v.holds, v.counterexample, v.checked) == (
+            False, ("axiom-c", frozenset({2}), frozenset({0, 1})), 19)
+        with pytest.raises(ValueError, match=r"axiom \(c\)"):
+            ExplicitMatroid(3, family)
