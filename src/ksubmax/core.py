@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 
 class CapExceededError(Exception):
@@ -84,12 +84,7 @@ class Assignment:
 
     def check_open(self, e: int, i: int) -> None:
         """Raise ValueError unless ``e`` is an unplaced element and ``1 <= i <= k``."""
-        if not 0 <= e < len(self.labels):
-            raise ValueError(f"element {e} outside ground set of size {self.n}")
-        if not 1 <= i <= self.k:
-            raise ValueError(f"position {i} outside {{1,...,{self.k}}}")
-        if self.labels[e] != 0:
-            raise ValueError(f"element {e} already placed (label {self.labels[e]})")
+        _check_open(self.labels, self.k, e, i)
 
     def assign(self, e: int, i: int) -> "Assignment":
         """New assignment with unplaced element ``e`` put into set ``i``."""
@@ -104,6 +99,16 @@ class Assignment:
             tuple(lab if e in keep else 0 for e, lab in enumerate(self.labels)),
             self.k,
         )
+
+
+def _check_open(labels: Sequence[int], k: int, e: int, i: int) -> None:
+    """The checks of :meth:`Assignment.check_open` on a label sequence."""
+    if not 0 <= e < len(labels):
+        raise ValueError(f"element {e} outside ground set of size {len(labels)}")
+    if not 1 <= i <= k:
+        raise ValueError(f"position {i} outside {{1,...,{k}}}")
+    if labels[e] != 0:
+        raise ValueError(f"element {e} already placed (label {labels[e]})")
 
 
 def _check_same_shape(a: Assignment, b: Assignment) -> None:
@@ -224,6 +229,14 @@ class GainState:
     as ``marginal_gain(f, assignment, e, i, counters, base=value)``, and
     :meth:`place` commits one, adding the priced gain to ``value``.
 
+    The labels live in a private mutable list, so :meth:`place` writes one
+    label instead of copying an n-tuple.  ``assignment`` is a read-only
+    view of them as an :class:`Assignment`, built on first use after each
+    placement and reused until the next.  :meth:`place`, and the gain
+    overrides through :meth:`_charge`, make the checks of
+    :meth:`Assignment.check_open` with its messages; a refused placement
+    leaves the labels and ``value`` as they were.
+
     This default goes through ``f.evaluate`` and so works for every
     function; it is the reference path.  Function families override
     :meth:`KSubFunction.gain_state` with states that price a gain without
@@ -234,8 +247,16 @@ class GainState:
     def __init__(self, f: KSubFunction, counters: Optional[OracleCounters] = None):
         self.f = f
         self.counters = counters
-        self.assignment = f.zero()
         self.value = 0.0
+        self._labels = [0] * f.n
+        self._assignment: Optional[Assignment] = None
+
+    @property
+    def assignment(self) -> Assignment:
+        """The running assignment; rebuilt at most once per placement."""
+        if self._assignment is None:
+            self._assignment = Assignment._trusted(tuple(self._labels), self.f.k)
+        return self._assignment
 
     def gain(self, e: int, i: int) -> float:
         """Gain of putting unplaced element ``e`` into set ``i``; 1 EO call."""
@@ -243,12 +264,14 @@ class GainState:
 
     def place(self, e: int, i: int, gain: float) -> None:
         """Put ``e`` into set ``i``; ``gain`` must be what :meth:`gain` returned."""
-        self.assignment = self.assignment.assign(e, i)
+        _check_open(self._labels, self.f.k, e, i)
+        self._labels[e] = i
+        self._assignment = None
         self.value += gain
 
     def _charge(self, e: int, i: int) -> None:
         """For overrides of :meth:`gain`: check the placement, count 1 EO call."""
-        self.assignment.check_open(e, i)
+        _check_open(self._labels, self.f.k, e, i)
         if self.counters is not None:
             self.counters.eo_calls += 1
 

@@ -6,7 +6,7 @@ import time
 from typing import Optional
 
 from ksubmax import Assignment, KSubFunction, Matroid, OracleCounters
-from ksubmax.matroids import greedy_basis
+from ksubmax.matroids import feasible_extensions, greedy_basis
 from ksubmax.solvers import SolveReport, _check_inputs
 
 
@@ -136,3 +136,45 @@ def eager_threshold_solve(
         w *= 1 - epsilon
     return report()
 
+
+
+def reference_greedy_solve(f: KSubFunction, m: Matroid) -> SolveReport:
+    """Reference greedy solver: the feasible set rebuilt every iteration.
+
+    Each iteration calls ``feasible_extensions`` (one IO call per element
+    outside the support), prices every candidate pair against the running
+    gain state (one EO call each), and adds the argmax pair, lowest element
+    then lowest position on ties; it stops when no feasible element is
+    left.  This is the loop ``greedy_solve`` shipped before it kept one
+    independence state for the whole run, kept unchanged so the solver can
+    be checked against it: same assignment, value and counts.
+    """
+    _check_inputs(f, m)
+    start = time.perf_counter()
+    counters = OracleCounters()
+    k = f.k
+    state = f.gain_state(counters)
+    support: set[int] = set()
+    while True:
+        extensions = feasible_extensions(m, support, counters)
+        if not extensions:
+            break
+        best_gain = -math.inf
+        best_pair = None
+        for e in sorted(extensions):
+            for i in range(1, k + 1):
+                gain = state.gain(e, i)
+                if gain > best_gain:
+                    best_gain = gain
+                    best_pair = (e, i)
+        e, i = best_pair
+        state.place(e, i, best_gain)
+        support.add(e)
+    a = state.assignment
+    return SolveReport(
+        assignment=a,
+        value=f.evaluate(a),
+        counters=counters,
+        rounds=[],
+        elapsed=time.perf_counter() - start,
+    )

@@ -16,6 +16,7 @@ from ksubmax import (
     OracleCounters,
     PartitionMatroid,
     UniformMatroid,
+    feasible_extensions,
     gen_explicit_matroid,
     rank,
     threshold_decreasing_solve,
@@ -108,3 +109,28 @@ def test_threshold_on_shipped_states_equals_reference_state():
                         )
                         runs += 1
     assert runs == 4 * (1000 + 3 * 450)
+
+
+@settings(max_examples=300, deadline=None)
+@given(matroids(), st.data())
+def test_feasible_extensions_answers_like_is_independent(m, data):
+    """On random supports, independent or not: the elements whose addition
+    ``is_independent`` accepts, one counted IO call per element outside
+    the support, and ``ValueError`` for a dependent support."""
+    n = m.ground_size
+    support = frozenset(data.draw(st.lists(st.integers(0, max(n - 1, 0)), max_size=n)))
+    if n == 0:
+        support = frozenset()
+    for matroid in (m, ReferenceMatroid(m)):
+        counters = OracleCounters()
+        if not m.is_independent(support):
+            with pytest.raises(ValueError, match="support is not independent"):
+                feasible_extensions(matroid, support, counters)
+            assert counters.io_calls == 0
+            continue
+        got = feasible_extensions(matroid, support, counters)
+        assert got == {e for e in range(n)
+                       if e not in support and m.is_independent(support | {e})}
+        assert counters.io_calls == n - len(support)
+    with pytest.raises(ValueError, match="outside ground set"):
+        feasible_extensions(m, support | {n})
