@@ -39,14 +39,22 @@ class Assignment:
 
     ``labels[e] == i`` with ``i > 0`` puts element ``e`` into the i-th set;
     ``0`` leaves it unplaced.  The all-zero assignment is the bottom element
-    of the partial order (see :func:`precedes`).
+    of the partial order (see :func:`precedes`).  Labels and ``k`` must be
+    of type ``int``; anything else, a float or a bool included, is refused
+    with TypeError rather than truncated.
     """
 
     labels: tuple[int, ...]
     k: int
 
     def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(int(v) for v in self.labels))
+        labels = tuple(self.labels)
+        if type(self.k) is not int:
+            raise TypeError(f"k must be an int, got {self.k!r}")
+        if not set(map(type, labels)) <= {int}:
+            e = next(e for e, lab in enumerate(labels) if type(lab) is not int)
+            raise TypeError(f"label {labels[e]!r} at element {e} is not an int")
+        object.__setattr__(self, "labels", labels)
         if self.k < 1:
             raise ValueError(f"k must be a positive integer, got {self.k}")
         for e, lab in enumerate(self.labels):
@@ -226,8 +234,10 @@ class GainState:
 
     Starts at the empty assignment with value 0.  :meth:`gain` prices one
     placement against the running assignment at 1 EO call, the same policy
-    as ``marginal_gain(f, assignment, e, i, counters, base=value)``, and
-    :meth:`place` commits one, adding the priced gain to ``value``.
+    as ``marginal_gain(f, assignment, e, i, counters, base=value)``;
+    :meth:`best` prices all k positions of one element at k EO calls and
+    returns the best; :meth:`place` commits one, adding the priced gain to
+    ``value``.
 
     The labels live in a private mutable list, so :meth:`place` writes one
     label instead of copying an n-tuple.  ``assignment`` is a read-only
@@ -262,6 +272,26 @@ class GainState:
         """Gain of putting unplaced element ``e`` into set ``i``; 1 EO call."""
         return marginal_gain(self.f, self.assignment, e, i, self.counters, base=self.value)
 
+    def best(self, e: int) -> tuple[float, int]:
+        """Best gain of unplaced ``e`` over positions ``1..k``, and its position.
+
+        Returns ``(gain, i)`` with the lowest ``i`` attaining the maximum,
+        which is the first maximum of ``gain(e, 1), ..., gain(e, k)`` as
+        ``max`` takes it (so of ``0.0`` and ``-0.0`` the earlier one wins).
+        Costs k EO calls, like the k calls to :meth:`gain` it replaces.
+        This default makes exactly those calls; overrides price the k
+        positions together after one placement check, through
+        :meth:`_charge_row`.
+        """
+        best_gain = self.gain(e, 1)
+        best_i = 1
+        for i in range(2, self.f.k + 1):
+            gain = self.gain(e, i)
+            if gain > best_gain:
+                best_gain = gain
+                best_i = i
+        return best_gain, best_i
+
     def place(self, e: int, i: int, gain: float) -> None:
         """Put ``e`` into set ``i``; ``gain`` must be what :meth:`gain` returned."""
         _check_open(self._labels, self.f.k, e, i)
@@ -274,6 +304,12 @@ class GainState:
         _check_open(self._labels, self.f.k, e, i)
         if self.counters is not None:
             self.counters.eo_calls += 1
+
+    def _charge_row(self, e: int) -> None:
+        """For overrides of :meth:`best`: check ``e`` is open, count k EO calls."""
+        _check_open(self._labels, self.f.k, e, 1)
+        if self.counters is not None:
+            self.counters.eo_calls += self.f.k
 
 
 def enumerate_assignments(n: int, k: int) -> Iterator[Assignment]:

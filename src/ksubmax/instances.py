@@ -15,6 +15,8 @@ is exact in double precision.  Instance files are JSON documents; see
 
 from __future__ import annotations
 
+import collections
+import functools
 import itertools
 import json
 import math
@@ -43,6 +45,40 @@ def _check_finite(value: float, where: str) -> float:
     return value
 
 
+def _finite_floats(values: Sequence, where: str) -> tuple[float, ...]:
+    """Every item of ``values`` as a float, refusing any that is not finite.
+
+    Converts and tests in two C-level passes.  Only a refused list is
+    walked again, item by item through :func:`_check_finite`, so that the
+    error names its first bad item, ``where.format(index)``.
+    """
+    try:
+        floats = tuple(map(float, values))
+        if all(map(math.isfinite, floats)):
+            return floats
+    except (TypeError, ValueError, OverflowError):
+        pass
+    return tuple(_check_finite(v, where.format(i)) for i, v in enumerate(values))
+
+
+_BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _bitmask(flags: bytes) -> int:
+    """The integer whose bit ``u`` is ``flags[u]`` (each 0 or 1), in C-level passes."""
+    return int(flags.translate(_BIT_DIGITS)[::-1] or b"0", 2)
+
+
+def _points_mask(points: frozenset[int], top: int) -> int:
+    """Bitmask of ``points``, nonnegative integers none above ``top``."""
+    flags = bytearray(top + 1)
+    collections.deque(
+        map(operator.setitem, itertools.repeat(flags), points, itertools.repeat(1)),
+        maxlen=0,
+    )
+    return _bitmask(flags)
+
+
 def _check_sums_finite(lo: float, hi: float) -> None:
     """Refuse a function whose values, or sums of two of them, can overflow.
 
@@ -65,11 +101,19 @@ class ModularFunction(KSubFunction):
     is checked at construction and guarantees k-submodularity.  The
     function is monotone iff every entry is nonnegative.  Tables whose
     values, or sums of two values, can overflow a float are refused.
+    Entries are converted and tested for finiteness in C-level passes over
+    the whole table; the checks above take one Python step per row.
     """
 
     def __init__(self, table: Sequence[Sequence[float]]):
-        rows = tuple(tuple(_check_finite(v, f"table row {e}") for v in row)
-                     for e, row in enumerate(table))
+        try:
+            rows = tuple(map(tuple, map(map, itertools.repeat(float), table)))
+            finite = all(map(math.isfinite, itertools.chain.from_iterable(rows)))
+        except (TypeError, ValueError, OverflowError):
+            finite = False
+        if not finite:  # name the first bad entry
+            rows = tuple(tuple(_check_finite(v, f"table row {e}") for v in row)
+                         for e, row in enumerate(table))
         if not rows:
             raise ValueError("table must have at least one row")
         k = len(rows[0])
@@ -138,7 +182,12 @@ class CoverageFunction(KSubFunction):
     same float.
 
     Weights are refused when the points some set covers weigh so much
-    that a sum of two values overflows a float.
+    that a sum of two values overflows a float.  Points must be of type
+    ``int``; a float or bool point is refused with TypeError.  Each cover
+    set is checked and turned into a bitmask by C-level passes over its
+    points (a type pass, ``min`` and ``max``, a byte per point up to the
+    largest), so construction makes a Python step per set, not per point,
+    and its memory stays linear in the universe size per set.
     """
 
     def __init__(
@@ -146,23 +195,35 @@ class CoverageFunction(KSubFunction):
         weights: Sequence[float],
         sets: Sequence[Sequence[Iterable[int]]],
     ):
-        self.weights = tuple(_check_finite(w, f"weights[{u}]") for u, w in enumerate(weights))
-        if any(w < 0 for w in self.weights):
+        self.weights = _finite_floats(weights, "weights[{}]")
+        if self.weights and min(self.weights) < 0:
             raise ValueError("universe weights must be nonnegative")
         universe = len(self.weights)
         norm = []
+        masks = []
         for e, per_position in enumerate(sets):
             row = []
+            row_masks = []
             for i, members in enumerate(per_position):
-                fs = frozenset(int(u) for u in members)
-                for u in fs:
-                    if not 0 <= u < universe:
+                points = tuple(members)
+                if not _all_ints(points):
+                    u = next(u for u in points if type(u) is not int)
+                    raise TypeError(f"sets[{e}][{i}]: universe point {u!r} is not an int")
+                fs = frozenset(points)
+                mask = 0
+                if fs:
+                    top = max(fs)
+                    if min(fs) < 0 or top >= universe:
+                        u = next(u for u in fs if not 0 <= u < universe)
                         raise ValueError(
                             f"sets[{e}][{i}]: universe point {u} outside "
                             f"0..{universe - 1}"
                         )
+                    mask = _points_mask(fs, top)
                 row.append(fs)
+                row_masks.append(mask)
             norm.append(tuple(row))
+            masks.append(tuple(row_masks))
         self.sets = tuple(norm)
         if not self.sets:
             raise ValueError("sets must cover at least one element")
@@ -170,14 +231,11 @@ class CoverageFunction(KSubFunction):
         if k < 1 or any(len(row) != k for row in self.sets):
             raise ValueError("every element needs one cover set per position")
         super().__init__(len(self.sets), k)
-        self._masks = tuple(
-            tuple(sum(1 << u for u in fs) for fs in row) for row in self.sets
-        )
+        self._masks = tuple(masks)
         self._planes, self._unit = _weight_planes(self.weights)
-        reachable = 0
-        for row in self._masks:
-            for mask in row:
-                reachable |= mask
+        reachable = functools.reduce(
+            operator.or_, itertools.chain.from_iterable(self._masks), 0
+        )
         _check_sums_finite(0.0, self._weight(reachable))
 
     @property
@@ -241,17 +299,21 @@ def _weight_planes(weights: tuple[float, ...]):
     when the numerators sum to ``2^53`` or more, where partial sums may
     round and only the point-by-point sum is the reference.
     """
-    ratios = [w.as_integer_ratio() for w in weights]
-    shift = max((d.bit_length() - 1 for _, d in ratios), default=0)
-    nums = [c << (shift - d.bit_length() + 1) for c, d in ratios]
+    ratios = list(map(float.as_integer_ratio, weights))
+    denominators = list(map(operator.itemgetter(1), ratios))
+    scale = max(denominators, default=1)  # every denominator is a power of two
+    nums = list(map(operator.mul, map(operator.itemgetter(0), ratios),
+                    map(scale.__floordiv__, denominators)))
     if sum(nums) >= 1 << 53:
         return None, 1.0
     planes = []
     for b in range(max(nums, default=0).bit_length()):
-        plane = sum(1 << u for u, c in enumerate(nums) if c >> b & 1)
+        bits = map(operator.and_, map(operator.rshift, nums, itertools.repeat(b)),
+                   itertools.repeat(1))
+        plane = _bitmask(bytes(bits))
         if plane:
             planes.append((b, plane))
-    return tuple(planes), 2.0 ** -shift
+    return tuple(planes), 2.0 ** -(scale.bit_length() - 1)
 
 
 class _ModularGainState(GainState):
@@ -260,6 +322,12 @@ class _ModularGainState(GainState):
     def gain(self, e: int, i: int) -> float:
         self._charge(e, i)
         return self.f.table[e][i - 1]
+
+    def best(self, e: int) -> tuple[float, int]:
+        self._charge_row(e)
+        row = self.f.table[e]
+        gain = max(row)
+        return gain, row.index(gain) + 1
 
 
 class _CoverageGainState(GainState):
@@ -272,6 +340,14 @@ class _CoverageGainState(GainState):
     def gain(self, e: int, i: int) -> float:
         self._charge(e, i)
         return self.f._weight(self.f._masks[e][i - 1] & ~self.covered)
+
+    def best(self, e: int) -> tuple[float, int]:
+        self._charge_row(e)
+        weight = self.f._weight
+        free = ~self.covered
+        gains = [weight(mask & free) for mask in self.f._masks[e]]
+        gain = max(gains)
+        return gain, gains.index(gain) + 1
 
     def place(self, e: int, i: int, gain: float) -> None:
         super().place(e, i, gain)
@@ -290,7 +366,7 @@ class ExplicitTableFunction(KSubFunction):
 
     def __init__(self, n: int, k: int, values: Sequence[float]):
         super().__init__(n, k)
-        vals = tuple(_check_finite(v, f"values[{i}]") for i, v in enumerate(values))
+        vals = _finite_floats(values, "values[{}]")
         # (k+1)^n >= 2^n exceeds the length once n reaches its bit length;
         # checking that first keeps a huge n from building a huge power
         if n >= len(vals).bit_length() or len(vals) != (k + 1) ** n:
@@ -583,7 +659,8 @@ def _parse_function(doc, n: int, k: int) -> KSubFunction:
             sets = _require(body, "sets", "function.coverage")
             if not _all_numbers(weights):
                 raise InstanceFormatError("function.coverage: weights must be numbers")
-            if not all(_all_ints(members) for row in sets for members in row):
+            points = itertools.chain.from_iterable(itertools.chain.from_iterable(sets))
+            if not _all_ints(points):
                 raise InstanceFormatError(
                     "function.coverage: sets must list integer universe points"
                 )

@@ -102,19 +102,22 @@ def threshold_decreasing_solve(
     ``bound[e]`` is an upper bound on the current gain; a candidate with
     ``bound[e] < w`` cannot be accepted at bar w and is skipped at no
     oracle cost, staying a candidate.  Otherwise it is visited: one IO call
-    re-checks feasibility, k EO calls find its best position, ``bound[e]``
-    is updated, and it is accepted if the gain meets the bar.  Every
-    acceptance is the one a visit-everything loop makes, in the same order
-    with the same gain, so the assignment and value are identical to that
-    loop's and the recorded rounds are a prefix of its rounds.  This holds for every
-    k-submodular ``f``, monotone or not; an unchecked
+    re-checks feasibility, one ``state.best(e)`` prices its k positions at
+    k EO calls and names the best (the lowest position on ties),
+    ``bound[e]`` is updated, and it is accepted if the gain meets the bar.
+    Every acceptance is the one a visit-everything loop makes, in the same
+    order with the same gain, so the assignment and value are identical to
+    that loop's and the recorded rounds are a prefix of its rounds.  This
+    holds for every k-submodular ``f``, monotone or not; an unchecked
     :class:`ExplicitTableFunction` that is not k-submodular may come out
     differently.
 
-    Gains are priced against the running state from ``f.gain_state``: a
-    table lookup for modular functions, the weight of newly covered points
-    for coverage, a full evaluation otherwise.  All three are exact on the
-    1/64 value grid, so the run does not depend on which one prices it.
+    Gains are priced against the running state from ``f.gain_state``, one
+    element at all k positions per call (:meth:`GainState.best`, also used
+    by the opening scan): the row maximum of the table for modular
+    functions, the weights of newly covered points for coverage, k full
+    evaluations otherwise.  All three are exact on the 1/64 value grid, so
+    the run does not depend on which one prices it.
     Independence tests go through ``m.independence_state`` (the rank scan
     through :func:`greedy_basis`): constant time for the shipped matroid
     families, ``is_independent`` otherwise, with the same answers and
@@ -139,7 +142,7 @@ def threshold_decreasing_solve(
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
     start = time.perf_counter()
     counters = OracleCounters()
-    n, k = f.n, f.k
+    n = f.n
     state = f.gain_state(counters)
     indep = m.independence_state(counters)
     rounds: list[tuple[float, int]] = []
@@ -157,7 +160,8 @@ def threshold_decreasing_solve(
     if n == 0:
         return report()
 
-    single = [max(state.gain(e, i) for i in range(1, k + 1)) for e in range(n)]
+    best = state.best
+    single = [best(e)[0] for e in range(n)]
     if max(single) <= 0.0:
         return report()
 
@@ -193,13 +197,7 @@ def threshold_decreasing_solve(
                 continue
             if not indep.can_add(e):
                 continue
-            best_gain = -math.inf
-            best_i = 0
-            for i in range(1, k + 1):
-                gain = state.gain(e, i)
-                if gain > best_gain:
-                    best_gain = gain
-                    best_i = i
+            best_gain, best_i = best(e)
             bound[e] = best_gain
             if best_gain >= w:
                 state.place(e, best_i, best_gain)
@@ -223,11 +221,13 @@ def greedy_solve(f: KSubFunction, m: Matroid) -> SolveReport:
     elements in ascending order, skips those already placed, and tests
     every other one with a single ``can_add`` (constant time for the
     shipped matroid families, see :func:`threshold_decreasing_solve`).  It
-    prices each feasible element at all k positions against the running
-    gain state (exact on the 1/64 value grid) and adds the argmax pair,
-    lowest element then lowest position on ties.  The run stops after the
-    first iteration that finds no feasible element, hence after at most
-    rank-many additions.
+    prices each feasible element at all k positions with one
+    ``state.best(e)`` against the running gain state (exact on the 1/64
+    value grid), which names its lowest best position, and keeps the
+    first element with the strictly largest gain, so it adds the argmax
+    pair with ties going to the lowest element, then the lowest position.
+    The run stops after the first iteration that finds no feasible
+    element, hence after at most rank-many additions.
 
     Exact oracle accounting: every iteration, the last one included, costs
     one IO call per element outside the support and k EO calls per
@@ -237,21 +237,22 @@ def greedy_solve(f: KSubFunction, m: Matroid) -> SolveReport:
     _check_inputs(f, m)
     start = time.perf_counter()
     counters = OracleCounters()
-    n, k = f.n, f.k
+    n = f.n
     state = f.gain_state(counters)
+    best = state.best
     indep = m.independence_state(counters)
+    can_add = indep.can_add
     support = indep.support
     while True:
         best_gain = -math.inf
         best_pair = None
         for e in range(n):
-            if e in support or not indep.can_add(e):
+            if e in support or not can_add(e):
                 continue
-            for i in range(1, k + 1):
-                gain = state.gain(e, i)
-                if gain > best_gain:
-                    best_gain = gain
-                    best_pair = (e, i)
+            gain, i = best(e)
+            if gain > best_gain:
+                best_gain = gain
+                best_pair = (e, i)
         if best_pair is None:
             break
         e, i = best_pair

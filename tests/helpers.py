@@ -6,6 +6,13 @@ import time
 from typing import Optional
 
 from ksubmax import Assignment, KSubFunction, Matroid, OracleCounters
+from ksubmax.instances import (
+    CoverageFunction,
+    ExplicitTableFunction,
+    ModularFunction,
+    _check_finite,
+    _check_sums_finite,
+)
 from ksubmax.matroids import feasible_extensions, greedy_basis
 from ksubmax.solvers import SolveReport, _check_inputs
 
@@ -178,3 +185,122 @@ def reference_greedy_solve(f: KSubFunction, m: Matroid) -> SolveReport:
         rounds=[],
         elapsed=time.perf_counter() - start,
     )
+
+
+# ---------------------------------------------------------------------------
+# Reference constructors: the function families as they were built before
+# their checks became C-level passes, one Python step per entry or point.
+# Each sets the same attributes as the shipped constructor, so the two can
+# be compared field by field, or by the error they raise.
+# ---------------------------------------------------------------------------
+
+class ReferenceModularFunction(ModularFunction):
+    """``ModularFunction`` with its per-entry constructor."""
+
+    def __init__(self, table):
+        rows = tuple(tuple(_check_finite(v, f"table row {e}") for v in row)
+                     for e, row in enumerate(table))
+        if not rows:
+            raise ValueError("table must have at least one row")
+        k = len(rows[0])
+        if k < 1:
+            raise ValueError("table rows must have at least one entry")
+        lo = hi = 0.0
+        for e, row in enumerate(rows):
+            if len(row) != k:
+                raise ValueError(f"table row {e} has {len(row)} entries, expected {k}")
+            ordered = sorted(row)
+            if k >= 2 and ordered[0] + ordered[1] < 0:
+                raise ValueError(
+                    f"table row {e} violates the pairwise-sum constraint: "
+                    f"{ordered[0]} + {ordered[1]} < 0"
+                )
+            if ordered[0] < 0:
+                lo += ordered[0]
+            if ordered[-1] > 0:
+                hi += ordered[-1]
+        _check_sums_finite(lo, hi)
+        KSubFunction.__init__(self, len(rows), k)
+        self.table = rows
+
+
+class ReferenceCoverageFunction(CoverageFunction):
+    """``CoverageFunction`` with its per-point constructor.
+
+    Besides the per-point range test it refuses, point by point, any point
+    whose type is not ``int``; the constructor it is kept from converted
+    such points with ``int(u)`` instead.
+    """
+
+    def __init__(self, weights, sets):
+        self.weights = tuple(_check_finite(w, f"weights[{u}]") for u, w in enumerate(weights))
+        if any(w < 0 for w in self.weights):
+            raise ValueError("universe weights must be nonnegative")
+        universe = len(self.weights)
+        norm = []
+        for e, per_position in enumerate(sets):
+            row = []
+            for i, members in enumerate(per_position):
+                points = list(members)
+                for u in points:
+                    if type(u) is not int:
+                        raise TypeError(f"sets[{e}][{i}]: universe point {u!r} is not an int")
+                fs = frozenset(int(u) for u in points)
+                for u in fs:
+                    if not 0 <= u < universe:
+                        raise ValueError(
+                            f"sets[{e}][{i}]: universe point {u} outside "
+                            f"0..{universe - 1}"
+                        )
+                row.append(fs)
+            norm.append(tuple(row))
+        self.sets = tuple(norm)
+        if not self.sets:
+            raise ValueError("sets must cover at least one element")
+        k = len(self.sets[0])
+        if k < 1 or any(len(row) != k for row in self.sets):
+            raise ValueError("every element needs one cover set per position")
+        KSubFunction.__init__(self, len(self.sets), k)
+        self._masks = tuple(
+            tuple(sum(1 << u for u in fs) for fs in row) for row in self.sets
+        )
+        self._planes, self._unit = reference_weight_planes(self.weights)
+        reachable = 0
+        for row in self._masks:
+            for mask in row:
+                reachable |= mask
+        _check_sums_finite(0.0, self._weight(reachable))
+
+
+def reference_weight_planes(weights):
+    """The weight bit planes and unit, one Python step per point and plane."""
+    ratios = [w.as_integer_ratio() for w in weights]
+    shift = max((d.bit_length() - 1 for _, d in ratios), default=0)
+    nums = [c << (shift - d.bit_length() + 1) for c, d in ratios]
+    if sum(nums) >= 1 << 53:
+        return None, 1.0
+    planes = []
+    for b in range(max(nums, default=0).bit_length()):
+        plane = sum(1 << u for u, c in enumerate(nums) if c >> b & 1)
+        if plane:
+            planes.append((b, plane))
+    return tuple(planes), 2.0 ** -shift
+
+
+class ReferenceExplicitTableFunction(ExplicitTableFunction):
+    """``ExplicitTableFunction`` with its per-entry constructor."""
+
+    def __init__(self, n, k, values):
+        KSubFunction.__init__(self, n, k)
+        vals = tuple(_check_finite(v, f"values[{i}]") for i, v in enumerate(values))
+        if n >= len(vals).bit_length() or len(vals) != (k + 1) ** n:
+            raise ValueError(
+                f"value table has {len(vals)} entries, expected (k+1)^n "
+                f"for n={n}, k={k}"
+            )
+        if vals[0] != 0.0:
+            raise ValueError(
+                f"value at the empty assignment must be 0, got {vals[0]}"
+            )
+        _check_sums_finite(min(vals), max(vals))
+        self.values = vals
