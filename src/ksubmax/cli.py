@@ -20,12 +20,10 @@ import sys
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import Assignment, CapExceededError, KSubFunction
+from .core import INTS, NUMBERS, Assignment, CapExceededError, KSubFunction, _typed
 from .instances import (
     InstanceFormatError,
     InstanceSpec,
-    _all_numbers,
-    _is_int,
     gen_coverage,
     gen_explicit_matroid,
     gen_modular,
@@ -230,7 +228,7 @@ def _check_config(doc) -> Optional[str]:
     for eps in epsilons:
         if not isinstance(eps, (int, float)) or not 0.0 < eps < 1.0:
             return f"epsilons: every entry must lie in (0, 1), got {eps!r}"
-    if "cap" in doc and not _is_int(doc["cap"]):
+    if "cap" in doc and type(doc["cap"]) is not int:
         return f"cap: expected an integer, got {doc['cap']!r}"
     for idx, entry in enumerate(grid):
         where = f"grid[{idx}]"
@@ -246,24 +244,22 @@ def _check_config(doc) -> Optional[str]:
         if entry["matroid"] == "uniform" and "budget" not in entry:
             return f"{where}: uniform matroid needs a 'budget' field"
         for key in ("n", "k", "budget", "universe_size"):
-            if key in entry and not _is_int(entry[key]):
+            if key in entry and type(entry[key]) is not int:
                 return f"{where}.{key}: expected an integer, got {entry[key]!r}"
         if "monotone" in entry and type(entry["monotone"]) is not bool:
             return f"{where}.monotone: expected true or false, got {entry['monotone']!r}"
-        if "density" in entry and not _all_numbers([entry["density"]]):
+        if "density" in entry and type(entry["density"]) not in NUMBERS:
             return f"{where}.density: expected a number, got {entry['density']!r}"
         if "value_range" in entry and not (
             isinstance(entry["value_range"], list)
             and len(entry["value_range"]) == 2
-            and _all_numbers(entry["value_range"])
+            and _typed(entry["value_range"], NUMBERS)
         ):
             return (
                 f"{where}.value_range: expected a list of two numbers, "
                 f"got {entry['value_range']!r}"
             )
-        if not isinstance(entry["seeds"], list) or not all(
-            _is_int(s) for s in entry["seeds"]
-        ):
+        if not isinstance(entry["seeds"], list) or not _typed(entry["seeds"], INTS):
             return f"{where}.seeds: expected a list of integers"
     return None
 

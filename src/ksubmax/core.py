@@ -20,6 +20,16 @@ class CapExceededError(Exception):
     """An exhaustive enumeration would exceed its configured cap."""
 
 
+INTS = frozenset({int})
+NUMBERS = frozenset({int, float})
+
+
+def _typed(values: Iterable, types: frozenset) -> bool:
+    """Whether each item's type is exactly one of ``types`` (a bool is not an
+    int); the one pass runs in C.  Constructors check their lists with this."""
+    return set(map(type, values)) <= types
+
+
 @dataclass
 class OracleCounters:
     """Oracle-call tally owned by a single solver run.
@@ -51,7 +61,7 @@ class Assignment:
         labels = tuple(self.labels)
         if type(self.k) is not int:
             raise TypeError(f"k must be an int, got {self.k!r}")
-        if not set(map(type, labels)) <= {int}:
+        if not _typed(labels, INTS):
             e = next(e for e, lab in enumerate(labels) if type(lab) is not int)
             raise TypeError(f"label {labels[e]!r} at element {e} is not an int")
         object.__setattr__(self, "labels", labels)
@@ -91,7 +101,8 @@ class Assignment:
         return frozenset(e for e, lab in enumerate(self.labels) if lab != 0)
 
     def check_open(self, e: int, i: int) -> None:
-        """Raise ValueError unless ``e`` is an unplaced element and ``1 <= i <= k``."""
+        """Raise ValueError unless ``e`` is an unplaced element and ``1 <= i <= k``
+        (TypeError unless both are ``int``s)."""
         _check_open(self.labels, self.k, e, i)
 
     def assign(self, e: int, i: int) -> "Assignment":
@@ -111,6 +122,10 @@ class Assignment:
 
 def _check_open(labels: Sequence[int], k: int, e: int, i: int) -> None:
     """The checks of :meth:`Assignment.check_open` on a label sequence."""
+    if type(e) is not int:
+        raise TypeError(f"element {e!r} is not an int")
+    if type(i) is not int:
+        raise TypeError(f"position {i!r} is not an int")
     if not 0 <= e < len(labels):
         raise ValueError(f"element {e} outside ground set of size {len(labels)}")
     if not 1 <= i <= k:
@@ -172,6 +187,10 @@ class KSubFunction(ABC):
     """
 
     def __init__(self, n: int, k: int):
+        if type(n) is not int:
+            raise TypeError(f"ground-set size must be an int, got {n!r}")
+        if type(k) is not int:
+            raise TypeError(f"k must be an int, got {k!r}")
         if n < 0:
             raise ValueError(f"ground-set size must be nonnegative, got {n}")
         if k < 1:

@@ -25,7 +25,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from .core import Assignment, GainState, KSubFunction, OracleCounters, enumerate_assignments
+from .core import (INTS, NUMBERS, Assignment, GainState, KSubFunction, OracleCounters,
+                   _typed, enumerate_assignments)
 from .matroids import ExplicitMatroid, Matroid, PartitionMatroid, UniformMatroid
 
 VALUE_GRID = 64  # generated values are integers divided by this
@@ -35,7 +36,11 @@ class InstanceFormatError(ValueError):
     """Malformed or inconsistent instance/config document."""
 
 
-def _check_finite(value: float, where: str) -> float:
+def _check_finite(value: float, where: str, rule: str) -> float:
+    """``value`` as a float; TypeError, opening with ``rule``, unless an int or
+    float (a bool is neither), ValueError unless finite."""
+    if type(value) not in NUMBERS:
+        raise TypeError(f"{rule}; {where}: {value!r} is not a number")
     try:
         value = float(value)
     except OverflowError:
@@ -45,20 +50,23 @@ def _check_finite(value: float, where: str) -> float:
     return value
 
 
-def _finite_floats(values: Sequence, where: str) -> tuple[float, ...]:
-    """Every item of ``values`` as a float, refusing any that is not finite.
+def _finite_floats(values: Sequence, where: str, rule: str) -> tuple[float, ...]:
+    """Every item of ``values`` as a float, by the rule of :func:`_check_finite`.
 
-    Converts and tests in two C-level passes.  Only a refused list is
-    walked again, item by item through :func:`_check_finite`, so that the
-    error names its first bad item, ``where.format(index)``.
+    Tests types, converts and tests finiteness in three C-level passes.
+    Only a refused list is walked again, item by item through
+    :func:`_check_finite`, so that the error names its first bad item,
+    ``where.format(index)``.
     """
-    try:
-        floats = tuple(map(float, values))
-        if all(map(math.isfinite, floats)):
-            return floats
-    except (TypeError, ValueError, OverflowError):
-        pass
-    return tuple(_check_finite(v, where.format(i)) for i, v in enumerate(values))
+    values = tuple(values)
+    if _typed(values, NUMBERS):
+        try:
+            floats = tuple(map(float, values))
+            if all(map(math.isfinite, floats)):
+                return floats
+        except OverflowError:
+            pass
+    return tuple(_check_finite(v, where.format(i), rule) for i, v in enumerate(values))
 
 
 _BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
@@ -101,18 +109,22 @@ class ModularFunction(KSubFunction):
     is checked at construction and guarantees k-submodularity.  The
     function is monotone iff every entry is nonnegative.  Tables whose
     values, or sums of two values, can overflow a float are refused.
-    Entries are converted and tested for finiteness in C-level passes over
-    the whole table; the checks above take one Python step per row.
+    Entries must be ints or floats (TypeError otherwise) and are checked
+    in C-level passes over the whole table; the checks above take one
+    Python step per row.
     """
 
     def __init__(self, table: Sequence[Sequence[float]]):
+        table = tuple(map(tuple, table))
+        entries = itertools.chain.from_iterable
         try:
             rows = tuple(map(tuple, map(map, itertools.repeat(float), table)))
-            finite = all(map(math.isfinite, itertools.chain.from_iterable(rows)))
+            finite = _typed(entries(table), NUMBERS) and all(map(math.isfinite, entries(rows)))
         except (TypeError, ValueError, OverflowError):
             finite = False
         if not finite:  # name the first bad entry
-            rows = tuple(tuple(_check_finite(v, f"table row {e}") for v in row)
+            rule = "table entries must be numbers"
+            rows = tuple(tuple(_check_finite(v, f"table row {e}", rule) for v in row)
                          for e, row in enumerate(table))
         if not rows:
             raise ValueError("table must have at least one row")
@@ -182,12 +194,12 @@ class CoverageFunction(KSubFunction):
     same float.
 
     Weights are refused when the points some set covers weigh so much
-    that a sum of two values overflows a float.  Points must be of type
-    ``int``; a float or bool point is refused with TypeError.  Each cover
-    set is checked and turned into a bitmask by C-level passes over its
-    points (a type pass, ``min`` and ``max``, a byte per point up to the
-    largest), so construction makes a Python step per set, not per point,
-    and its memory stays linear in the universe size per set.
+    that a sum of two values overflows a float.  Weights must be ints or
+    floats and points ints; a bool or string is refused with TypeError.
+    Each cover set is checked and turned into a bitmask by C-level passes
+    over its points (a type pass, ``min`` and ``max``, a byte per point up
+    to the largest), so construction makes a Python step per set, not per
+    point, and its memory stays linear in the universe size per set.
     """
 
     def __init__(
@@ -195,7 +207,7 @@ class CoverageFunction(KSubFunction):
         weights: Sequence[float],
         sets: Sequence[Sequence[Iterable[int]]],
     ):
-        self.weights = _finite_floats(weights, "weights[{}]")
+        self.weights = _finite_floats(weights, "weights[{}]", "weights must be numbers")
         if self.weights and min(self.weights) < 0:
             raise ValueError("universe weights must be nonnegative")
         universe = len(self.weights)
@@ -206,9 +218,12 @@ class CoverageFunction(KSubFunction):
             row_masks = []
             for i, members in enumerate(per_position):
                 points = tuple(members)
-                if not _all_ints(points):
+                if not _typed(points, INTS):
                     u = next(u for u in points if type(u) is not int)
-                    raise TypeError(f"sets[{e}][{i}]: universe point {u!r} is not an int")
+                    raise TypeError(
+                        "sets must list integer universe points; "
+                        f"sets[{e}][{i}]: universe point {u!r} is not an int"
+                    )
                 fs = frozenset(points)
                 mask = 0
                 if fs:
@@ -361,12 +376,13 @@ class ExplicitTableFunction(KSubFunction):
     assignment sits at index 0 and must evaluate to 0.  No k-submodularity
     check is performed at construction, so deliberately corrupted tables
     can be built and fed to the verifiers.  Tables whose values are so
-    large that a sum of two overflows a float are refused.
+    large that a sum of two overflows a float are refused, and so (with
+    TypeError) are values that are not ints or floats.
     """
 
     def __init__(self, n: int, k: int, values: Sequence[float]):
         super().__init__(n, k)
-        vals = _finite_floats(values, "values[{}]")
+        vals = _finite_floats(values, "values[{}]", "values must be numbers")
         # (k+1)^n >= 2^n exceeds the length once n reaches its bit length;
         # checking that first keeps a huge n from building a huge power
         if n >= len(vals).bit_length() or len(vals) != (k + 1) ** n:
@@ -627,21 +643,6 @@ def _require(doc: dict, key: str, where: str):
     return doc[key]
 
 
-def _is_int(value) -> bool:
-    """True for JSON integers only: ``true`` and ``1.9`` are not counts."""
-    return type(value) is int
-
-
-def _all_ints(values) -> bool:
-    """``_is_int`` for every item of a list, with the loop run in C."""
-    return set(map(type, values)) <= {int}
-
-
-def _all_numbers(values) -> bool:
-    """True when every item is a JSON number: not a string, not a boolean."""
-    return set(map(type, values)) <= {int, float}
-
-
 def _parse_function(doc, n: int, k: int) -> KSubFunction:
     if not isinstance(doc, dict) or len(doc) != 1:
         raise InstanceFormatError(
@@ -650,26 +651,12 @@ def _parse_function(doc, n: int, k: int) -> KSubFunction:
     (tag, body), = doc.items()
     try:
         if tag == "modular":
-            table = _require(body, "table", "function.modular")
-            if not _all_numbers(itertools.chain.from_iterable(table)):
-                raise InstanceFormatError("function.modular: table entries must be numbers")
-            fn = ModularFunction(table)
+            fn = ModularFunction(_require(body, "table", "function.modular"))
         elif tag == "coverage":
-            weights = _require(body, "weights", "function.coverage")
-            sets = _require(body, "sets", "function.coverage")
-            if not _all_numbers(weights):
-                raise InstanceFormatError("function.coverage: weights must be numbers")
-            points = itertools.chain.from_iterable(itertools.chain.from_iterable(sets))
-            if not _all_ints(points):
-                raise InstanceFormatError(
-                    "function.coverage: sets must list integer universe points"
-                )
-            fn = CoverageFunction(weights, sets)
+            fn = CoverageFunction(_require(body, "weights", "function.coverage"),
+                                  _require(body, "sets", "function.coverage"))
         elif tag == "explicit":
-            values = _require(body, "values", "function.explicit")
-            if not _all_numbers(values):
-                raise InstanceFormatError("function.explicit: values must be numbers")
-            fn = ExplicitTableFunction(n, k, values)
+            fn = ExplicitTableFunction(n, k, _require(body, "values", "function.explicit"))
         else:
             raise InstanceFormatError(f"function: unknown family '{tag}'")
     except InstanceFormatError:
@@ -692,28 +679,11 @@ def _parse_matroid(doc, n: int) -> Matroid:
     (tag, body), = doc.items()
     try:
         if tag == "uniform":
-            if not _is_int(body):
-                raise InstanceFormatError(
-                    f"matroid.uniform: budget must be an integer, got {body!r}"
-                )
             return UniformMatroid(n, body)
         if tag == "partition":
-            blocks = _require(body, "blocks", "matroid.partition")
-            caps = _require(body, "caps", "matroid.partition")
-            if not all(_all_ints(block) for block in blocks):
-                raise InstanceFormatError(
-                    "matroid.partition: block elements must be integers"
-                )
-            if not _all_ints(caps):
-                raise InstanceFormatError(
-                    f"matroid.partition: caps must be integers, got {caps!r}"
-                )
-            return PartitionMatroid(n, blocks, caps)
+            return PartitionMatroid(n, _require(body, "blocks", "matroid.partition"),
+                                    _require(body, "caps", "matroid.partition"))
         if tag == "explicit":
-            if not _all_ints(body):
-                raise InstanceFormatError(
-                    "matroid.explicit: bitmasks must be integers"
-                )
             return ExplicitMatroid(n, body)
     except InstanceFormatError:
         raise
@@ -758,9 +728,9 @@ def parse_instance(text: str) -> InstanceSpec:
         raise InstanceFormatError("top level: expected an object")
     n = _require(doc, "n", "top level")
     k = _require(doc, "k", "top level")
-    if not _is_int(n) or n < 0:
+    if type(n) is not int or n < 0:
         raise InstanceFormatError(f"n: expected a nonnegative integer, got {n!r}")
-    if not _is_int(k) or k < 1:
+    if type(k) is not int or k < 1:
         raise InstanceFormatError(f"k: expected a positive integer, got {k!r}")
     fn = _parse_function(_require(doc, "function", "top level"), n, k)
     matroid = _parse_matroid(_require(doc, "matroid", "top level"), n)

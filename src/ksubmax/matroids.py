@@ -22,7 +22,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .core import OracleCounters
+from .core import INTS, OracleCounters, _typed
 from .verify import Verdict
 
 
@@ -38,11 +38,13 @@ class Matroid(ABC):
     def is_independent(
         self, subset: Iterable[int], counters: Optional[OracleCounters] = None
     ) -> bool:
-        """Counted independence test (one IO call when counters are given)."""
+        """Counted independence test (one IO call when counters are given) of
+        a set of ``int`` elements of the ground set."""
         fs = frozenset(subset)
+        n = self.ground_size
         for e in fs:
-            if not 0 <= e < self.ground_size:
-                raise _outside(e, self.ground_size)
+            if type(e) is not int or not 0 <= e < n:
+                _check_element(e, n)
         if counters is not None:
             counters.io_calls += 1
         return self._independent(fs)
@@ -54,8 +56,18 @@ class Matroid(ABC):
         return IndependenceState(self, counters)
 
 
-def _outside(e: int, n: int) -> ValueError:
-    return ValueError(f"element {e} outside ground set of size {n}")
+def _check_element(e, n: int) -> None:
+    """Refuse ``e`` unless an ``int`` in ``0..n-1``; callers test that inline first."""
+    if type(e) is not int:
+        raise TypeError(f"element {e!r} is not an int")
+    if not 0 <= e < n:
+        raise ValueError(f"element {e} outside ground set of size {n}")
+
+
+def _check_ints(values: tuple, rule: str) -> None:
+    """Refuse ``values`` with TypeError, after ``rule``, unless each is of type ``int``."""
+    if not _typed(values, INTS):
+        raise TypeError(f"{rule}, got {next(v for v in values if type(v) is not int)!r}")
 
 
 class IndependenceState:
@@ -64,8 +76,9 @@ class IndependenceState:
     Starts at the empty support.  :meth:`can_add` answers
     ``m.is_independent(support | {e})`` at 1 IO call, and :meth:`add`
     commits an element that is new and passes that test; anything else
-    raises ``ValueError`` and leaves the state as it was.  ``support`` is
-    the set of added elements; only :meth:`add` may change it.
+    raises ``ValueError`` (``TypeError`` for a non-``int`` element) and
+    leaves the state as it was.  ``support`` is the set of added
+    elements; only :meth:`add` may change it.
 
     This default tests through :meth:`Matroid.is_independent`, so it works
     for every matroid and costs time linear in the support per test; it is
@@ -82,16 +95,16 @@ class IndependenceState:
 
     def can_add(self, e: int) -> bool:
         """Whether ``support | {e}`` is independent; 1 IO call."""
-        if not 0 <= e < self.m.ground_size:
-            raise _outside(e, self.m.ground_size)
+        if type(e) is not int or not 0 <= e < self.m.ground_size:
+            _check_element(e, self.m.ground_size)
         if self.counters is not None:
             self.counters.io_calls += 1
         return self._fits(e) or e in self.support
 
     def add(self, e: int) -> None:
         """Put ``e`` into the support; it must be new and pass :meth:`can_add`."""
-        if not 0 <= e < self.m.ground_size:
-            raise _outside(e, self.m.ground_size)
+        if type(e) is not int or not 0 <= e < self.m.ground_size:
+            _check_element(e, self.m.ground_size)
         if e in self.support:
             raise ValueError(f"element {e} is already in the support")
         if not self._fits(e):
@@ -113,6 +126,8 @@ class UniformMatroid(Matroid):
     budget: int
 
     def __post_init__(self):
+        _check_ints((self.ground_size,), "ground_size must be an integer")
+        _check_ints((self.budget,), "budget must be an integer")
         if self.ground_size < 0:
             raise ValueError("ground_size must be nonnegative")
         if self.budget < 0:
@@ -139,7 +154,8 @@ class PartitionMatroid(Matroid):
     """At most ``capacities[j]`` elements may be chosen from ``blocks[j]``.
 
     Blocks must partition the ground set.  Block contents are normalized to
-    sorted tuples so equal matroids compare equal.
+    sorted tuples so equal matroids compare equal.  The ground size, block
+    elements and capacities must be ``int``s (a bool is not; TypeError).
     """
 
     ground_size: int
@@ -148,11 +164,15 @@ class PartitionMatroid(Matroid):
     _block_of: dict = field(init=False, repr=False, compare=False)
 
     def __init__(self, ground_size, blocks, capacities):
-        object.__setattr__(self, "ground_size", int(ground_size))
-        object.__setattr__(
-            self, "blocks", tuple(tuple(sorted(int(e) for e in b)) for b in blocks)
-        )
-        object.__setattr__(self, "capacities", tuple(int(c) for c in capacities))
+        _check_ints((ground_size,), "ground_size must be an integer")
+        blocks = tuple(map(tuple, blocks))
+        for block in blocks:
+            _check_ints(block, "block elements must be integers")
+        capacities = tuple(capacities)
+        _check_ints(capacities, "caps must be integers")
+        object.__setattr__(self, "ground_size", ground_size)
+        object.__setattr__(self, "blocks", tuple(map(tuple, map(sorted, blocks))))
+        object.__setattr__(self, "capacities", capacities)
         self.__post_init__()
 
     def __post_init__(self):
@@ -229,15 +249,19 @@ class ExplicitMatroid(Matroid):
     The family is validated eagerly against all three axioms (contains the
     empty set, downward closed, augmentation between families of adjacent
     sizes, which implies the general exchange axiom); invalid families are
-    rejected.  Limited to ground sets of at most 16 elements.
+    rejected.  Limited to ground sets of at most 16 elements.  The ground
+    size and the bitmasks must be of type ``int`` (TypeError otherwise).
     """
 
     ground_size: int
     family: frozenset[int]
 
     def __init__(self, ground_size, family):
-        object.__setattr__(self, "ground_size", int(ground_size))
-        object.__setattr__(self, "family", frozenset(int(m) for m in family))
+        _check_ints((ground_size,), "ground_size must be an integer")
+        family = tuple(family)
+        _check_ints(family, "bitmasks must be integers")
+        object.__setattr__(self, "ground_size", ground_size)
+        object.__setattr__(self, "family", frozenset(family))
         self.__post_init__()
 
     def __post_init__(self):
@@ -263,7 +287,10 @@ class ExplicitMatroid(Matroid):
 
     @classmethod
     def from_sets(cls, ground_size: int, sets: Iterable[Iterable[int]]) -> "ExplicitMatroid":
-        return cls(ground_size, (_mask_of(s) for s in sets))
+        sets = tuple(map(tuple, sets))
+        for s in sets:
+            _check_ints(s, "set elements must be integers")
+        return cls(ground_size, map(_mask_of, sets))
 
     def _independent(self, subset: frozenset[int]) -> bool:
         return _mask_of(subset) in self.family

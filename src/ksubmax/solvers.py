@@ -84,7 +84,6 @@ def threshold_decreasing_solve(
     m: Matroid,
     epsilon: float,
     order_seed: Optional[int] = None,
-    matroid_rank: Optional[int] = None,
 ) -> SolveReport:
     """Maximize ``f`` over assignments with independent support.
 
@@ -128,11 +127,7 @@ def threshold_decreasing_solve(
     one evaluation); n IO for the rank scan, which visits elements by
     descending singleton value (ties by index) so that d is the value of
     its first accepted element, plus one IO per candidate visit.  Skipped
-    candidates cost nothing.  With ``matroid_rank`` supplied the rank scan
-    is replaced by singleton tests in the same order up to the first
-    independent one (1 IO on a matroid without loops); the supplied value
-    must be the true rank, because the solver stops once the support has
-    that many elements.  If no singleton has a positive value the solver
+    candidates cost nothing.  If no singleton has a positive value the solver
     stops before any IO.  Candidates found infeasible are dropped
     permanently, which is sound because supersets of a dependent set stay
     dependent.
@@ -165,19 +160,11 @@ def threshold_decreasing_solve(
     if max(single) <= 0.0:
         return report()
 
-    by_value = sorted(range(n), key=lambda e: (-single[e], e))
-    if matroid_rank is None:
-        basis = greedy_basis(m, by_value, counters)
-        r = len(basis)
-        first = basis[0] if basis else None
-    else:
-        r = matroid_rank
-        if r <= 0:
-            return report()
-        first = next((e for e in by_value if indep.can_add(e)), None)
-    if first is None or single[first] <= 0.0:
+    basis = greedy_basis(m, sorted(range(n), key=lambda e: (-single[e], e)), counters)
+    if not basis or single[basis[0]] <= 0.0:
         return report()
-    d = single[first]
+    r = len(basis)
+    d = single[basis[0]]
 
     order = list(range(n))
     if order_seed is not None:

@@ -55,7 +55,6 @@ def eager_threshold_solve(
     m: Matroid,
     epsilon: float,
     order_seed: Optional[int] = None,
-    matroid_rank: Optional[int] = None,
 ) -> SolveReport:
     """Reference threshold-decreasing solver: the eager loop.
 
@@ -67,9 +66,8 @@ def eager_threshold_solve(
     assignment and value, and no more EO, IO or rounds.
 
     Oracle accounting: n*k EO for the opening single-element scan plus k
-    EO per feasible candidate visit; n IO for the rank scan (or singleton
-    tests up to the first independent one when ``matroid_rank`` is given)
-    plus one IO per candidate visit.
+    EO per feasible candidate visit; n IO for the rank scan plus one IO per
+    candidate visit.
     """
     _check_inputs(f, m)
     if not 0.0 < epsilon < 1.0:
@@ -97,19 +95,11 @@ def eager_threshold_solve(
     if max(single) <= 0.0:
         return report()
 
-    by_value = sorted(range(n), key=lambda e: (-single[e], e))
-    if matroid_rank is None:
-        basis = greedy_basis(m, by_value, counters)
-        r = len(basis)
-        first = basis[0] if basis else None
-    else:
-        r = matroid_rank
-        if r <= 0:
-            return report()
-        first = next((e for e in by_value if m.is_independent({e}, counters)), None)
-    if first is None or single[first] <= 0.0:
+    basis = greedy_basis(m, sorted(range(n), key=lambda e: (-single[e], e)), counters)
+    if not basis or single[basis[0]] <= 0.0:
         return report()
-    d = single[first]
+    r = len(basis)
+    d = single[basis[0]]
 
     order = list(range(n))
     if order_seed is not None:
@@ -198,8 +188,11 @@ class ReferenceModularFunction(ModularFunction):
     """``ModularFunction`` with its per-entry constructor."""
 
     def __init__(self, table):
-        rows = tuple(tuple(_check_finite(v, f"table row {e}") for v in row)
-                     for e, row in enumerate(table))
+        rows = tuple(
+            tuple(_check_finite(v, f"table row {e}", "table entries must be numbers")
+                  for v in row)
+            for e, row in enumerate(table)
+        )
         if not rows:
             raise ValueError("table must have at least one row")
         k = len(rows[0])
@@ -233,7 +226,8 @@ class ReferenceCoverageFunction(CoverageFunction):
     """
 
     def __init__(self, weights, sets):
-        self.weights = tuple(_check_finite(w, f"weights[{u}]") for u, w in enumerate(weights))
+        self.weights = tuple(_check_finite(w, f"weights[{u}]", "weights must be numbers")
+                             for u, w in enumerate(weights))
         if any(w < 0 for w in self.weights):
             raise ValueError("universe weights must be nonnegative")
         universe = len(self.weights)
@@ -244,7 +238,10 @@ class ReferenceCoverageFunction(CoverageFunction):
                 points = list(members)
                 for u in points:
                     if type(u) is not int:
-                        raise TypeError(f"sets[{e}][{i}]: universe point {u!r} is not an int")
+                        raise TypeError(
+                            "sets must list integer universe points; "
+                            f"sets[{e}][{i}]: universe point {u!r} is not an int"
+                        )
                 fs = frozenset(int(u) for u in points)
                 for u in fs:
                     if not 0 <= u < universe:
@@ -292,7 +289,8 @@ class ReferenceExplicitTableFunction(ExplicitTableFunction):
 
     def __init__(self, n, k, values):
         KSubFunction.__init__(self, n, k)
-        vals = tuple(_check_finite(v, f"values[{i}]") for i, v in enumerate(values))
+        vals = tuple(_check_finite(v, f"values[{i}]", "values must be numbers")
+                     for i, v in enumerate(values))
         if n >= len(vals).bit_length() or len(vals) != (k + 1) ** n:
             raise ValueError(
                 f"value table has {len(vals)} entries, expected (k+1)^n "

@@ -25,7 +25,6 @@ from ksubmax import (
     gen_modular,
     gen_partition_matroid,
     greedy_solve,
-    rank,
     threshold_decreasing_solve,
 )
 
@@ -93,11 +92,9 @@ def test_solvers_make_no_is_independent_or_assign_calls(monkeypatch):
     for f, m in _guard_instances():
         greedy_solve(f, m)
         for order_seed in (None, 7):
-            for supplied in (None, rank(m)):
-                threshold_decreasing_solve(f, m, 0.1, order_seed=order_seed,
-                                           matroid_rank=supplied)
-        runs += 5
-    assert runs == 5 * 3 * 3 * 3 * 3
+            threshold_decreasing_solve(f, m, 0.1, order_seed=order_seed)
+        runs += 3
+    assert runs == 3 * 3 * 3 * 3 * 3
     assert calls == {"is_independent": 0, "assign": 0}
 
     # the tallies are live: the reference paths go through both methods

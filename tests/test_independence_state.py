@@ -18,7 +18,6 @@ from ksubmax import (
     UniformMatroid,
     feasible_extensions,
     gen_explicit_matroid,
-    rank,
     threshold_decreasing_solve,
 )
 
@@ -92,23 +91,19 @@ def test_state_answers_like_is_independent(m, data):
 
 def test_threshold_on_shipped_states_equals_reference_state():
     """Criterion 1 (all 1000 instances) and criteria 2-3 (every epsilon),
-    each with and without a visit-order seed and a supplied rank."""
+    each with and without a visit-order seed."""
     runs = 0
     for grid in (feasibility_instances(count=1000), ratio_instances()):
         for f, m, epsilons in grid:
             ref = ReferenceMatroid(m)
-            r = rank(m)
             for epsilon in epsilons:
                 for order_seed in (None, 7):
-                    for supplied in (None, r):
-                        same_run(
-                            threshold_decreasing_solve(f, m, epsilon, order_seed=order_seed,
-                                                       matroid_rank=supplied),
-                            threshold_decreasing_solve(f, ref, epsilon, order_seed=order_seed,
-                                                       matroid_rank=supplied),
-                        )
-                        runs += 1
-    assert runs == 4 * (1000 + 3 * 450)
+                    same_run(
+                        threshold_decreasing_solve(f, m, epsilon, order_seed=order_seed),
+                        threshold_decreasing_solve(f, ref, epsilon, order_seed=order_seed),
+                    )
+                    runs += 1
+    assert runs == 2 * (1000 + 3 * 450)
 
 
 @settings(max_examples=300, deadline=None)

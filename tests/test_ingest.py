@@ -187,9 +187,11 @@ class TestIntegerTypes:
             CoverageFunction([1.0, 1.0], sets)
 
     def test_coverage_points_from_any_iterable(self):
-        f = CoverageFunction([1.0, 1.0, 1.0], [[iter([2, 0]), (u for u in [1])]])
+        f = CoverageFunction((w for w in [1.0, 1.0, 1.0]), [[iter([2, 0]), (u for u in [1])]])
+        assert f.weights == (1.0, 1.0, 1.0)
         assert f.sets == ((frozenset({0, 2}), frozenset({1})),)
         assert f._masks == ((0b101, 0b010),)
+        assert ExplicitTableFunction(1, 1, iter([0, 1.5])).values == (0.0, 1.5)
 
     def test_parser_message_unchanged(self):
         with pytest.raises(InstanceFormatError,

@@ -1,0 +1,201 @@
+"""Each constructor is the one place that checks the types of its inputs.
+
+Counts and indices must be of type ``int`` and values ``int`` or
+``float``; a bool, a string, ``None`` or (for an index) a float is refused
+with TypeError, never converted.  The instance parser makes no type test
+of its own on function or matroid bodies: it hands them to the
+constructors and reports their refusals as format errors (exit 2), under
+the field's prefix.
+"""
+
+import ast
+import collections
+import inspect
+import json
+import textwrap
+
+import pytest
+
+from ksubmax import (
+    Assignment,
+    ExplicitMatroid,
+    PartitionMatroid,
+    UniformMatroid,
+    gen_coverage,
+    gen_explicit_matroid,
+    gen_modular,
+    gen_partition_matroid,
+    parse_instance,
+    serialize_instance,
+    InstanceSpec,
+)
+from ksubmax import core, instances
+from ksubmax.cli import main
+from ksubmax.instances import CoverageFunction, ExplicitTableFunction, ModularFunction
+
+from helpers import CountingWrapper
+
+NOT_INTS = (True, "1", None, 1.0)
+NOT_NUMBERS = (True, "1.5", None)
+
+
+def instance(**parts):
+    """A valid n=2, k=2 instance document with ``parts`` replaced."""
+    doc = {"n": 2, "k": 2,
+           "function": {"modular": {"table": [[1.0, 1.0], [1.0, 1.0]]}},
+           "matroid": {"uniform": 1}}
+    doc.update(parts)
+    return doc
+
+
+def coverage(weights=(1.0, 1.0), point=1):
+    return {"coverage": {"weights": list(weights), "sets": [[[0], [point]], [[0], [1]]]}}
+
+
+# field: (bad values, a good value, library call with the value, instance
+# document with the value or None where a file has no such field, prefix of
+# the CLI's message)
+FIELDS = {
+    "KSubFunction.n": (NOT_INTS, 2, lambda v: ExplicitTableFunction(v, 1, [0.0, 1.0, 1.0, 2.0]),
+                       lambda v: instance(n=v), "n:"),
+    "KSubFunction.k": (NOT_INTS, 2, lambda v: ExplicitTableFunction(1, v, [0.0, 1.0, 1.0]),
+                       lambda v: instance(k=v), "k:"),
+    "ModularFunction.table": (
+        NOT_NUMBERS, 0.5, lambda v: ModularFunction([[1.0, v], [1.0, 1.0]]),
+        lambda v: instance(function={"modular": {"table": [[1.0, v], [1.0, 1.0]]}}),
+        "function.modular:"),
+    "CoverageFunction.weights": (
+        NOT_NUMBERS, 0.5, lambda v: CoverageFunction([1.0, v], [[[0], [1]]]),
+        lambda v: instance(function=coverage(weights=(1.0, v))), "function.coverage:"),
+    "CoverageFunction.sets": (
+        NOT_INTS, 1, lambda v: CoverageFunction([1.0, 1.0], [[[0], [v]]]),
+        lambda v: instance(function=coverage(point=v)), "function.coverage:"),
+    "ExplicitTableFunction.values": (
+        NOT_NUMBERS, 0.5, lambda v: ExplicitTableFunction(1, 2, [0.0, v, 1.0]),
+        lambda v: instance(function={"explicit": {"values": [0.0, v] + [1.0] * 7}}),
+        "function.explicit:"),
+    "UniformMatroid.ground_size": (NOT_INTS, 2, lambda v: UniformMatroid(v, 1), None, None),
+    "UniformMatroid.budget": (NOT_INTS, 1, lambda v: UniformMatroid(2, v),
+                              lambda v: instance(matroid={"uniform": v}), "matroid.uniform:"),
+    "PartitionMatroid.ground_size": (
+        NOT_INTS, 2, lambda v: PartitionMatroid(v, [[0, 1]], [1]), None, None),
+    "PartitionMatroid.blocks": (
+        NOT_INTS, 1, lambda v: PartitionMatroid(2, [[0, v]], [1]),
+        lambda v: instance(matroid={"partition": {"blocks": [[0, v]], "caps": [1]}}),
+        "matroid.partition:"),
+    "PartitionMatroid.capacities": (
+        NOT_INTS, 1, lambda v: PartitionMatroid(2, [[0, 1]], [v]),
+        lambda v: instance(matroid={"partition": {"blocks": [[0, 1]], "caps": [v]}}),
+        "matroid.partition:"),
+    "ExplicitMatroid.ground_size": (
+        NOT_INTS, 2, lambda v: ExplicitMatroid(v, [0, 1]), None, None),
+    "ExplicitMatroid.from_sets": (
+        NOT_INTS, 1, lambda v: ExplicitMatroid.from_sets(2, [[], [0], [v]]), None, None),
+    "ExplicitMatroid.family": (
+        NOT_INTS, 3, lambda v: ExplicitMatroid(2, [0, 1, 2, v]),
+        lambda v: instance(matroid={"explicit": [0, 1, 2, v]}), "matroid.explicit:"),
+}
+
+CASES = [(field, bad) for field, (bads, *_) in FIELDS.items() for bad in bads]
+
+
+@pytest.mark.parametrize("field, bad", CASES, ids=[f"{f}={b!r}" for f, b in CASES])
+def test_every_field_refuses_bad_types(field, bad, tmp_path, capsys):
+    """The library raises TypeError, and the same value in an instance file
+    makes ``ksubmax solve`` exit 2 naming the field, with no traceback.
+    With the good value in its place, the call and the document are valid."""
+    _, good, build, document, prefix = FIELDS[field]
+    build(good)
+    with pytest.raises(TypeError):
+        build(bad)
+    if document is None:
+        return
+    parse_instance(json.dumps(document(good)))
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(document(bad)))
+    assert main(["solve", str(path), "--solver", "greedy"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"ksubmax: {path}: {prefix}")
+    assert "Traceback" not in err
+
+
+class TestIndexArguments:
+    """Element and position arguments must be ints: a float position used
+    to be stored as a label, ``True`` placed element 1, and a float element
+    reached a ``KeyError`` inside the partition matroid."""
+
+    def test_assign_refuses_float_position(self):
+        with pytest.raises(TypeError, match="position 1.0 is not an int"):
+            Assignment((0, 0, 0), 2).assign(0, 1.0)
+
+    def test_assign_refuses_bool_element(self):
+        with pytest.raises(TypeError, match="element True is not an int"):
+            Assignment((0, 0, 0), 2).assign(True, 2)
+
+    @pytest.mark.parametrize("f", [gen_modular(3, 2, seed=1), gen_coverage(3, 2, 6, 0.5, seed=1),
+                                   CountingWrapper(gen_modular(3, 2, seed=1))])
+    def test_gain_state_refuses_bool_element(self, f):
+        state = f.gain_state()
+        for call in (lambda: state.place(True, 1, 1.0), lambda: state.gain(True, 1),
+                     lambda: state.best(True), lambda: state.place(0, 1.0, 1.0)):
+            with pytest.raises(TypeError, match="is not an int"):
+                call()
+        assert state.assignment == f.zero() and state.value == 0.0
+
+    @pytest.mark.parametrize("m", [UniformMatroid(3, 2), gen_partition_matroid(3, seed=1),
+                                   gen_explicit_matroid(3, seed=1)])
+    def test_is_independent_refuses_float_element(self, m):
+        for subset in ([1.5], [0, True], {None}):
+            with pytest.raises(TypeError, match="is not an int"):
+                m.is_independent(subset)
+
+    @pytest.mark.parametrize("m", [UniformMatroid(3, 2), gen_partition_matroid(3, seed=1),
+                                   gen_explicit_matroid(3, seed=1)])
+    def test_independence_state_refuses_float_element(self, m):
+        state = m.independence_state()
+        for bad in (1.5, True, "0"):
+            with pytest.raises(TypeError, match="is not an int"):
+                state.can_add(bad)
+            with pytest.raises(TypeError, match="is not an int"):
+                state.add(bad)
+        assert state.support == set()
+
+
+def test_parse_type_checks_each_cover_set_once(monkeypatch):
+    """Parsing a valid coverage file makes one type pass over each cover
+    set and one over the weights, all through the shared helper.  The
+    tally covers the parser's module and ``core``; the matroid's own checks
+    run in ``matroids``."""
+    f = gen_coverage(12, 3, 24, 0.3, seed=4)
+    text = serialize_instance(InstanceSpec(12, 3, f, UniformMatroid(12, 4)))
+    calls = collections.Counter()
+    typed = core._typed
+
+    def tally(values, types):
+        values = tuple(values)
+        calls[types, values] += 1
+        return typed(values, types)
+
+    for module in (core, instances):
+        monkeypatch.setattr(module, "_typed", tally)
+    doc = json.loads(text)["function"]["coverage"]
+    assert parse_instance(text).function == f
+    cover_sets = collections.Counter(
+        (core.INTS, tuple(points)) for row in doc["sets"] for points in row)
+    assert calls == cover_sets + collections.Counter({(core.NUMBERS, tuple(doc["weights"])): 1})
+
+
+def test_parser_makes_no_type_test_of_its_own():
+    """The function and matroid parsers call only the constructors, the
+    required-field lookup and their own dispatch checks on the tag."""
+    allowed = {"isinstance", "len", "InstanceFormatError", "_require",
+               "ModularFunction", "CoverageFunction", "ExplicitTableFunction",
+               "UniformMatroid", "PartitionMatroid", "ExplicitMatroid"}
+    for parser in (instances._parse_function, instances._parse_matroid):
+        tree = ast.parse(textwrap.dedent(inspect.getsource(parser)))
+        calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+        names = {node.func.id for node in calls if isinstance(node.func, ast.Name)}
+        assert names <= allowed, names - allowed
+        for node in calls:
+            if isinstance(node.func, ast.Name) and node.func.id in ("isinstance", "len"):
+                assert ast.unparse(node.args[0]) == "doc"  # the tagged object, not its body

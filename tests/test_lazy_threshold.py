@@ -15,7 +15,6 @@ from ksubmax import (
     gen_explicit_matroid,
     gen_modular,
     gen_partition_matroid,
-    rank,
     threshold_decreasing_solve,
     UniformMatroid,
 )
@@ -24,11 +23,9 @@ from helpers import eager_threshold_solve
 from test_gain_state import feasibility_instances, ratio_instances
 
 
-def assert_lazy_matches_eager(f, m, epsilon, order_seed=None, matroid_rank=None):
-    lazy = threshold_decreasing_solve(f, m, epsilon, order_seed=order_seed,
-                                      matroid_rank=matroid_rank)
-    eager = eager_threshold_solve(f, m, epsilon, order_seed=order_seed,
-                                  matroid_rank=matroid_rank)
+def assert_lazy_matches_eager(f, m, epsilon, order_seed=None):
+    lazy = threshold_decreasing_solve(f, m, epsilon, order_seed=order_seed)
+    eager = eager_threshold_solve(f, m, epsilon, order_seed=order_seed)
     assert lazy.assignment == eager.assignment
     assert lazy.value == eager.value
     assert lazy.counters.eo_calls <= eager.counters.eo_calls
@@ -41,21 +38,18 @@ def assert_lazy_matches_eager(f, m, epsilon, order_seed=None, matroid_rank=None)
 
 def test_lazy_equals_eager_on_criteria_grids():
     """Criterion 1 (all 1000 instances) and criteria 2-3 (every epsilon),
-    each with and without a visit-order seed and a supplied rank."""
+    each with and without a visit-order seed."""
     runs = 0
     saved_eo = 0
     grids = (feasibility_instances(count=1000), ratio_instances())
     for grid in grids:
         for f, m, epsilons in grid:
-            r = rank(m)
             for epsilon in epsilons:
                 for order_seed in (None, 7):
-                    for supplied in (None, r):
-                        lazy, eager = assert_lazy_matches_eager(
-                            f, m, epsilon, order_seed, supplied)
-                        saved_eo += eager.counters.eo_calls - lazy.counters.eo_calls
-                        runs += 1
-    assert runs == 4 * (1000 + 3 * 450)
+                    lazy, eager = assert_lazy_matches_eager(f, m, epsilon, order_seed)
+                    saved_eo += eager.counters.eo_calls - lazy.counters.eo_calls
+                    runs += 1
+    assert runs == 2 * (1000 + 3 * 450)
     assert saved_eo > 0
 
 
@@ -84,9 +78,7 @@ def instances(draw):
     instances(),
     st.sampled_from((0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9)),
     st.one_of(st.none(), st.integers(0, 1000)),
-    st.booleans(),
 )
-def test_lazy_equals_eager_property(instance, epsilon, order_seed, supply_rank):
+def test_lazy_equals_eager_property(instance, epsilon, order_seed):
     f, m = instance
-    supplied = rank(m) if supply_rank else None
-    assert_lazy_matches_eager(f, m, epsilon, order_seed, supplied)
+    assert_lazy_matches_eager(f, m, epsilon, order_seed)

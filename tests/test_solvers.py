@@ -133,24 +133,6 @@ class TestThresholdSolver:
         assert rep.counters.io_calls == 0  # bails before the rank scan
         assert rep.rounds == []
 
-    def test_supplied_rank_skips_rank_scan(self):
-        f = ModularFunction([[5.0, -3.0], [2.0, 2.0]])
-        m = UniformMatroid(2, 1)
-        rep = eager_threshold_solve(f, m, 0.5, matroid_rank=1)
-        assert rep.value == 5.0
-        # one singleton test picks d (element 0 is independent), then the
-        # two candidate visits
-        assert rep.counters.io_calls == 3
-
-    def test_supplied_rank_skips_rank_scan_lazy(self):
-        f = ModularFunction([[5.0, -3.0], [2.0, 2.0]])
-        m = UniformMatroid(2, 1)
-        rep = threshold_decreasing_solve(f, m, 0.5, matroid_rank=1)
-        assert rep.value == 5.0
-        # one singleton test picks d, then one visit to element 0 fills
-        # the rank-1 support and ends the run
-        assert rep.counters.io_calls == 2
-
     def test_start_threshold_skips_loops(self):
         """d comes from independent singletons only.
 
@@ -167,9 +149,6 @@ class TestThresholdSolver:
         assert rep.assignment.labels == (0, 1)
         assert rep.rounds[0] == (1.0, 1)
         assert rep.counters.io_calls == 2 + 2  # rank scan, then both visits
-        supplied = threshold_decreasing_solve(f, m, 0.1, matroid_rank=1)
-        assert supplied.assignment == rep.assignment
-        assert supplied.counters.io_calls == 2 + 2  # two singleton tests, both visits
 
     def test_deterministic(self):
         f = gen_modular(8, 2, monotone=False, seed=11)
