@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -132,7 +132,7 @@ def _measures(rep: SolveReport) -> dict:
 
 def _emit_rows(rows: list[BenchRow], fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps([dataclasses.asdict(r) for r in rows], indent=2))
+        print(json.dumps([vars(r) for r in rows]))
         return
     cells = [list(BENCH_COLUMNS)]
     cells += [[_cell(getattr(r, c), c) for c in BENCH_COLUMNS] for r in rows]
@@ -186,7 +186,7 @@ def cmd_solve(args) -> int:
     if rep.max_opt_support_size is not None:
         doc["max_opt_support_size"] = rep.max_opt_support_size
     if args.format == "json":
-        print(json.dumps(doc, indent=2))
+        print(json.dumps(doc))
     elif args.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         columns = ["solver", "n", "k", "value", "eo_calls", "io_calls",
@@ -477,8 +477,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses: built on the first call, then reused."""
+    return build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     return args.func(args)
 
 

@@ -30,6 +30,13 @@ def _typed(values: Iterable, types: frozenset) -> bool:
     return set(map(type, values)) <= types
 
 
+def _check_seed(seed) -> None:
+    """Refuse a random seed that is not of type ``int`` (a bool or a float
+    included) with TypeError; ``random.Random`` would take either."""
+    if type(seed) is not int:
+        raise TypeError(f"seed must be an integer, got {seed!r}")
+
+
 @dataclass
 class OracleCounters:
     """Oracle-call tally owned by a single solver run.

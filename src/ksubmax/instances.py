@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from .core import (INTS, NUMBERS, Assignment, GainState, KSubFunction, OracleCounters,
-                   _typed, enumerate_assignments)
+                   _check_seed, _typed, enumerate_assignments)
 from .matroids import ExplicitMatroid, Matroid, PartitionMatroid, UniformMatroid
 
 VALUE_GRID = 64  # generated values are integers divided by this
@@ -459,7 +459,7 @@ class InstanceSpec:
 
 def _rng(seed: int) -> random.Random:
     """The generators' random source; seeds are nonnegative integers."""
-    seed = operator.index(seed)
+    _check_seed(seed)
     if seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed}")
     return random.Random(seed)

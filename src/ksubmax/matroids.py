@@ -22,7 +22,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .core import INTS, OracleCounters, _typed
+from .core import INTS, OracleCounters, _check_seed, _typed
 from .verify import Verdict
 
 
@@ -458,6 +458,7 @@ def check_matroid_axioms(
     implies the exchange axiom for arbitrary size gaps.  Beyond the budget
     the axioms are spot-checked on random subsets and flagged as sampled.
     """
+    _check_seed(seed)
     n = m.ground_size
     if 2**n <= budget:
         independents = [

@@ -25,7 +25,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import Assignment, CapExceededError, KSubFunction, OracleCounters
+from .core import Assignment, CapExceededError, KSubFunction, OracleCounters, _check_seed
 from .matroids import Matroid, greedy_basis
 
 # The solvers call none of these, but perfbench's tracer patches each of
@@ -135,6 +135,8 @@ def threshold_decreasing_solve(
     _check_inputs(f, m)
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
+    if order_seed is not None:
+        _check_seed(order_seed)
     start = time.perf_counter()
     counters = OracleCounters()
     n = f.n

@@ -20,7 +20,8 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import Assignment, KSubFunction, enumerate_assignments, join, meet, precedes
+from .core import (Assignment, KSubFunction, _check_seed, enumerate_assignments, join, meet,
+                   precedes)
 
 DEFAULT_PAIR_BUDGET = 1_000_000
 
@@ -43,8 +44,10 @@ class Verdict:
         return self.holds
 
 
-def _check_budget(pair_budget: int) -> None:
-    """A verdict needs at least one check, so the budget must allow one."""
+def _check_sampling(pair_budget: int, seed: int) -> None:
+    """Refuse a non-``int`` seed; a verdict needs at least one check, so the
+    budget must allow one."""
+    _check_seed(seed)
     if pair_budget < 1:
         raise ValueError(f"pair_budget must be at least 1, got {pair_budget}")
 
@@ -73,7 +76,7 @@ def verify_k_submodular(
     otherwise samples ``pair_budget`` random pairs.  Returns the first
     violating (p, q) as counterexample.
     """
-    _check_budget(pair_budget)
+    _check_sampling(pair_budget, seed)
     n, k = f.n, f.k
     total = (k + 1) ** n
     n_pairs = total * (total + 1) // 2
@@ -119,7 +122,7 @@ def verify_orthant_pairwise(
     i != j, the two gains sum to >= 0.  Counterexamples are tagged
     ("orthant", p, q, e, i) or ("pairwise", p, e, i, j).
     """
-    _check_budget(pair_budget)
+    _check_sampling(pair_budget, seed)
     n, k = f.n, f.k
     if _ordered_pairs_count(n, k) <= pair_budget:
         table = _value_table(f)
@@ -185,7 +188,7 @@ def verify_monotone(
     seed: int = 0,
 ) -> Verdict:
     """Check f(p) <= f(q) for all p preceding q (sampled beyond the budget)."""
-    _check_budget(pair_budget)
+    _check_sampling(pair_budget, seed)
     n, k = f.n, f.k
     if _ordered_pairs_count(n, k) <= pair_budget:
         table = _value_table(f)

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import types
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -13,7 +14,8 @@ from ksubmax import (
     serialize_instance,
 )
 import ksubmax.cli
-from ksubmax.cli import _check_config, main, run_bench
+import ksubmax.solvers
+from ksubmax.cli import BENCH_COLUMNS, _check_config, build_parser, main, run_bench
 from ksubmax.solvers import DEFAULT_BRUTE_CAP
 
 from helpers import eager_threshold_solve
@@ -365,6 +367,113 @@ class TestBench:
         rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
         records = [dict(zip(rows[0], r)) for r in rows[1:]]
         assert [r["error"] for r in records] == ["", ""]
+
+
+SOLVE_KEYS = ["solver", "n", "k", "value", "assignment", "support",
+              "eo_calls", "io_calls", "rounds", "elapsed"]
+
+
+class TestJsonOutput:
+    """``--format json`` prints one compact line; the keys keep their order
+    and an absent measurement prints as null."""
+
+    def test_solve_prints_one_line_in_key_order(self, instance_file, capsys):
+        for argv, extra in (
+            (["--epsilon", "0.5"], ["rounds_detail"]),
+            (["--solver", "greedy"], []),
+            (["--solver", "brute"], ["max_opt_support_size"]),
+        ):
+            assert main(["solve", instance_file, *argv, "--format", "json"]) == 0
+            out = capsys.readouterr().out
+            assert out.count("\n") == 1 and out.endswith("\n")
+            assert list(json.loads(out)) == SOLVE_KEYS + extra
+
+    def test_bench_prints_one_line_of_rows_in_column_order(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {
+            "grid": [dict(GOOD_ENTRY, seeds=[0, 1])],
+            "solvers": ["threshold", "greedy", "brute"],
+            "epsilons": [0.2],
+        })
+        for cap, opt_known in (("10", False), (str(DEFAULT_BRUTE_CAP), True)):
+            assert main(["bench", cfg, "--format", "json", "--cap", cap]) == 0
+            out = capsys.readouterr().out
+            assert out.count("\n") == 1 and out.endswith("\n")
+            rows = json.loads(out)
+            assert len(rows) == 2 * 3
+            for row in rows:
+                assert list(row) == list(BENCH_COLUMNS)
+                if not opt_known:
+                    # 3^4 assignments exceed the cap: no OPT, no ratio
+                    assert (row["opt"], row["ratio"]) == (None, None)
+                if row["solver"] == "brute":
+                    assert (row["eo_calls"], row["io_calls"], row["rounds"]) == (None, None, None)
+                    assert (row["value"] is not None) == opt_known
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process; every later call must
+    behave as if it had a parser of its own."""
+
+    def test_reused_parser_matches_a_fresh_one(self, instance_file, tmp_path, capsys,
+                                               monkeypatch):
+        # Six elements of equal value under budget 2: --seed picks which two
+        # are taken, so a seed left over from an earlier call would show.
+        tied = tmp_path / "tied.json"
+        tied.write_text(serialize_instance(InstanceSpec(
+            n=6, k=2, function=ModularFunction([[1.0, 0.5]] * 6),
+            matroid=UniformMatroid(6, 2))))
+        inst = str(tied)
+        cfg = write_config(tmp_path, {"grid": [GOOD_ENTRY], "solvers": ["greedy", "brute"]})
+        argvs = [
+            ["solve", inst, "--epsilon", "0.5", "--seed", "3", "--format", "json"],
+            ["solve", inst, "--epsilon", "0.5", "--format", "json"],
+            ["solve", "--epsilon", "0.5"],  # no instance: argparse exits 2
+            ["solve", inst, "--solver", "brute", "--cap", "10"],
+            ["solve", inst, "--solver", "brute"],
+            ["bench", cfg, "--cap", "10", "--format", "json"],
+            ["bench", cfg, "--format", "json"],
+            ["bench", cfg],
+            ["verify", instance_file, "--sample", "5", "--seed", "2", "--cap", "1"],
+            ["verify", instance_file],
+            ["solve", inst, "--epsilon", "0.5", "--seed", "3"],
+        ]
+        # every run reports elapsed 0.0, so outputs compare byte for byte
+        monkeypatch.setattr(ksubmax.solvers, "time",
+                            types.SimpleNamespace(perf_counter=lambda: 0.0))
+
+        def run(entry, argv):
+            try:
+                code = entry(argv)
+            except SystemExit as exc:
+                code = exc.code
+            return code, capsys.readouterr().out
+
+        def fresh(argv):
+            args = build_parser().parse_args(argv)
+            return args.func(args)
+
+        expected = [run(fresh, argv) for argv in argvs]
+        assert [code for code, _ in expected] == [0, 0, 2, 3, 0, 0, 0, 0, 0, 0, 0]
+        # each option left out differs from its value in the call before
+        for set_, left_out in ((0, 1), (5, 6), (6, 7), (8, 9)):
+            assert expected[set_] != expected[left_out]
+
+        built = []
+
+        def counting():
+            built.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(ksubmax.cli, "build_parser", counting)
+        ksubmax.cli._parser.cache_clear()
+        try:
+            assert [run(main, argv) for argv in argvs] == expected
+        finally:
+            ksubmax.cli._parser.cache_clear()
+        assert len(built) == 1
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert build_parser() is not build_parser()
 
 
 OVERFLOWING_FUNCTIONS = {

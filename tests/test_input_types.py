@@ -2,10 +2,10 @@
 
 Counts and indices must be of type ``int`` and values ``int`` or
 ``float``; a bool, a string, ``None`` or (for an index) a float is refused
-with TypeError, never converted.  The instance parser makes no type test
-of its own on function or matroid bodies: it hands them to the
-constructors and reports their refusals as format errors (exit 2), under
-the field's prefix.
+with TypeError, never converted; so is a seed that is not an ``int``.
+The instance parser makes no type test of its own on function or matroid
+bodies: it hands them to the constructors and reports their refusals as
+format errors (exit 2), under the field's prefix.
 """
 
 import ast
@@ -25,9 +25,14 @@ from ksubmax import (
     gen_explicit_matroid,
     gen_modular,
     gen_partition_matroid,
+    check_matroid_axioms,
     parse_instance,
     serialize_instance,
     InstanceSpec,
+    threshold_decreasing_solve,
+    verify_k_submodular,
+    verify_monotone,
+    verify_orthant_pairwise,
 )
 from ksubmax import core, instances
 from ksubmax.cli import main
@@ -159,6 +164,37 @@ class TestIndexArguments:
             with pytest.raises(TypeError, match="is not an int"):
                 state.add(bad)
         assert state.support == set()
+
+
+NOT_SEEDS = NOT_INTS + (False, 1.5)
+SEED_F = gen_modular(3, 2, seed=1)
+SEED_M = UniformMatroid(3, 2)
+# seeded call: (bad seeds, call with the seed); None means "no shuffle" to
+# the threshold solver, so only there is it a good value
+SEEDED = {
+    "gen_modular": (NOT_SEEDS, lambda s: gen_modular(3, 2, seed=s)),
+    "gen_coverage": (NOT_SEEDS, lambda s: gen_coverage(3, 2, 6, 0.5, seed=s)),
+    "gen_partition_matroid": (NOT_SEEDS, lambda s: gen_partition_matroid(3, seed=s)),
+    "gen_explicit_matroid": (NOT_SEEDS, lambda s: gen_explicit_matroid(3, seed=s)),
+    "threshold_decreasing_solve": (
+        tuple(s for s in NOT_SEEDS if s is not None), lambda s: threshold_decreasing_solve(
+            SEED_F, SEED_M, 0.5, order_seed=s)),
+    "verify_k_submodular": (NOT_SEEDS, lambda s: verify_k_submodular(SEED_F, seed=s)),
+    "verify_orthant_pairwise": (NOT_SEEDS, lambda s: verify_orthant_pairwise(SEED_F, seed=s)),
+    "verify_monotone": (NOT_SEEDS, lambda s: verify_monotone(SEED_F, seed=s)),
+    "check_matroid_axioms": (NOT_SEEDS, lambda s: check_matroid_axioms(SEED_M, seed=s)),
+}
+SEED_CASES = [(name, bad) for name, (bads, _) in SEEDED.items() for bad in bads]
+
+
+@pytest.mark.parametrize("name, bad", SEED_CASES, ids=[f"{n}={b!r}" for n, b in SEED_CASES])
+def test_every_seed_refuses_bad_types(name, bad):
+    """A seed must be of type ``int``: ``True`` used to draw what seed 1
+    draws and a float seeded the generator from its hash."""
+    _, call = SEEDED[name]
+    call(1)
+    with pytest.raises(TypeError, match="seed must be an integer"):
+        call(bad)
 
 
 def test_parse_type_checks_each_cover_set_once(monkeypatch):
