@@ -8,6 +8,11 @@ and prints verdicts.
 Exit codes: 0 success, 2 unreadable or malformed input, 3 a cap was
 exceeded (brute force, or exhaustive verification without --sample),
 4 invalid or missing epsilon.
+
+``solve`` checks its flags against the chosen solver: ``--epsilon`` is
+range-checked whenever it is given (exit 4), whichever solver runs, and
+``--seed``, which shuffles the threshold solver's visiting order, is
+refused with ``greedy`` and ``brute``, which take none (exit 2).
 """
 
 from __future__ import annotations
@@ -158,14 +163,17 @@ def cmd_solve(args) -> int:
         return _fail(f"{args.instance}: {err}", EXIT_PARSE)
 
     threshold = args.solver == "threshold"
-    if threshold:
-        if args.epsilon is None:
+    if args.epsilon is None:
+        if threshold:
             return _fail("the threshold solver requires --epsilon", EXIT_EPSILON)
-        if not 0.0 < args.epsilon < 1.0:
-            return _fail(
-                f"epsilon must lie strictly between 0 and 1, got {args.epsilon}",
-                EXIT_EPSILON,
-            )
+    elif not 0.0 < args.epsilon < 1.0:
+        return _fail(
+            f"epsilon must lie strictly between 0 and 1, got {args.epsilon}",
+            EXIT_EPSILON,
+        )
+    if args.seed is not None and not threshold:
+        return _fail(f"--seed shuffles the threshold solver's visiting order; "
+                     f"the {args.solver} solver takes no seed", EXIT_PARSE)
     try:
         rep = SOLVERS[args.solver](spec, args.epsilon, args.seed, args.cap)
     except CapExceededError as err:
@@ -450,9 +458,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("instance", help="path to a JSON instance file")
     p_solve.add_argument("--solver", choices=SOLVER_NAMES, default="threshold")
     p_solve.add_argument("--epsilon", type=float, default=None,
-                         help="threshold decay rate in (0, 1); required for threshold")
+                         help="threshold decay rate in (0, 1); required for threshold, "
+                              "range-checked with every solver")
     p_solve.add_argument("--seed", type=int, default=None,
-                         help="shuffle the candidate visiting order")
+                         help="shuffle the threshold solver's candidate visiting "
+                              "order; refused with other solvers")
     p_solve.add_argument("--format", choices=("json", "csv", "human"), default="human")
     p_solve.add_argument("--cap", type=int, default=DEFAULT_BRUTE_CAP,
                          help="brute-force assignment budget")

@@ -268,10 +268,12 @@ class GainState:
     The labels live in a private mutable list, so :meth:`place` writes one
     label instead of copying an n-tuple.  ``assignment`` is a read-only
     view of them as an :class:`Assignment`, built on first use after each
-    placement and reused until the next.  :meth:`place`, and the gain
-    overrides through :meth:`_charge`, make the checks of
+    placement and reused until the next.  :meth:`place`, :meth:`best`, and
+    the gain overrides through :meth:`_charge`, make the checks of
     :meth:`Assignment.check_open` with its messages; a refused placement
-    leaves the labels and ``value`` as they were.
+    leaves the labels and ``value`` as they were.  The solvers price the
+    elements they walk, all open by construction, through the unchecked
+    :meth:`_best`.
 
     This default goes through ``f.evaluate`` and so works for every
     function; it is the reference path.  Function families override
@@ -305,9 +307,19 @@ class GainState:
         which is the first maximum of ``gain(e, 1), ..., gain(e, k)`` as
         ``max`` takes it (so of ``0.0`` and ``-0.0`` the earlier one wins).
         Costs k EO calls, like the k calls to :meth:`gain` it replaces.
-        This default makes exactly those calls; overrides price the k
-        positions together after one placement check, through
-        :meth:`_charge_row`.
+        Checks ``e`` as :meth:`Assignment.check_open` does, then prices it
+        through :meth:`_best`.
+        """
+        _check_open(self._labels, self.f.k, e, 1)
+        return self._best(e)
+
+    def _best(self, e: int) -> tuple[float, int]:
+        """:meth:`best` without the check of ``e``, which must be an unplaced
+        ``int`` element; the solvers call this on the elements they walk.
+
+        This default makes the k calls to :meth:`gain`; overrides count the
+        k EO calls through :meth:`_charge_row` and price the k positions
+        together.
         """
         best_gain = self.gain(e, 1)
         best_i = 1
@@ -331,9 +343,8 @@ class GainState:
         if self.counters is not None:
             self.counters.eo_calls += 1
 
-    def _charge_row(self, e: int) -> None:
-        """For overrides of :meth:`best`: check ``e`` is open, count k EO calls."""
-        _check_open(self._labels, self.f.k, e, 1)
+    def _charge_row(self) -> None:
+        """For overrides of :meth:`_best`: count k EO calls."""
         if self.counters is not None:
             self.counters.eo_calls += self.f.k
 

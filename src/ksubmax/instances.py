@@ -22,6 +22,7 @@ import json
 import math
 import operator
 import random
+import re
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -77,7 +78,7 @@ def _bitmask(flags: bytes) -> int:
     return int(flags.translate(_BIT_DIGITS)[::-1] or b"0", 2)
 
 
-def _points_mask(points: frozenset[int], top: int) -> int:
+def _points_mask(points: Sequence[int], top: int) -> int:
     """Bitmask of ``points``, nonnegative integers none above ``top``."""
     flags = bytearray(top + 1)
     collections.deque(
@@ -85,6 +86,61 @@ def _points_mask(points: frozenset[int], top: int) -> int:
         maxlen=0,
     )
     return _bitmask(flags)
+
+
+_HEX_MASK = re.compile("[0-9a-f]+")
+_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _mask_points(mask: int) -> frozenset[int]:
+    """The points of bitmask ``mask``, in C-level passes over its binary digits."""
+    return frozenset(itertools.compress(
+        itertools.count(), format(mask, "b")[::-1].encode().translate(_FLAGS)))
+
+
+def _rows(items, where: str):
+    """``items`` to iterate as a list of rows; a string or a non-iterable is
+    refused with TypeError naming ``where``."""
+    if type(items) is not str:
+        try:
+            return iter(items)
+        except TypeError:
+            pass
+    raise TypeError(f"{where} must be a list, got {items!r}")
+
+
+def _cover_mask(members, universe: int, e: int, i: int) -> int:
+    """Bitmask of cover set ``sets[e][i]``, a list of points in
+    ``0..universe-1`` or a lowercase hex bitmask string of no more than
+    ``universe`` bits; refused with TypeError or ValueError naming the set."""
+    if type(members) is str:
+        if not _HEX_MASK.fullmatch(members):
+            raise ValueError(f"sets[{e}][{i}]: {members!r} is not a lowercase hex bitmask")
+        mask = int(members, 16)
+        if mask.bit_length() > universe:
+            raise ValueError(f"sets[{e}][{i}]: universe point {mask.bit_length() - 1} "
+                             f"outside 0..{universe - 1}")
+        return mask
+    try:
+        points = tuple(members)
+    except TypeError:
+        raise TypeError(
+            "sets must list integer universe points or be hex bitmask strings; "
+            f"sets[{e}][{i}]: {members!r} is neither"
+        ) from None
+    if not _typed(points, INTS):
+        u = next(u for u in points if type(u) is not int)
+        raise TypeError(
+            "sets must list integer universe points; "
+            f"sets[{e}][{i}]: universe point {u!r} is not an int"
+        )
+    if not points:
+        return 0
+    top = max(points)
+    if min(points) < 0 or top >= universe:
+        u = next(u for u in frozenset(points) if not 0 <= u < universe)
+        raise ValueError(f"sets[{e}][{i}]: universe point {u} outside 0..{universe - 1}")
+    return _points_mask(points, top)
 
 
 def _check_sums_finite(lo: float, hi: float) -> None:
@@ -182,6 +238,14 @@ class CoverageFunction(KSubFunction):
     f(p) is the total weight of universe points covered by at least one
     placed element at its assigned position.  Monotone and k-submodular.
 
+    Each cover set ``sets[e][i]`` is given either as a list of points or
+    as a lowercase hex string of its point bitmask (bit ``u`` is point
+    ``u``): ``[0, 2, 5]`` and ``"25"`` are the same set.  Either form is
+    turned into a bitmask where it is read, and the bitmasks ``_masks``
+    are the only stored form; ``sets``, the cover sets as frozensets, is
+    derived from them on first use.  Equality and hashing use the weights
+    and the bitmasks.
+
     Weighing a set of points costs the smaller of its size and the number
     of weight bit planes in Python-level steps.  Every weight is a dyadic
     rational ``c_u / 2^S`` (``S`` the largest denominator exponent); when
@@ -195,63 +259,48 @@ class CoverageFunction(KSubFunction):
 
     Weights are refused when the points some set covers weigh so much
     that a sum of two values overflows a float.  Weights must be ints or
-    floats and points ints; a bool or string is refused with TypeError.
-    Each cover set is checked and turned into a bitmask by C-level passes
-    over its points (a type pass, ``min`` and ``max``, a byte per point up
-    to the largest), so construction makes a Python step per set, not per
-    point, and its memory stays linear in the universe size per set.
+    floats and points ints; a bool or string is refused with TypeError,
+    and so is a cover set that is neither iterable nor a string, or a row
+    of ``sets`` that is a string.  A bitmask string must match
+    ``[0-9a-f]+`` (no ``0x``, sign, ``_``, whitespace or capitals) and set
+    no bit at or past the universe size; else ValueError.  A list is
+    checked and turned into a bitmask by C-level passes over its points
+    (a type pass, ``min`` and ``max``, a byte per point up to the
+    largest), and a string by one ``int(s, 16)``, so construction makes a
+    Python step per set, not per point, and its memory stays linear in
+    the universe size per set.
     """
 
     def __init__(
         self,
         weights: Sequence[float],
-        sets: Sequence[Sequence[Iterable[int]]],
+        sets: Sequence[Sequence[Iterable[int] | str]],
     ):
         self.weights = _finite_floats(weights, "weights[{}]", "weights must be numbers")
         if self.weights and min(self.weights) < 0:
             raise ValueError("universe weights must be nonnegative")
         universe = len(self.weights)
-        norm = []
         masks = []
-        for e, per_position in enumerate(sets):
-            row = []
-            row_masks = []
-            for i, members in enumerate(per_position):
-                points = tuple(members)
-                if not _typed(points, INTS):
-                    u = next(u for u in points if type(u) is not int)
-                    raise TypeError(
-                        "sets must list integer universe points; "
-                        f"sets[{e}][{i}]: universe point {u!r} is not an int"
-                    )
-                fs = frozenset(points)
-                mask = 0
-                if fs:
-                    top = max(fs)
-                    if min(fs) < 0 or top >= universe:
-                        u = next(u for u in fs if not 0 <= u < universe)
-                        raise ValueError(
-                            f"sets[{e}][{i}]: universe point {u} outside "
-                            f"0..{universe - 1}"
-                        )
-                    mask = _points_mask(fs, top)
-                row.append(fs)
-                row_masks.append(mask)
-            norm.append(tuple(row))
-            masks.append(tuple(row_masks))
-        self.sets = tuple(norm)
-        if not self.sets:
-            raise ValueError("sets must cover at least one element")
-        k = len(self.sets[0])
-        if k < 1 or any(len(row) != k for row in self.sets):
-            raise ValueError("every element needs one cover set per position")
-        super().__init__(len(self.sets), k)
+        for e, per_position in enumerate(_rows(sets, "sets")):
+            masks.append(tuple(_cover_mask(members, universe, e, i)
+                               for i, members in enumerate(_rows(per_position, f"sets[{e}]"))))
         self._masks = tuple(masks)
+        if not self._masks:
+            raise ValueError("sets must cover at least one element")
+        k = len(self._masks[0])
+        if k < 1 or any(len(row) != k for row in self._masks):
+            raise ValueError("every element needs one cover set per position")
+        super().__init__(len(self._masks), k)
         self._planes, self._unit = _weight_planes(self.weights)
         reachable = functools.reduce(
             operator.or_, itertools.chain.from_iterable(self._masks), 0
         )
         _check_sums_finite(0.0, self._weight(reachable))
+
+    @functools.cached_property
+    def sets(self) -> tuple[tuple[frozenset[int], ...], ...]:
+        """The cover sets as frozensets of points, derived from ``_masks``."""
+        return tuple(tuple(map(_mask_points, row)) for row in self._masks)
 
     @property
     def universe_size(self) -> int:
@@ -292,11 +341,11 @@ class CoverageFunction(KSubFunction):
         return (
             isinstance(other, CoverageFunction)
             and self.weights == other.weights
-            and self.sets == other.sets
+            and self._masks == other._masks
         )
 
     def __hash__(self):
-        return hash(("coverage", self.weights, self.sets))
+        return hash(("coverage", self.weights, self._masks))
 
     def __repr__(self):
         return (
@@ -338,8 +387,8 @@ class _ModularGainState(GainState):
         self._charge(e, i)
         return self.f.table[e][i - 1]
 
-    def best(self, e: int) -> tuple[float, int]:
-        self._charge_row(e)
+    def _best(self, e: int) -> tuple[float, int]:
+        self._charge_row()
         row = self.f.table[e]
         gain = max(row)
         return gain, row.index(gain) + 1
@@ -356,8 +405,8 @@ class _CoverageGainState(GainState):
         self._charge(e, i)
         return self.f._weight(self.f._masks[e][i - 1] & ~self.covered)
 
-    def best(self, e: int) -> tuple[float, int]:
-        self._charge_row(e)
+    def _best(self, e: int) -> tuple[float, int]:
+        self._charge_row()
         weight = self.f._weight
         free = ~self.covered
         gains = [weight(mask & free) for mask in self.f._masks[e]]
@@ -601,7 +650,7 @@ def _function_to_doc(f: KSubFunction) -> dict:
         return {
             "coverage": {
                 "weights": list(f.weights),
-                "sets": [[sorted(fs) for fs in row] for row in f.sets],
+                "sets": [[format(mask, "x") for mask in row] for row in f._masks],
             }
         }
     if isinstance(f, ExplicitTableFunction):
@@ -625,7 +674,10 @@ def _matroid_to_doc(m: Matroid) -> dict:
 
 
 def serialize_instance(spec: InstanceSpec) -> str:
-    """Render an instance as a JSON document (inverse of parse_instance)."""
+    """Render an instance as a JSON document (inverse of parse_instance).
+
+    Coverage cover sets are written as lowercase hex bitmask strings.
+    """
     doc = {
         "n": spec.n,
         "k": spec.k,
@@ -715,7 +767,10 @@ def parse_instance(text: str) -> InstanceSpec:
 
     Grammar (JSON): an object with integer fields ``n`` and ``k``, a
     ``function`` object tagged ``modular`` (row-major n x k ``table``),
-    ``coverage`` (``weights`` plus ``sets[e][i]`` index lists) or
+    ``coverage`` (``weights`` plus one cover set ``sets[e][i]`` per element
+    and position, a list of point indices or a lowercase hex string of the
+    point bitmask, bit ``u`` for point ``u``; ``serialize_instance`` writes
+    the bitmask) or
     ``explicit`` (flat ``values`` of length (k+1)^n indexed by
     sum(labels[e] * (k+1)**e)), a ``matroid`` object tagged ``uniform``
     (budget), ``partition`` (``blocks``/``caps``) or ``explicit`` (bitmask

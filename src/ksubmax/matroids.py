@@ -78,7 +78,9 @@ class IndependenceState:
     commits an element that is new and passes that test; anything else
     raises ``ValueError`` (``TypeError`` for a non-``int`` element) and
     leaves the state as it was.  ``support`` is the set of added
-    elements; only :meth:`add` may change it.
+    elements; only :meth:`add` may change it.  The solvers test the
+    elements they walk, all in range by construction, through the
+    unchecked :meth:`_can_add`.
 
     This default tests through :meth:`Matroid.is_independent`, so it works
     for every matroid and costs time linear in the support per test; it is
@@ -97,6 +99,12 @@ class IndependenceState:
         """Whether ``support | {e}`` is independent; 1 IO call."""
         if type(e) is not int or not 0 <= e < self.m.ground_size:
             _check_element(e, self.m.ground_size)
+        return self._can_add(e)
+
+    def _can_add(self, e: int) -> bool:
+        """:meth:`can_add` without the check of ``e``, which must be an
+        ``int`` in the ground set; the solvers call this on the elements
+        they walk."""
         if self.counters is not None:
             self.counters.io_calls += 1
         return self._fits(e) or e in self.support

@@ -101,7 +101,7 @@ def threshold_decreasing_solve(
     ``bound[e]`` is an upper bound on the current gain; a candidate with
     ``bound[e] < w`` cannot be accepted at bar w and is skipped at no
     oracle cost, staying a candidate.  Otherwise it is visited: one IO call
-    re-checks feasibility, one ``state.best(e)`` prices its k positions at
+    re-checks feasibility, one ``state._best(e)`` prices its k positions at
     k EO calls and names the best (the lowest position on ties),
     ``bound[e]`` is updated, and it is accepted if the gain meets the bar.
     Every acceptance is the one a visit-everything loop makes, in the same
@@ -157,7 +157,7 @@ def threshold_decreasing_solve(
     if n == 0:
         return report()
 
-    best = state.best
+    best = state._best  # every element the run walks is an open int in range(n)
     single = [best(e)[0] for e in range(n)]
     if max(single) <= 0.0:
         return report()
@@ -175,6 +175,7 @@ def threshold_decreasing_solve(
     bound = single  # last best gain per element: bounds its current gain
     candidates = order  # unassigned, not yet known infeasible, visit order
     support = indep.support
+    can_add = indep._can_add
     stop = (1 - epsilon) * epsilon * d / (2 * r)
     w = d
     while w > stop and candidates and len(support) < r:
@@ -184,7 +185,7 @@ def threshold_decreasing_solve(
             if bound[e] < w:
                 survivors.append(e)
                 continue
-            if not indep.can_add(e):
+            if not can_add(e):
                 continue
             best_gain, best_i = best(e)
             bound[e] = best_gain
@@ -208,10 +209,10 @@ def greedy_solve(f: KSubFunction, m: Matroid) -> SolveReport:
     The run holds one independence state from ``m.independence_state`` and
     one gain state from ``f.gain_state``.  Each iteration walks the
     elements in ascending order, skips those already placed, and tests
-    every other one with a single ``can_add`` (constant time for the
+    every other one with a single ``_can_add`` (constant time for the
     shipped matroid families, see :func:`threshold_decreasing_solve`).  It
     prices each feasible element at all k positions with one
-    ``state.best(e)`` against the running gain state (exact on the 1/64
+    ``state._best(e)`` against the running gain state (exact on the 1/64
     value grid), which names its lowest best position, and keeps the
     first element with the strictly largest gain, so it adds the argmax
     pair with ties going to the lowest element, then the lowest position.
@@ -228,9 +229,9 @@ def greedy_solve(f: KSubFunction, m: Matroid) -> SolveReport:
     counters = OracleCounters()
     n = f.n
     state = f.gain_state(counters)
-    best = state.best
+    best = state._best  # every element the run walks is an open int in range(n)
     indep = m.independence_state(counters)
-    can_add = indep.can_add
+    can_add = indep._can_add
     support = indep.support
     while True:
         best_gain = -math.inf

@@ -1,11 +1,13 @@
 """Shared test utilities."""
 
+import json
 import math
 import random
 import time
 from typing import Optional
 
-from ksubmax import Assignment, KSubFunction, Matroid, OracleCounters
+from ksubmax import (Assignment, InstanceSpec, KSubFunction, Matroid, OracleCounters,
+                     UniformMatroid, serialize_instance)
 from ksubmax.instances import (
     CoverageFunction,
     ExplicitTableFunction,
@@ -15,6 +17,19 @@ from ksubmax.instances import (
 )
 from ksubmax.matroids import feasible_extensions, greedy_basis
 from ksubmax.solvers import SolveReport, _check_inputs
+
+
+def hex_mask(points):
+    """A cover set's points as a lowercase hex bitmask string."""
+    return format(sum(1 << u for u in points), "x")
+
+
+def coverage_text(f, cover_set):
+    """An instance file of coverage function ``f`` under ``UniformMatroid(n, 1)``,
+    each cover set written by ``cover_set`` from its frozenset of points."""
+    doc = json.loads(serialize_instance(InstanceSpec(f.n, f.k, f, UniformMatroid(f.n, 1))))
+    doc["function"]["coverage"]["sets"] = [[cover_set(fs) for fs in row] for row in f.sets]
+    return json.dumps(doc)
 
 
 class CountingWrapper(KSubFunction):
@@ -217,12 +232,27 @@ class ReferenceModularFunction(ModularFunction):
         self.table = rows
 
 
+HEX_DIGITS = "0123456789abcdef"
+
+
+def reference_rows(items, where):
+    """``items`` as a list of rows; a string or a non-iterable is refused."""
+    if type(items) is str:
+        raise TypeError(f"{where} must be a list, got {items!r}")
+    try:
+        return list(items)
+    except TypeError:
+        raise TypeError(f"{where} must be a list, got {items!r}") from None
+
+
 class ReferenceCoverageFunction(CoverageFunction):
     """``CoverageFunction`` with its per-point constructor.
 
     Besides the per-point range test it refuses, point by point, any point
     whose type is not ``int``; the constructor it is kept from converted
-    such points with ``int(u)`` instead.
+    such points with ``int(u)`` instead.  A cover set written as a hex
+    bitmask string is read one character at a time, and its points one bit
+    at a time.
     """
 
     def __init__(self, weights, sets):
@@ -232,10 +262,19 @@ class ReferenceCoverageFunction(CoverageFunction):
             raise ValueError("universe weights must be nonnegative")
         universe = len(self.weights)
         norm = []
-        for e, per_position in enumerate(sets):
+        for e, per_position in enumerate(reference_rows(sets, "sets")):
             row = []
-            for i, members in enumerate(per_position):
-                points = list(members)
+            for i, members in enumerate(reference_rows(per_position, f"sets[{e}]")):
+                if type(members) is str:
+                    row.append(reference_mask_points(members, universe, e, i))
+                    continue
+                try:
+                    points = list(members)
+                except TypeError:
+                    raise TypeError(
+                        "sets must list integer universe points or be hex bitmask "
+                        f"strings; sets[{e}][{i}]: {members!r} is neither"
+                    ) from None
                 for u in points:
                     if type(u) is not int:
                         raise TypeError(
@@ -267,6 +306,21 @@ class ReferenceCoverageFunction(CoverageFunction):
             for mask in row:
                 reachable |= mask
         _check_sums_finite(0.0, self._weight(reachable))
+
+
+def reference_mask_points(text, universe, e, i):
+    """The points of hex bitmask ``text``, read one character at a time."""
+    if not text:
+        raise ValueError(f"sets[{e}][{i}]: {text!r} is not a lowercase hex bitmask")
+    mask = 0
+    for c in text:
+        if c not in HEX_DIGITS:
+            raise ValueError(f"sets[{e}][{i}]: {text!r} is not a lowercase hex bitmask")
+        mask = mask * 16 + HEX_DIGITS.index(c)
+    top = mask.bit_length() - 1
+    if top >= universe:
+        raise ValueError(f"sets[{e}][{i}]: universe point {top} outside 0..{universe - 1}")
+    return frozenset(u for u in range(top + 1) if mask >> u & 1)
 
 
 def reference_weight_planes(weights):

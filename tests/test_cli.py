@@ -119,6 +119,64 @@ class TestSolve:
         assert main(["solve", instance_file, "--solver", "brute", "--cap", "3"]) == 3
         assert "cap" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("solver", ["threshold", "greedy", "brute"])
+    @pytest.mark.parametrize("epsilon", ["7", "0", "1", "-0.5", "nan"])
+    def test_out_of_range_epsilon_exits_4_with_every_solver(self, instance_file, capsys,
+                                                            solver, epsilon):
+        """``--solver greedy --epsilon 7`` used to exit 0."""
+        assert main(["solve", instance_file, "--solver", solver, "--epsilon", epsilon]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "epsilon must lie strictly between 0 and 1" in captured.err
+
+    def test_in_range_epsilon_is_accepted_by_every_solver(self, instance_file, capsys):
+        for solver in ("greedy", "brute"):
+            assert main(["solve", instance_file, "--solver", solver, "--epsilon", "0.5",
+                         "--format", "json"]) == 0
+            assert json.loads(capsys.readouterr().out)["value"] == 5.0
+
+    @pytest.mark.parametrize("solver", ["greedy", "brute"])
+    def test_seed_refused_by_solvers_without_one(self, instance_file, capsys, solver):
+        """``--solver greedy --seed 3`` used to exit 0 and ignore the seed."""
+        for extra in ([], ["--epsilon", "0.5"]):
+            assert main(["solve", instance_file, "--solver", solver, "--seed", "3",
+                         *extra]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"the {solver} solver takes no seed" in captured.err
+        assert main(["solve", instance_file, "--solver", "threshold", "--epsilon", "0.5",
+                     "--seed", "3"]) == 0
+
+    def test_bad_epsilon_is_reported_before_a_refused_seed(self, instance_file):
+        """As with the threshold solver, an out-of-range epsilon exits 4."""
+        assert main(["solve", instance_file, "--solver", "greedy",
+                     "--epsilon", "7", "--seed", "3"]) == 4
+
+
+COVER_DOC = {"n": 2, "k": 2, "matroid": {"uniform": 1},
+             "function": {"coverage": {"weights": [1.0] * 6, "sets": [["25", [1]], ["3", "0"]]}}}
+
+
+@pytest.mark.parametrize("cover_set", ["0x1f", "-1", "1_0", " 1f", "1F", "", "40", 5])
+def test_malformed_cover_mask_exits_2(tmp_path, capsys, cover_set):
+    """A cover-set bitmask must be lowercase hex digits only (``int(s, 16)``
+    also reads ``0x``, signs, ``_`` and whitespace) and set no bit at or past
+    the universe size (6 here, so ``"40"``, bit 6, is out); a JSON number is
+    no cover set."""
+    doc = json.loads(json.dumps(COVER_DOC))
+    path = tmp_path / "cover.json"
+    path.write_text(json.dumps(doc))
+    assert main(["solve", str(path), "--solver", "greedy", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == 3.0
+    doc["function"]["coverage"]["sets"][0][1] = cover_set
+    path.write_text(json.dumps(doc))
+    assert main(["solve", str(path), "--solver", "greedy"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"ksubmax: {path}: function.coverage: ")
+    assert "sets[0][1]" in captured.err
+    assert "Traceback" not in captured.err
+
 
 class TestVerify:
     def test_clean_instance(self, instance_file, capsys):

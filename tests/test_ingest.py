@@ -92,6 +92,11 @@ def modular_tables(draw):
     return rows
 
 
+# strings that int(s, 16) reads but a cover-set bitmask must not be, and
+# strings it refuses too
+MALFORMED_MASKS = ["0x1f", "-1", "+1", "1_0", " 1f", "1f ", "1f\n", "1F", "", "g", "\u0663"]
+
+
 @st.composite
 def coverage_inputs(draw):
     universe = draw(st.sampled_from([0, 1, 2, 5, 9, 40, 300]))
@@ -106,10 +111,20 @@ def coverage_inputs(draw):
     n = draw(st.integers(0, 4))
     k = draw(st.integers(0, 3))
     clean = draw(st.booleans())
-    members = st.lists(in_range if clean else point, max_size=12)
+    points = st.lists(in_range if clean else point, max_size=12)
+    # the same cover set as a hex bitmask, sometimes with leading zeros
+    masks = st.builds(lambda ps, zeros: "0" * zeros + format(sum(1 << u for u in set(ps)), "x"),
+                      st.lists(in_range, max_size=12), st.sampled_from([0, 0, 0, 1, 3]))
+    members = st.one_of(points, masks)
+    if not clean:
+        members = st.one_of(points, masks, st.sampled_from([
+            *MALFORMED_MASKS, format(1 << universe, "x"), format(1 << universe + 7, "x"),
+            5, None, 1.5, True]))
     sets = [[draw(members) for _ in range(k)] for _ in range(n)]
     if sets and draw(st.integers(0, 4)) == 0:  # a ragged row
         sets[draw(st.integers(0, n - 1))] = [draw(members) for _ in range(draw(st.integers(0, 4)))]
+    if sets and not clean and draw(st.integers(0, 4)) == 0:  # a row that is no list
+        sets[draw(st.integers(0, n - 1))] = draw(st.sampled_from(["1f", "", 3, None]))
     return weights, sets
 
 
@@ -144,6 +159,15 @@ def test_modular_constructor_matches_reference(table):
 @example(([1.0, math.nan], [[[0]]]))
 @example(([1.7e308, 1.7e308], [[[0]], [[1]]]))
 @example(([1.0] + [2.0 ** -53] * 4, [[[0, 1, 2, 3, 4]]]))
+@example(([1.0] * 6, [[[0, 2, 5], "25"], ["0", "0025"]]))
+@example(([1.0] * 6, [["40"]]))
+@example(([1.0] * 6, [["3f", "1F"]]))
+@example(([1.0] * 6, [[[1], 5]]))
+@example(([1.0] * 6, [[[1], None]]))
+@example(([1.0] * 6, [[[1]], "1f"]))
+@example(([1.0] * 6, "1f"))
+@example(([1.0] * 6, 5))
+@example(([], [["0"]]))
 def test_coverage_constructor_matches_reference(case):
     weights, sets = case
     assert (outcome(CoverageFunction, weights, sets)

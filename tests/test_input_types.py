@@ -38,7 +38,7 @@ from ksubmax import core, instances
 from ksubmax.cli import main
 from ksubmax.instances import CoverageFunction, ExplicitTableFunction, ModularFunction
 
-from helpers import CountingWrapper
+from helpers import CountingWrapper, coverage_text, hex_mask
 
 NOT_INTS = (True, "1", None, 1.0)
 NOT_NUMBERS = (True, "1.5", None)
@@ -197,13 +197,9 @@ def test_every_seed_refuses_bad_types(name, bad):
         call(bad)
 
 
-def test_parse_type_checks_each_cover_set_once(monkeypatch):
-    """Parsing a valid coverage file makes one type pass over each cover
-    set and one over the weights, all through the shared helper.  The
-    tally covers the parser's module and ``core``; the matroid's own checks
-    run in ``matroids``."""
-    f = gen_coverage(12, 3, 24, 0.3, seed=4)
-    text = serialize_instance(InstanceSpec(12, 3, f, UniformMatroid(12, 4)))
+def tally_typed(monkeypatch):
+    """Count each ``_typed`` call the parser's module and ``core`` make, by
+    its types and values; the matroid's own checks run in ``matroids``."""
     calls = collections.Counter()
     typed = core._typed
 
@@ -214,11 +210,36 @@ def test_parse_type_checks_each_cover_set_once(monkeypatch):
 
     for module in (core, instances):
         monkeypatch.setattr(module, "_typed", tally)
+    return calls
+
+
+def test_parse_type_checks_each_cover_set_once(monkeypatch):
+    """Parsing a valid coverage file whose cover sets are point lists makes
+    one type pass over each cover set and one over the weights, all
+    through the shared helper.  The tally covers the parser's module and
+    ``core``; the matroid's own checks run in ``matroids``."""
+    f = gen_coverage(12, 3, 24, 0.3, seed=4)
+    text = coverage_text(f, sorted)
+    calls = tally_typed(monkeypatch)
     doc = json.loads(text)["function"]["coverage"]
     assert parse_instance(text).function == f
     cover_sets = collections.Counter(
         (core.INTS, tuple(points)) for row in doc["sets"] for points in row)
     assert calls == cover_sets + collections.Counter({(core.NUMBERS, tuple(doc["weights"])): 1})
+
+
+def test_parse_makes_no_type_pass_over_mask_cover_sets(monkeypatch):
+    """Cover sets written as hex bitmasks, the form ``serialize_instance``
+    writes, are read without a type pass over points: the one pass is over
+    the weights."""
+    f = gen_coverage(12, 3, 24, 0.3, seed=4)
+    text = coverage_text(f, hex_mask)
+    assert text == json.dumps(json.loads(serialize_instance(
+        InstanceSpec(12, 3, f, UniformMatroid(12, 1)))))
+    calls = tally_typed(monkeypatch)
+    doc = json.loads(text)["function"]["coverage"]
+    assert parse_instance(text).function == f
+    assert calls == collections.Counter({(core.NUMBERS, tuple(doc["weights"])): 1})
 
 
 def test_parser_makes_no_type_test_of_its_own():

@@ -1,5 +1,7 @@
 import json
 import random
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -24,6 +26,8 @@ from ksubmax import (
     verify_k_submodular,
     verify_monotone,
 )
+
+from helpers import coverage_text, hex_mask
 
 GRID = 64  # generators only emit multiples of 1/64
 
@@ -319,6 +323,94 @@ class TestSerialization:
         )
         doc = json.loads(serialize_instance(spec))
         assert doc["matroid"]["partition"] == {"blocks": [[0, 2], [1]], "caps": [1, 1]}
+
+
+class TestCoverageMasks:
+    """A cover set is a list of points or a lowercase hex string of its
+    point bitmask; ``serialize_instance`` writes the bitmask."""
+
+    def test_serialize_writes_masks(self):
+        f = CoverageFunction([1.0] * 6, [[[0, 2, 5], []], [[1], [5, 4]]])
+        doc = json.loads(serialize_instance(InstanceSpec(2, 2, f, UniformMatroid(2, 1))))
+        assert doc["function"]["coverage"]["sets"] == [["25", "0"], ["2", "30"]]
+
+    @pytest.mark.parametrize("n, k, universe, density, seed", [
+        (1, 1, 1, 1.0, 0), (4, 2, 8, 0.4, 9), (12, 3, 24, 0.3, 4), (30, 3, 64, 0.25, 2),
+        (100, 3, 200, 0.25, 0), (5, 2, 300, 0.5, 1), (6, 2, 10, 0.0, 3),
+    ])
+    def test_list_and_mask_forms_parse_equal(self, n, k, universe, density, seed):
+        f = gen_coverage(n, k, universe, density, seed=seed)
+        from_lists = parse_instance(coverage_text(f, sorted)).function
+        from_masks = parse_instance(coverage_text(f, hex_mask)).function
+        assert from_lists == from_masks == f
+        assert hash(from_lists) == hash(from_masks) == hash(f)
+        assert from_lists._masks == from_masks._masks == f._masks
+        assert from_lists.sets == from_masks.sets == f.sets
+
+    def test_forms_mix_within_one_instance(self):
+        f = CoverageFunction([0.5] * 6, [[[0, 2, 5], "25"], ["0", []], ["0003", [1, 0, 1]]])
+        assert f.sets == ((frozenset({0, 2, 5}),) * 2, (frozenset(),) * 2,
+                          (frozenset({0, 1}),) * 2)
+        assert f._masks == ((0x25, 0x25), (0, 0), (3, 3))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([1, 5, 64, 300]), st.integers(1, 5), st.integers(1, 3),
+           st.sampled_from([0.0, 0.05, 0.3, 0.9, 1.0]), st.integers(0, 10_000))
+    def test_round_trip(self, universe, n, k, density, seed):
+        spec = InstanceSpec(n, k, gen_coverage(n, k, universe, density, seed=seed),
+                            UniformMatroid(n, (n + 1) // 2))
+        parsed = parse_instance(serialize_instance(spec))
+        assert parsed == spec
+        assert parsed.function.sets == spec.function.sets
+
+    def test_universe_past_the_integer_digit_limit(self):
+        """``int(s, 16)`` has no digit limit: 16 is a power of two."""
+        universe = 20_000
+        text = coverage_text(CoverageFunction([1.0] * universe, [[[universe - 1, 3]]]), hex_mask)
+        assert len(json.loads(text)["function"]["coverage"]["sets"][0][0]) == universe // 4
+        f = parse_instance(text).function
+        assert f.sets == ((frozenset({3, universe - 1}),),)
+        assert f.evaluate(Assignment((1,), 1)) == 2.0
+
+    def test_readme_instances_parse(self):
+        """The README's instance examples parse; in its coverage example the
+        list and bitmask forms of one set give the same set."""
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        blocks = [b for b in re.findall(r"```json\n(.*?)```", readme, re.S) if '"function"' in b]
+        specs = [parse_instance(b) for b in blocks]
+        coverage = [s.function for s in specs if isinstance(s.function, CoverageFunction)]
+        assert len(specs) >= 2 and len(coverage) == 1
+        (first, _), (second, _) = coverage[0].sets
+        assert first == second == frozenset({0, 2, 5})
+
+    @pytest.mark.parametrize("cover_set, message", [
+        ("0x1f", "sets[1][0]: '0x1f' is not a lowercase hex bitmask"),
+        ("-1", "sets[1][0]: '-1' is not a lowercase hex bitmask"),
+        ("1_0", "sets[1][0]: '1_0' is not a lowercase hex bitmask"),
+        (" 1f", "sets[1][0]: ' 1f' is not a lowercase hex bitmask"),
+        ("1F", "sets[1][0]: '1F' is not a lowercase hex bitmask"),
+        ("", "sets[1][0]: '' is not a lowercase hex bitmask"),
+        ("40", "sets[1][0]: universe point 6 outside 0..5"),
+    ])
+    def test_malformed_masks_refused(self, cover_set, message):
+        with pytest.raises(ValueError) as info:
+            CoverageFunction([1.0] * 6, [["1"], [cover_set]])
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("cover_set", [5, None, 2.5])
+    def test_non_iterable_cover_set_refused(self, cover_set):
+        """Used to leak ``'int' object is not iterable``."""
+        with pytest.raises(TypeError, match=r"sets\[1\]\[0\]: .* is neither"):
+            CoverageFunction([1.0] * 6, [["1"], [cover_set]])
+
+    @pytest.mark.parametrize("sets, where", [
+        ("1f", "sets must be a list"), (7, "sets must be a list"),
+        ([["1"], "1f"], r"sets\[1\] must be a list"), ([["1"], None], r"sets\[1\] must be a list"),
+    ])
+    def test_string_or_non_iterable_rows_refused(self, sets, where):
+        """A string row would otherwise read as one bitmask per character."""
+        with pytest.raises(TypeError, match=where):
+            CoverageFunction([1.0] * 6, sets)
 
 
 class TestParseErrors:
