@@ -5,22 +5,27 @@ Three subcommands: ``solve`` runs one solver on one instance file,
 one row per run, ``verify`` checks an instance's structural properties
 and prints verdicts.
 
-Exit codes: 0 success, 2 unreadable or malformed input, 3 a cap was
-exceeded (brute force, or exhaustive verification without --sample),
-4 invalid or missing epsilon.
+Exit codes: 0 success, 1 standard output closed early (the reader of a
+pipe went away; nothing is printed), 2 unreadable or malformed input,
+3 a cap was exceeded (brute force, or exhaustive verification without
+--sample), 4 invalid or missing epsilon.
 
 ``solve`` checks its flags against the chosen solver: ``--epsilon`` is
 range-checked whenever it is given (exit 4), whichever solver runs, and
 ``--seed``, which shuffles the threshold solver's visiting order, is
 refused with ``greedy`` and ``brute``, which take none (exit 2).
+``verify`` draws random checks only with ``--sample``, so it refuses
+``--seed`` without it (exit 2).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import json
+import os
 import sys
 from dataclasses import dataclass
 from typing import Optional
@@ -40,18 +45,21 @@ from .matroids import UniformMatroid, check_matroid_axioms, rank
 from .solvers import (
     DEFAULT_BRUTE_CAP,
     SolveReport,
+    _check_epsilon,
     brute_force_solve,
     greedy_solve,
     threshold_decreasing_solve,
 )
 from .verify import (
     DEFAULT_PAIR_BUDGET,
+    _lattice_pairs,
     verify_k_submodular,
     verify_monotone,
     verify_orthant_pairwise,
 )
 
 EXIT_OK = 0
+EXIT_PIPE = 1
 EXIT_PARSE = 2
 EXIT_CAP = 3
 EXIT_EPSILON = 4
@@ -166,11 +174,11 @@ def cmd_solve(args) -> int:
     if args.epsilon is None:
         if threshold:
             return _fail("the threshold solver requires --epsilon", EXIT_EPSILON)
-    elif not 0.0 < args.epsilon < 1.0:
-        return _fail(
-            f"epsilon must lie strictly between 0 and 1, got {args.epsilon}",
-            EXIT_EPSILON,
-        )
+    else:
+        try:
+            _check_epsilon(args.epsilon)
+        except ValueError as err:
+            return _fail(str(err), EXIT_EPSILON)
     if args.seed is not None and not threshold:
         return _fail(f"--seed shuffles the threshold solver's visiting order; "
                      f"the {args.solver} solver takes no seed", EXIT_PARSE)
@@ -234,8 +242,10 @@ def _check_config(doc) -> Optional[str]:
     if "threshold" in solvers and not epsilons:
         return "epsilons: required when the threshold solver is configured"
     for eps in epsilons:
-        if not isinstance(eps, (int, float)) or not 0.0 < eps < 1.0:
-            return f"epsilons: every entry must lie in (0, 1), got {eps!r}"
+        try:
+            _check_epsilon(eps)
+        except ValueError as err:
+            return f"epsilons: {err}"
     if "cap" in doc and type(doc["cap"]) is not int:
         return f"cap: expected an integer, got {doc['cap']!r}"
     for idx, entry in enumerate(grid):
@@ -272,7 +282,7 @@ def _check_config(doc) -> Optional[str]:
     return None
 
 
-def _build_instance(entry: dict, seed: int) -> tuple[str, InstanceSpec]:
+def _build_instance(entry: dict, seed: int) -> InstanceSpec:
     family, n, k = entry["family"], entry["n"], entry["k"]
     if family == "modular":
         fn: KSubFunction = gen_modular(
@@ -295,8 +305,7 @@ def _build_instance(entry: dict, seed: int) -> tuple[str, InstanceSpec]:
         m = gen_partition_matroid(n, seed=seed + 1)
     else:
         m = gen_explicit_matroid(n, seed=seed + 1)
-    instance_id = f"{family}-{mt}-n{n}-k{k}-s{seed}"
-    return instance_id, InstanceSpec(n=n, k=k, function=fn, matroid=m)
+    return InstanceSpec(n=n, k=k, function=fn, matroid=m)
 
 
 def run_bench(config: dict, cap: int) -> list[BenchRow]:
@@ -315,13 +324,12 @@ def run_bench(config: dict, cap: int) -> list[BenchRow]:
     for entry in config["grid"]:
         n, k = entry["n"], entry["k"]
         for seed in entry["seeds"]:
+            instance_id = f"{entry['family']}-{entry['matroid']}-n{n}-k{k}-s{seed}"
             try:
-                instance_id, spec = _build_instance(entry, seed)
+                spec = _build_instance(entry, seed)
             except (ValueError, TypeError) as err:
-                rows.append(BenchRow(
-                    instance=f"{entry['family']}-{entry['matroid']}-n{n}-k{k}-s{seed}",
-                    solver="", n=n, k=k, error=f"instance generation failed: {err}",
-                ))
+                rows.append(BenchRow(instance=instance_id, solver="", n=n, k=k,
+                                     error=f"instance generation failed: {err}"))
                 continue
             r = rank(spec.matroid)
             try:
@@ -389,14 +397,6 @@ def _print_verdict(label: str, verdict) -> None:
         print(f"  counterexample: {_plain(verdict.counterexample)}")
 
 
-def _verification_cost(n: int, k: int) -> int:
-    """Largest exhaustive enumeration any verifier would attempt."""
-    n_assignments = (k + 1) ** n
-    joint_pairs = n_assignments * (n_assignments + 1) // 2
-    ordered_pairs = (2 * k + 1) ** n
-    return max(joint_pairs, ordered_pairs, 2 ** n)
-
-
 def cmd_verify(args) -> int:
     try:
         spec = parse_instance(_read_text(args.instance))
@@ -410,13 +410,15 @@ def cmd_verify(args) -> int:
         if args.sample < 1:
             return _fail(f"--sample must be at least 1, got {args.sample}", EXIT_PARSE)
         budget = args.sample
-    elif _verification_cost(spec.n, spec.k) > budget:
+    elif _lattice_pairs(spec.n, spec.k) > budget:
         return _fail(
-            f"instance needs {_verification_cost(spec.n, spec.k)} checks for "
+            f"instance needs {_lattice_pairs(spec.n, spec.k)} checks for "
             f"exhaustive verification (budget {budget}); pass --sample N to "
             "verify on N random checks instead",
             EXIT_CAP,
         )
+    elif args.seed is not None:
+        return _fail("--seed seeds sampled verification; pass --sample N with it", EXIT_PARSE)
 
     f, m = spec.function, spec.matroid
     joint = verify_k_submodular(f, pair_budget=budget, seed=args.seed or 0)
@@ -480,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--sample", type=int, default=None,
                           help="verify on N random checks instead of exhaustively")
     p_verify.add_argument("--seed", type=int, default=None,
-                          help="seed for sampled verification")
+                          help="seed for sampled verification; requires --sample")
     p_verify.add_argument("--cap", type=int, default=DEFAULT_BRUTE_CAP,
                           help="brute-force assignment budget for the OPT report")
     p_verify.set_defaults(func=cmd_verify)
@@ -495,7 +497,15 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = _parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: the flush at exit writes what is left to devnull
+        with contextlib.suppress(AttributeError, OSError, ValueError):
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
+    return code
 
 
 if __name__ == "__main__":

@@ -30,6 +30,30 @@ def _typed(values: Iterable, types: frozenset) -> bool:
     return set(map(type, values)) <= types
 
 
+def _check_ground_size(n) -> None:
+    """Refuse a ground-set size unless an ``int`` (TypeError) of at least 0 (ValueError)."""
+    if type(n) is not int:
+        raise TypeError(f"ground_size must be an integer, got {n!r}")
+    if n < 0:
+        raise ValueError(f"ground_size must be nonnegative, got {n}")
+
+
+def _check_k(k) -> None:
+    """Refuse ``k`` unless an ``int`` (TypeError) of at least 1 (ValueError)."""
+    if type(k) is not int:
+        raise TypeError(f"k must be an int, got {k!r}")
+    if k < 1:
+        raise ValueError(f"k must be a positive integer, got {k}")
+
+
+def _check_element(e, n: int) -> None:
+    """Refuse ``e`` unless an ``int`` (TypeError) in ``0..n-1`` (ValueError)."""
+    if type(e) is not int:
+        raise TypeError(f"element {e!r} is not an int")
+    if not 0 <= e < n:
+        raise ValueError(f"element {e} outside ground set of size {n}")
+
+
 def _check_seed(seed) -> None:
     """Refuse a random seed that is not of type ``int`` (a bool or a float
     included) with TypeError; ``random.Random`` would take either."""
@@ -66,19 +90,14 @@ class Assignment:
 
     def __post_init__(self):
         labels = tuple(self.labels)
-        if type(self.k) is not int:
-            raise TypeError(f"k must be an int, got {self.k!r}")
+        _check_k(self.k)
         if not _typed(labels, INTS):
             e = next(e for e, lab in enumerate(labels) if type(lab) is not int)
             raise TypeError(f"label {labels[e]!r} at element {e} is not an int")
         object.__setattr__(self, "labels", labels)
-        if self.k < 1:
-            raise ValueError(f"k must be a positive integer, got {self.k}")
         for e, lab in enumerate(self.labels):
             if not 0 <= lab <= self.k:
-                raise ValueError(
-                    f"label {lab} at element {e} outside {{0,...,{self.k}}}"
-                )
+                raise ValueError(f"label {lab} at element {e} outside {{0,...,{self.k}}}")
 
     @classmethod
     def _trusted(cls, labels: tuple[int, ...], k: int) -> "Assignment":
@@ -129,12 +148,9 @@ class Assignment:
 
 def _check_open(labels: Sequence[int], k: int, e: int, i: int) -> None:
     """The checks of :meth:`Assignment.check_open` on a label sequence."""
-    if type(e) is not int:
-        raise TypeError(f"element {e!r} is not an int")
+    _check_element(e, len(labels))
     if type(i) is not int:
         raise TypeError(f"position {i!r} is not an int")
-    if not 0 <= e < len(labels):
-        raise ValueError(f"element {e} outside ground set of size {len(labels)}")
     if not 1 <= i <= k:
         raise ValueError(f"position {i} outside {{1,...,{k}}}")
     if labels[e] != 0:
@@ -194,14 +210,8 @@ class KSubFunction(ABC):
     """
 
     def __init__(self, n: int, k: int):
-        if type(n) is not int:
-            raise TypeError(f"ground-set size must be an int, got {n!r}")
-        if type(k) is not int:
-            raise TypeError(f"k must be an int, got {k!r}")
-        if n < 0:
-            raise ValueError(f"ground-set size must be nonnegative, got {n}")
-        if k < 1:
-            raise ValueError(f"k must be a positive integer, got {k}")
+        _check_ground_size(n)
+        _check_k(k)
         self.n = n
         self.k = k
 
@@ -351,7 +361,6 @@ class GainState:
 
 def enumerate_assignments(n: int, k: int) -> Iterator[Assignment]:
     """All (k+1)^n assignments on an n-element ground set, in label order."""
-    if k < 1:
-        raise ValueError(f"k must be a positive integer, got {k}")
+    _check_k(k)
     for labels in itertools.product(range(k + 1), repeat=n):
         yield Assignment._trusted(labels, k)

@@ -703,24 +703,17 @@ def _parse_function(doc, n: int, k: int) -> KSubFunction:
     (tag, body), = doc.items()
     try:
         if tag == "modular":
-            fn = ModularFunction(_require(body, "table", "function.modular"))
-        elif tag == "coverage":
-            fn = CoverageFunction(_require(body, "weights", "function.coverage"),
-                                  _require(body, "sets", "function.coverage"))
-        elif tag == "explicit":
-            fn = ExplicitTableFunction(n, k, _require(body, "values", "function.explicit"))
-        else:
-            raise InstanceFormatError(f"function: unknown family '{tag}'")
+            return ModularFunction(_require(body, "table", "function.modular"))
+        if tag == "coverage":
+            return CoverageFunction(_require(body, "weights", "function.coverage"),
+                                    _require(body, "sets", "function.coverage"))
+        if tag == "explicit":
+            return ExplicitTableFunction(n, k, _require(body, "values", "function.explicit"))
     except InstanceFormatError:
         raise
     except (TypeError, ValueError) as err:
         raise InstanceFormatError(f"function.{tag}: {err}") from err
-    if fn.n != n or fn.k != k:
-        raise InstanceFormatError(
-            f"function.{tag}: shape (n={fn.n}, k={fn.k}) does not match "
-            f"declared (n={n}, k={k})"
-        )
-    return fn
+    raise InstanceFormatError(f"function: unknown family '{tag}'")
 
 
 def _parse_matroid(doc, n: int) -> Matroid:

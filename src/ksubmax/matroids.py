@@ -22,8 +22,8 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .core import INTS, OracleCounters, _check_seed, _typed
-from .verify import Verdict
+from .core import INTS, OracleCounters, _check_element, _check_ground_size, _typed
+from .verify import Verdict, _check_sampling
 
 
 class Matroid(ABC):
@@ -54,14 +54,6 @@ class Matroid(ABC):
     ) -> "IndependenceState":
         """A running independent support, starting empty; see :class:`IndependenceState`."""
         return IndependenceState(self, counters)
-
-
-def _check_element(e, n: int) -> None:
-    """Refuse ``e`` unless an ``int`` in ``0..n-1``; callers test that inline first."""
-    if type(e) is not int:
-        raise TypeError(f"element {e!r} is not an int")
-    if not 0 <= e < n:
-        raise ValueError(f"element {e} outside ground set of size {n}")
 
 
 def _check_ints(values: tuple, rule: str) -> None:
@@ -134,10 +126,8 @@ class UniformMatroid(Matroid):
     budget: int
 
     def __post_init__(self):
-        _check_ints((self.ground_size,), "ground_size must be an integer")
+        _check_ground_size(self.ground_size)
         _check_ints((self.budget,), "budget must be an integer")
-        if self.ground_size < 0:
-            raise ValueError("ground_size must be nonnegative")
         if self.budget < 0:
             raise ValueError("budget must be nonnegative")
 
@@ -172,7 +162,7 @@ class PartitionMatroid(Matroid):
     _block_of: dict = field(init=False, repr=False, compare=False)
 
     def __init__(self, ground_size, blocks, capacities):
-        _check_ints((ground_size,), "ground_size must be an integer")
+        _check_ground_size(ground_size)
         blocks = tuple(map(tuple, blocks))
         for block in blocks:
             _check_ints(block, "block elements must be integers")
@@ -181,25 +171,20 @@ class PartitionMatroid(Matroid):
         object.__setattr__(self, "ground_size", ground_size)
         object.__setattr__(self, "blocks", tuple(map(tuple, map(sorted, blocks))))
         object.__setattr__(self, "capacities", capacities)
-        self.__post_init__()
-
-    def __post_init__(self):
-        if len(self.blocks) != len(self.capacities):
-            raise ValueError(
-                f"{len(self.blocks)} blocks but {len(self.capacities)} capacities"
-            )
-        if any(c < 0 for c in self.capacities):
+        if len(blocks) != len(capacities):
+            raise ValueError(f"{len(blocks)} blocks but {len(capacities)} capacities")
+        if any(c < 0 for c in capacities):
             raise ValueError("capacities must be nonnegative")
         block_of = {}
         for j, block in enumerate(self.blocks):
             for e in block:
-                if not 0 <= e < self.ground_size:
-                    raise ValueError(f"block element {e} outside ground set")
+                if not 0 <= e < ground_size:
+                    _check_element(e, ground_size)
                 if e in block_of:
                     raise ValueError(f"element {e} appears in more than one block")
                 block_of[e] = j
-        if len(block_of) != self.ground_size:
-            missing = sorted(set(range(self.ground_size)) - set(block_of))
+        if len(block_of) != ground_size:
+            missing = sorted(set(range(ground_size)) - set(block_of))
             raise ValueError(f"blocks do not cover the ground set; missing {missing}")
         object.__setattr__(self, "_block_of", block_of)
 
@@ -265,33 +250,25 @@ class ExplicitMatroid(Matroid):
     family: frozenset[int]
 
     def __init__(self, ground_size, family):
-        _check_ints((ground_size,), "ground_size must be an integer")
+        _check_ground_size(ground_size)
         family = tuple(family)
         _check_ints(family, "bitmasks must be integers")
+        if ground_size > MAX_EXPLICIT_GROUND:
+            raise ValueError(f"explicit matroid supports 0 <= n <= {MAX_EXPLICIT_GROUND}, "
+                             f"got {ground_size}")
         object.__setattr__(self, "ground_size", ground_size)
         object.__setattr__(self, "family", frozenset(family))
-        self.__post_init__()
-
-    def __post_init__(self):
-        n = self.ground_size
-        if not 0 <= n <= MAX_EXPLICIT_GROUND:
-            raise ValueError(
-                f"explicit matroid supports 0 <= n <= {MAX_EXPLICIT_GROUND}, got {n}"
-            )
-        full = (1 << n) - 1
         for mask in self.family:
-            if mask & ~full:
-                raise ValueError(f"bitmask {mask} uses elements outside 0..{n - 1}")
-        if 0 not in self.family:
-            raise ValueError("family violates axiom (a): empty set missing")
+            if mask >> ground_size:
+                raise ValueError(f"bitmask {mask} uses elements outside 0..{ground_size - 1}")
         violation, _ = _axiom_violation(sorted(self.family), self.family)
         if violation is not None:
-            axiom, a, b = violation
-            if axiom == "axiom-b":
-                raise ValueError(
-                    f"family violates axiom (b): {b} missing although superset {a} is listed"
-                )
-            raise ValueError(f"family violates axiom (c): {a} cannot be augmented from {b}")
+            axiom, *masks = violation
+            raise ValueError("family violates " + {
+                "axiom-a": "axiom (a): empty set missing",
+                "axiom-b": "axiom (b): {1} missing although superset {0} is listed",
+                "axiom-c": "axiom (c): {0} cannot be augmented from {1}",
+            }[axiom].format(*masks))
 
     @classmethod
     def from_sets(cls, ground_size: int, sets: Iterable[Iterable[int]]) -> "ExplicitMatroid":
@@ -413,15 +390,19 @@ def check_basis_exchange(m: Matroid, a: Iterable[int], b: Iterable[int], e: int)
 def _axiom_violation(
     masks: list[int], family: set[int] | frozenset[int], pair_budget: Optional[int] = None
 ):
-    """First violation of axiom (b) or (c) in a family of bitmasks, and the checks made.
+    """First violation of the axioms in a family of bitmasks, and the checks made.
 
     ``masks`` lists the family ascending; ``family`` answers membership.
-    Axiom (b) comes first, one check per set and element, lowest first;
-    then axiom (c), one check per set of size s against one of size s + 1.
-    The violation is None, ``("axiom-b", mask, mask_without_one)`` or
-    ``("axiom-c", small, big)``.  With more than ``pair_budget`` pairs, (c)
-    is left untested and the checks are None.
+    Axiom (a) comes first: if the empty set is not listed, the violation
+    is ``("axiom-a",)`` after 1 check.  Otherwise the checks count those of
+    axiom (b), one per set and element, lowest first, then those of axiom
+    (c), one per set of size s against one of size s + 1.  The violation
+    is then None, ``("axiom-b", mask, mask_without_one)`` or ``("axiom-c",
+    small, big)``.  With more than ``pair_budget`` pairs, (c) is left
+    untested and the checks are None.
     """
+    if 0 not in family:
+        return ("axiom-a",), 1
     checks = 0
     for mask in masks:
         rest = mask
@@ -465,18 +446,16 @@ def check_matroid_axioms(
     sizes s and s+1 suffices because, combined with downward closure, it
     implies the exchange axiom for arbitrary size gaps.  Beyond the budget
     the axioms are spot-checked on random subsets and flagged as sampled.
+    The budget must be at least 1 and the seed an ``int``, as for the
+    verifiers in :mod:`ksubmax.verify`, so no verdict rests on zero checks.
     """
-    _check_seed(seed)
+    _check_sampling(budget, seed)
     n = m.ground_size
     if 2**n <= budget:
-        independents = [
-            mask
-            for mask in range(1 << n)
-            if m.is_independent(_set_of(mask))
-        ]
-        if not m.is_independent(frozenset()):
-            return Verdict(False, ("axiom-a",), exhaustive=True, checked=1)
+        independents = [mask for mask in range(1 << n) if m.is_independent(_set_of(mask))]
         violation, checks = _axiom_violation(independents, set(independents), budget)
+        if violation == ("axiom-a",):
+            return Verdict(False, violation, exhaustive=True, checked=checks)
         if checks is not None:
             if violation is not None:
                 violation = (violation[0], _set_of(violation[1]), _set_of(violation[2]))

@@ -25,7 +25,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import Assignment, CapExceededError, KSubFunction, OracleCounters, _check_seed
+from .core import NUMBERS, Assignment, CapExceededError, KSubFunction, OracleCounters, _check_seed
 from .matroids import Matroid, greedy_basis
 
 # The solvers call none of these, but perfbench's tracer patches each of
@@ -65,6 +65,12 @@ def _check_inputs(f: KSubFunction, m: Matroid) -> None:
         )
 
 
+def _check_epsilon(epsilon) -> None:
+    """Refuse with ValueError an epsilon that is not an int or float in (0, 1)."""
+    if type(epsilon) not in NUMBERS or not 0.0 < epsilon < 1.0:
+        raise ValueError(f"epsilon must lie strictly between 0 and 1, got {epsilon!r}")
+
+
 def predicted_round_bound(epsilon: float, r: int) -> int:
     """Upper bound on executed threshold rounds for accuracy eps and rank r.
 
@@ -72,8 +78,7 @@ def predicted_round_bound(epsilon: float, r: int) -> int:
     falls to (1 - eps) * eps * d / (2r), so the executed rounds are at most
     ceil(log(2r/eps) / log(1/(1-eps))) + 1.
     """
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
+    _check_epsilon(epsilon)
     if r < 1:
         raise ValueError(f"rank must be at least 1, got {r}")
     return math.ceil(math.log(2 * r / epsilon) / math.log(1 / (1 - epsilon))) + 1
@@ -133,8 +138,7 @@ def threshold_decreasing_solve(
     dependent.
     """
     _check_inputs(f, m)
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
+    _check_epsilon(epsilon)
     if order_seed is not None:
         _check_seed(order_seed)
     start = time.perf_counter()

@@ -44,12 +44,18 @@ class Verdict:
         return self.holds
 
 
-def _check_sampling(pair_budget: int, seed: int) -> None:
-    """Refuse a non-``int`` seed; a verdict needs at least one check, so the
-    budget must allow one."""
+def _check_sampling(budget: int, seed: int) -> None:
+    """Refuse a non-``int`` seed, and a budget below the one check a verdict needs."""
     _check_seed(seed)
-    if pair_budget < 1:
-        raise ValueError(f"pair_budget must be at least 1, got {pair_budget}")
+    if budget < 1:
+        raise ValueError(f"sampling budget must be at least 1, got {budget}")
+
+
+def _lattice_pairs(n: int, k: int) -> int:
+    """Unordered pairs of the (k+1)^n assignments; no exhaustive check enumerates
+    more, as this bounds the (2k+1)^n ordered pairs and the 2^n matroid subsets."""
+    total = (k + 1) ** n
+    return total * (total + 1) // 2
 
 
 def _value_table(f: KSubFunction) -> dict[tuple[int, ...], float]:
@@ -78,9 +84,7 @@ def verify_k_submodular(
     """
     _check_sampling(pair_budget, seed)
     n, k = f.n, f.k
-    total = (k + 1) ** n
-    n_pairs = total * (total + 1) // 2
-    if n_pairs <= pair_budget:
+    if _lattice_pairs(n, k) <= pair_budget:
         table = _value_table(f)
         checked = 0
         everything = list(enumerate_assignments(n, k))

@@ -15,7 +15,8 @@ from ksubmax.instances import (
     _check_finite,
     _check_sums_finite,
 )
-from ksubmax.matroids import feasible_extensions, greedy_basis
+from ksubmax.matroids import _set_of, feasible_extensions, greedy_basis
+from ksubmax.verify import Verdict
 from ksubmax.solvers import SolveReport, _check_inputs
 
 
@@ -356,3 +357,77 @@ class ReferenceExplicitTableFunction(ExplicitTableFunction):
             )
         _check_sums_finite(min(vals), max(vals))
         self.values = vals
+
+
+def reference_check_matroid_axioms(m: Matroid, budget: int = 1_000_000, seed: int = 0) -> Verdict:
+    """Reference matroid-axiom checker: the one shipped before axiom (a)
+    moved into ``_axiom_violation``.
+
+    Kept unchanged, its (b)/(c) pass included, so that the shipped checker
+    can be required to give the same verdicts, counterexamples and
+    ``checked`` counts.  Its exhaustive branch asks the oracle about the
+    empty set once more after listing all 2^n subsets; the budget is not
+    checked, so it must be at least 1.
+    """
+    n = m.ground_size
+    if 2**n <= budget:
+        independents = [mask for mask in range(1 << n) if m.is_independent(_set_of(mask))]
+        if not m.is_independent(frozenset()):
+            return Verdict(False, ("axiom-a",), exhaustive=True, checked=1)
+        violation, checks = _reference_axiom_violation(independents, set(independents), budget)
+        if checks is not None:
+            if violation is not None:
+                violation = (violation[0], _set_of(violation[1]), _set_of(violation[2]))
+            return Verdict(violation is None, violation, exhaustive=True,
+                           checked=(1 << n) + checks)
+
+    rng = random.Random(seed)
+    if not m.is_independent(frozenset()):
+        return Verdict(False, ("axiom-a",), exhaustive=False, checked=1)
+    checked = 1
+    while checked < budget:
+        checked += 1
+        subset = frozenset(e for e in range(n) if rng.random() < 0.5)
+        if m.is_independent(subset) and subset:
+            e = rng.choice(sorted(subset))
+            if not m.is_independent(subset - {e}):
+                return Verdict(False, ("axiom-b", subset, subset - {e}),
+                               exhaustive=False, checked=checked)
+        other = frozenset(e for e in range(n) if rng.random() < 0.5)
+        small, big = sorted((subset, other), key=len)
+        if len(small) < len(big) and m.is_independent(small) and m.is_independent(big):
+            if not any(m.is_independent(small | {e}) for e in big - small):
+                return Verdict(False, ("axiom-c", small, big),
+                               exhaustive=False, checked=checked)
+    return Verdict(True, None, exhaustive=False, checked=checked)
+
+
+def _reference_axiom_violation(masks, family, pair_budget):
+    """Axiom (b), then (c), as the reference checker tested them."""
+    checks = 0
+    for mask in masks:
+        rest = mask
+        while rest:
+            low = rest & -rest
+            checks += 1
+            if (mask ^ low) not in family:
+                return ("axiom-b", mask, mask ^ low), checks
+            rest ^= low
+    by_size: dict[int, list[int]] = {}
+    for mask in masks:
+        by_size.setdefault(mask.bit_count(), []).append(mask)
+    if pair_budget < sum(len(by_size[s]) * len(by_size.get(s + 1, ())) for s in by_size):
+        return None, None
+    for s in sorted(by_size):
+        for small in by_size[s]:
+            for big in by_size.get(s + 1, ()):
+                checks += 1
+                extra = big & ~small
+                while extra:
+                    low = extra & -extra
+                    if (small | low) in family:
+                        break
+                    extra ^= low
+                else:
+                    return ("axiom-c", small, big), checks
+    return None, checks

@@ -1,6 +1,9 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import types
 
 import pytest
@@ -231,6 +234,16 @@ class TestVerify:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "--sample must be at least 1" in captured.err
+
+    def test_seed_without_sample_exits_2(self, instance_file, capsys):
+        """An exhaustive run draws nothing: ``--seed 5`` used to exit 0 with
+        output byte-identical to the run without it."""
+        assert main(["verify", instance_file, "--seed", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--seed seeds sampled verification" in captured.err
+        assert main(["verify", instance_file, "--seed", "5", "--sample", "3"]) == 0
+        assert "sampled, 3 checks" in capsys.readouterr().out
 
     def test_oversized_opt_skipped(self, tmp_path, capsys):
         spec = InstanceSpec(
@@ -466,6 +479,67 @@ class TestJsonOutput:
                 if row["solver"] == "brute":
                     assert (row["eo_calls"], row["io_calls"], row["rounds"]) == (None, None, None)
                     assert (row["value"] is not None) == opt_known
+
+
+class ClosedPipe:
+    """An unbuffered standard output whose reader has gone away: every
+    write fails, and a flush has nothing to write."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+PIPE_ARGVS = [
+    ["verify", "{inst}"],
+    ["solve", "{inst}", "--epsilon", "0.5"],
+    ["solve", "{inst}", "--solver", "brute", "--format", "json"],
+    ["bench", "{cfg}"],
+]
+
+
+class TestClosedStdout:
+    """A closed standard output ends every subcommand with exit code 1 and
+    nothing on stderr; it used to end in a ``BrokenPipeError`` traceback."""
+
+    @pytest.mark.parametrize("argv", PIPE_ARGVS, ids=[a[0] for a in PIPE_ARGVS])
+    def test_in_process(self, argv, instance_file, tmp_path, capsys, monkeypatch):
+        cfg = write_config(tmp_path, {"grid": [GOOD_ENTRY], "solvers": ["greedy"]})
+        argv = [a.format(inst=instance_file, cfg=cfg) for a in argv]
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(argv) == ksubmax.cli.EXIT_PIPE == 1
+        assert capsys.readouterr().err == ""
+
+    def test_refusals_keep_their_codes(self, instance_file, monkeypatch):
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(["solve", instance_file]) == 4
+        assert main(["verify", instance_file, "--seed", "1"]) == 2
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", PIPE_ARGVS, ids=[a[0] for a in PIPE_ARGVS])
+    def test_subprocess(self, argv, unbuffered, instance_file, tmp_path):
+        """The read end is closed before the child writes.  Buffered, the
+        error comes from the flush before exit; unbuffered, from the first
+        write."""
+        cfg = write_config(tmp_path, {"grid": [GOOD_ENTRY], "solvers": ["greedy"]})
+        argv = [a.format(inst=instance_file, cfg=cfg) for a in argv]
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.dirname(os.path.dirname(ksubmax.cli.__file__)), env.get("PYTHONPATH", "")])
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            child = subprocess.run([sys.executable, "-m", "ksubmax.cli", *argv],
+                                   stdout=write_end, stderr=subprocess.PIPE, env=env,
+                                   timeout=120)
+        finally:
+            os.close(write_end)
+        assert child.stderr == b""
+        assert child.returncode == 1
 
 
 class TestParserReuse:

@@ -6,18 +6,30 @@ with TypeError, never converted; so is a seed that is not an ``int``.
 The instance parser makes no type test of its own on function or matroid
 bodies: it hands them to the constructors and reports their refusals as
 format errors (exit 2), under the field's prefix.
+
+Each input rule (an element index, ``k``, a ground-set size, epsilon, a
+sampling budget and seed, a function's shape against the declared
+``n``/``k``, the cost of exhaustive verification) has one implementation,
+so every public entry point that enforces it refuses a bad value with the
+same exception type and message.
 """
 
 import ast
 import collections
 import inspect
 import json
+import math
 import textwrap
 
 import pytest
 
 from ksubmax import (
     Assignment,
+    InstanceFormatError,
+    enumerate_assignments,
+    feasible_extensions,
+    marginal_gain,
+    predicted_round_bound,
     ExplicitMatroid,
     PartitionMatroid,
     UniformMatroid,
@@ -36,6 +48,7 @@ from ksubmax import (
 )
 from ksubmax import core, instances
 from ksubmax.cli import main
+from ksubmax.verify import DEFAULT_PAIR_BUDGET, _lattice_pairs
 from ksubmax.instances import CoverageFunction, ExplicitTableFunction, ModularFunction
 
 from helpers import CountingWrapper, coverage_text, hex_mask
@@ -256,3 +269,185 @@ def test_parser_makes_no_type_test_of_its_own():
         for node in calls:
             if isinstance(node.func, ast.Name) and node.func.id in ("isinstance", "len"):
                 assert ast.unparse(node.args[0]) == "doc"  # the tagged object, not its body
+
+
+def refusal(call):
+    """The type and message of the exception ``call()`` raises."""
+    try:
+        call()
+    except Exception as err:  # the test compares what it caught
+        return type(err), str(err)
+    raise AssertionError("the call was accepted")
+
+
+def rule_cases(bads):
+    return pytest.mark.parametrize("bad", bads, ids=[repr(b) for b in bads])
+
+
+@pytest.fixture
+def instance_file(tmp_path):
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(instance()))
+    return str(path)
+
+
+RULE_F = gen_modular(3, 2, seed=1)
+ELEMENT_CALLS = {
+    "Assignment.assign": lambda e: Assignment((0, 0, 0), 2).assign(e, 1),
+    "Assignment.check_open": lambda e: Assignment((0, 0, 0), 2).check_open(e, 1),
+    "marginal_gain": lambda e: marginal_gain(RULE_F, RULE_F.zero(), e, 1),
+    **{f"{type(f).__name__}.gain_state().{name}": call
+       for f in (RULE_F, gen_coverage(3, 2, 6, 0.5, seed=1), CountingWrapper(RULE_F))
+       for name, call in (("gain", lambda e, f=f: f.gain_state().gain(e, 1)),
+                          ("best", lambda e, f=f: f.gain_state().best(e)),
+                          ("place", lambda e, f=f: f.gain_state().place(e, 1, 0.0)))},
+    **{f"{type(m).__name__}.{name}": call
+       for m in (UniformMatroid(3, 2), gen_partition_matroid(3, seed=1),
+                 gen_explicit_matroid(3, seed=1))
+       for name, call in (("is_independent", lambda e, m=m: m.is_independent([0, e])),
+                          ("can_add", lambda e, m=m: m.independence_state().can_add(e)),
+                          ("add", lambda e, m=m: m.independence_state().add(e)),
+                          ("feasible_extensions", lambda e, m=m: feasible_extensions(m, [e])))},
+}
+
+
+@rule_cases([1.5, True, None, "0", 3, -1])
+def test_element_index_rule(bad):
+    """An element must be an ``int`` in ``0..n-1``.  A partition block's
+    elements pass its own type check first, so only the range reaches it."""
+    if type(bad) is int:
+        expected = (ValueError, f"element {bad} outside ground set of size 3")
+    else:
+        expected = (TypeError, f"element {bad!r} is not an int")
+    for name, call in ELEMENT_CALLS.items():
+        assert refusal(lambda: call(bad)) == expected, name
+    if type(bad) is int:
+        assert refusal(lambda: PartitionMatroid(3, [[0, 1, 2, bad]], [1])) == expected
+
+
+@rule_cases([True, 1.0, "2", None, 0, -1])
+def test_k_rule(bad):
+    """``enumerate_assignments(2, True)`` used to yield assignments whose
+    ``k`` was the bool, which ``Assignment`` itself refuses."""
+    if type(bad) is int:
+        expected = (ValueError, f"k must be a positive integer, got {bad}")
+    else:
+        expected = (TypeError, f"k must be an int, got {bad!r}")
+    for call in (lambda: Assignment((0, 0), bad), lambda: Assignment.zero(2, bad),
+                 lambda: list(enumerate_assignments(2, bad)),
+                 lambda: ExplicitTableFunction(0, bad, [0.0])):
+        assert refusal(call) == expected
+
+
+@rule_cases([-1, True, 2.0, None, "2"])
+def test_ground_size_rule(bad):
+    """The matroid families and the functions share the rule.
+    ``PartitionMatroid(-1, [], [])`` used to fail with "blocks do not cover
+    the ground set; missing []"."""
+    if type(bad) is int:
+        expected = (ValueError, f"ground_size must be nonnegative, got {bad}")
+    else:
+        expected = (TypeError, f"ground_size must be an integer, got {bad!r}")
+    for call in (lambda: UniformMatroid(bad, 0), lambda: PartitionMatroid(bad, [], []),
+                 lambda: ExplicitMatroid(bad, [0]), lambda: ExplicitMatroid.from_sets(bad, [[]]),
+                 lambda: ExplicitTableFunction(bad, 1, [0.0])):
+        assert refusal(call) == expected
+
+
+@rule_cases([0, 1, 0.0, 1.0, -0.5, 7, math.nan, math.inf, True, False, "0.5", None])
+def test_epsilon_rule(bad, instance_file, tmp_path, capsys):
+    """The library, ``solve --epsilon`` (exit 4, whichever solver) and a
+    bench config's ``epsilons`` (exit 2) refuse with one message."""
+    message = f"epsilon must lie strictly between 0 and 1, got {bad!r}"
+    assert refusal(lambda: predicted_round_bound(bad, 2)) == (ValueError, message)
+    assert refusal(lambda: threshold_decreasing_solve(SEED_F, SEED_M, bad)) == (
+        ValueError, message)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"grid": [], "epsilons": [bad]}))
+    assert main(["bench", str(config)]) == 2
+    assert capsys.readouterr().err == f"ksubmax: {config}: epsilons: {message}\n"
+    if type(bad) in (int, float):
+        flag = float(bad)  # what argparse makes of the flag
+        _, flag_message = refusal(lambda: predicted_round_bound(flag, 2))
+        for solver in ("threshold", "greedy"):
+            assert main(["solve", instance_file, "--solver", solver,
+                         "--epsilon", str(flag)]) == 4
+            assert capsys.readouterr().err == f"ksubmax: {flag_message}\n"
+
+
+@rule_cases([0, -3, True, 1.5, None])
+def test_sampling_rule(bad):
+    """A budget below 1, or a seed that is not an ``int``, is refused alike
+    by the three verifiers and the matroid-axiom checker.
+    ``check_matroid_axioms(m, budget=0)`` used to say "holds" after
+    testing only the empty set."""
+    verifiers = (verify_k_submodular, verify_orthant_pairwise, verify_monotone)
+    if type(bad) is int:
+        expected = (ValueError, f"sampling budget must be at least 1, got {bad}")
+        calls = [lambda v=v: v(SEED_F, pair_budget=bad) for v in verifiers]
+        calls.append(lambda: check_matroid_axioms(SEED_M, budget=bad))
+    else:
+        expected = (TypeError, f"seed must be an integer, got {bad!r}")
+        calls = [lambda v=v: v(SEED_F, seed=bad) for v in verifiers]
+        calls.append(lambda: check_matroid_axioms(SEED_M, seed=bad))
+    for call in calls:
+        assert refusal(call) == expected
+
+
+SHAPES = {
+    "modular n": (ModularFunction([[1.0, 1.0]]), {"modular": {"table": [[1.0, 1.0]]}}),
+    "modular k": (ModularFunction([[1.0], [1.0]]), {"modular": {"table": [[1.0], [1.0]]}}),
+    "coverage k": (CoverageFunction([1.0], [[[0], [0], [0]]] * 2),
+                   {"coverage": {"weights": [1.0], "sets": [["1", "1", "1"]] * 2}}),
+}
+
+
+@pytest.mark.parametrize("shape", list(SHAPES))
+def test_function_shape_rule(shape, tmp_path, capsys):
+    """``InstanceSpec`` compares a function's shape with the declared
+    ``n``/``k``; the parser and the CLI report its message as it is."""
+    function, doc = SHAPES[shape]
+    message = (f"function shape (n={function.n}, k={function.k}) "
+               f"does not match declared (n=2, k=2)")
+    assert refusal(lambda: InstanceSpec(2, 2, function, UniformMatroid(2, 1))) == (
+        ValueError, message)
+    text = json.dumps(instance(function=doc))
+    assert refusal(lambda: parse_instance(text)) == (InstanceFormatError, message)
+    path = tmp_path / "shape.json"
+    path.write_text(text)
+    assert main(["solve", str(path), "--solver", "greedy"]) == 2
+    assert capsys.readouterr().err == f"ksubmax: {path}: {message}\n"
+
+
+def test_bad_matroid_is_reported_before_a_bad_function_shape():
+    """The matroid is built before ``InstanceSpec`` compares shapes."""
+    text = json.dumps(instance(function={"modular": {"table": [[1.0, 1.0]]}},
+                               matroid={"partition": {"blocks": [[0]], "caps": [1]}}))
+    with pytest.raises(InstanceFormatError, match="^matroid.partition: blocks do not cover"):
+        parse_instance(text)
+
+
+def test_lattice_pairs_bound_every_exhaustive_enumeration():
+    """``(k+1)^2 >= 2k + 1`` and ``(k+1)^n >= 2^n``, so the lattice pairs
+    bound the ordered pairs and the matroid subsets: they alone decide
+    whether ``ksubmax verify`` may run without ``--sample``."""
+    for n in range(40):
+        for k in range(1, 12):
+            assert _lattice_pairs(n, k) >= max((2 * k + 1) ** n, 2 ** n)
+
+
+@pytest.mark.parametrize("n, k", [(2, 2), (3, 1), (4, 2), (7, 2), (11, 1)])
+def test_verification_cost_rule(n, k, tmp_path, capsys):
+    """The CLI's cap and the lattice verifier count the same pairs."""
+    pairs = _lattice_pairs(n, k)
+    table = [[1.0] * k] * n
+    path = tmp_path / "cost.json"
+    path.write_text(json.dumps(instance(n=n, k=k, function={"modular": {"table": table}})))
+    if pairs > DEFAULT_PAIR_BUDGET:
+        assert main(["verify", str(path)]) == 3
+        assert f"instance needs {pairs} checks" in capsys.readouterr().err
+    else:
+        assert main(["verify", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert f"(lattice inequality): holds [exhaustive, {pairs} checks]" in out
+        assert verify_k_submodular(ModularFunction(table)).checked == pairs

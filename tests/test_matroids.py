@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +10,7 @@ from ksubmax import (
     OracleCounters,
     PartitionMatroid,
     UniformMatroid,
+    Verdict,
     check_basis_exchange,
     check_matroid_axioms,
     feasible_extensions,
@@ -16,6 +18,8 @@ from ksubmax import (
     gen_partition_matroid,
     rank,
 )
+
+from helpers import ReferenceMatroid, reference_check_matroid_axioms
 
 
 class TestUniform:
@@ -287,3 +291,67 @@ class TestAxiomViolations:
             False, ("axiom-c", frozenset({2}), frozenset({0, 1})), 19)
         with pytest.raises(ValueError, match=r"axiom \(c\)"):
             ExplicitMatroid(3, family)
+
+
+class CountedMatroid(ReferenceMatroid):
+    """A :class:`ReferenceMatroid` that counts the raw tests it forwards."""
+
+    tests = 0
+
+    def _independent(self, subset):
+        self.tests += 1
+        return super()._independent(subset)
+
+
+NO_EMPTY_SET = [(1, set()), (1, {0b1}), (2, {0b01, 0b10, 0b11}), (3, {0b001, 0b011, 0b111})]
+
+
+@pytest.mark.parametrize("n, family", NO_EMPTY_SET)
+def test_axiom_a_rule(n, family):
+    """Axiom (a), the empty set is independent, is tested once, by
+    ``_axiom_violation``: both constructors refuse with one message, and
+    the exhaustive checker reads it off the 2^n subsets it lists instead of
+    asking the oracle about the empty set again."""
+    message = "family violates axiom (a): empty set missing"
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+        ExplicitMatroid(n, family)
+    sets = [[e for e in range(n) if mask >> e & 1] for mask in family]
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+        ExplicitMatroid.from_sets(n, sets)
+    m = CountedMatroid(FamilyMatroid(n, family))
+    assert check_matroid_axioms(m) == Verdict(False, ("axiom-a",), exhaustive=True, checked=1)
+    assert m.tests == 2 ** n
+    m = CountedMatroid(FamilyMatroid(n, family))
+    assert check_matroid_axioms(m, budget=1) == Verdict(
+        False, ("axiom-a",), exhaustive=False, checked=1)
+    assert m.tests == 1
+
+
+AXIOM_CASES = [
+    *((f"explicit n={n} seed={seed}", gen_explicit_matroid(n, seed=seed))
+      for n in range(1, 7) for seed in range(4)),
+    ("no empty set", FamilyMatroid(3, {0b001, 0b011, 0b111})),
+    ("broken (b)", BrokenMatroid(3)),
+    ("unaugmentable (c)", FamilyMatroid(3, {0b000, 0b001, 0b010, 0b011, 0b100})),
+]
+
+
+@pytest.mark.parametrize("budget", [1_000_000, 40, 9, 1])
+@pytest.mark.parametrize("name, m", AXIOM_CASES, ids=[name for name, _ in AXIOM_CASES])
+def test_axiom_verdicts_match_the_reference(name, m, budget):
+    """Verdicts, counterexamples and ``checked`` counts are those of the
+    checker that asked the oracle about the empty set a second time; only
+    that one test is saved, whenever the 2^n subsets are listed."""
+    shipped, reference = CountedMatroid(m), CountedMatroid(m)
+    assert check_matroid_axioms(shipped, budget=budget, seed=3) == \
+        reference_check_matroid_axioms(reference, budget=budget, seed=3)
+    listed = 2 ** m.ground_size <= budget
+    assert shipped.tests == reference.tests - listed
+
+
+@settings(max_examples=200, deadline=None)
+@given(bitmask_families())
+def test_axiom_verdicts_match_the_reference_on_any_family(case):
+    n, family = case
+    assert check_matroid_axioms(FamilyMatroid(n, family)) == \
+        reference_check_matroid_axioms(FamilyMatroid(n, family))

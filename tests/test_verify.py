@@ -150,7 +150,7 @@ class TestMonotoneVerifier:
 @pytest.mark.parametrize("budget", [0, -5])
 def test_budget_below_one_refused(verifier, budget):
     """A verdict on zero checks would say "holds" about anything."""
-    with pytest.raises(ValueError, match="pair_budget must be at least 1"):
+    with pytest.raises(ValueError, match="sampling budget must be at least 1"):
         verifier(support_squared(2, 2), pair_budget=budget)
 
 
