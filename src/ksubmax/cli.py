@@ -15,7 +15,9 @@ range-checked whenever it is given (exit 4), whichever solver runs, and
 ``--seed``, which shuffles the threshold solver's visiting order, is
 refused with ``greedy`` and ``brute``, which take none (exit 2).
 ``verify`` draws random checks only with ``--sample``, so it refuses
-``--seed`` without it (exit 2).
+``--seed`` without it (exit 2); with ``--sample N``, a check whose
+exhaustive enumeration fits in N checks runs exhaustively and ignores
+``--seed``.
 """
 
 from __future__ import annotations
@@ -226,6 +228,11 @@ def cmd_solve(args) -> int:
 # bench
 # ---------------------------------------------------------------------------
 
+def _config_solvers(doc: dict) -> list:
+    """The bench config's solver list; threshold and greedy when it names none."""
+    return doc.get("solvers", ["threshold", "greedy"])
+
+
 def _check_config(doc) -> Optional[str]:
     """Return an error message for a malformed bench config, else None."""
     if not isinstance(doc, dict):
@@ -233,7 +240,7 @@ def _check_config(doc) -> Optional[str]:
     grid = doc.get("grid")
     if not isinstance(grid, list):
         return "grid: expected a list of sweep entries"
-    solvers = doc.get("solvers", ["threshold", "greedy"])
+    solvers = _config_solvers(doc)
     if not isinstance(solvers, list) or any(s not in SOLVER_NAMES for s in solvers):
         return f"solvers: expected a list drawn from {SOLVER_NAMES}"
     epsilons = doc.get("epsilons", [])
@@ -317,7 +324,7 @@ def run_bench(config: dict, cap: int) -> list[BenchRow]:
     Failures are captured in the row's ``error`` field and never abort the
     sweep.
     """
-    solvers = config.get("solvers", ["threshold", "greedy"])
+    solvers = _config_solvers(config)
     epsilons = config.get("epsilons", [])
     cap = config.get("cap", cap)
     rows: list[BenchRow] = []
@@ -482,7 +489,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--sample", type=int, default=None,
                           help="verify on N random checks instead of exhaustively")
     p_verify.add_argument("--seed", type=int, default=None,
-                          help="seed for sampled verification; requires --sample")
+                          help="seed for sampled verification; requires --sample. A "
+                               "check whose exhaustive enumeration fits in the --sample "
+                               "budget runs exhaustively, ignores the seed and prints "
+                               "[exhaustive, ...]")
     p_verify.add_argument("--cap", type=int, default=DEFAULT_BRUTE_CAP,
                           help="brute-force assignment budget for the OPT report")
     p_verify.set_defaults(func=cmd_verify)

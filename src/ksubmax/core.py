@@ -230,6 +230,27 @@ class KSubFunction(ABC):
             counters.eo_calls += 1
         return self._value(a)
 
+    def _support_values(self, support: tuple[int, ...]) -> list[float]:
+        """Values of all ``k^len(support)`` labellings of ``support``; no counting.
+
+        ``support`` is an ascending tuple of elements.  The list follows
+        ``itertools.product(range(1, k + 1), repeat=len(support))``: entry
+        ``j`` labels ``support[t]`` with base-k digit ``t`` of ``j`` (most
+        significant first) plus one, and leaves every other element
+        unplaced.  Each entry is bit for bit what ``_value`` gives for that
+        labelling.  This default calls ``_value`` once per labelling and is
+        the reference path; function families override it with one pass
+        that shares the work of common prefixes.
+        """
+        n, k = self.n, self.k
+        labels = [0] * n
+        values = []
+        for positions in itertools.product(range(1, k + 1), repeat=len(support)):
+            for e, i in zip(support, positions):
+                labels[e] = i
+            values.append(self._value(Assignment._trusted(tuple(labels), k)))
+        return values
+
     def zero(self) -> Assignment:
         """The empty assignment matching this function's shape."""
         return Assignment.zero(self.n, self.k)

@@ -216,6 +216,14 @@ class ModularFunction(KSubFunction):
                 total += self.table[e][lab - 1]
         return total
 
+    def _support_values(self, support: tuple[int, ...]) -> list[float]:
+        # prefix sums from 0.0 in ascending element order, as _value adds
+        values = [0.0]
+        for e in support:
+            row = self.table[e]
+            values = [v + t for v in values for t in row]
+        return values
+
     def gain_state(self, counters: Optional[OracleCounters] = None) -> GainState:
         return _ModularGainState(self, counters)
 
@@ -312,6 +320,14 @@ class CoverageFunction(KSubFunction):
             if lab:
                 covered |= self._masks[e][lab - 1]
         return self._weight(covered)
+
+    def _support_values(self, support: tuple[int, ...]) -> list[float]:
+        # prefix ORs of the cover masks, then one weighing per labelling
+        covered = [0]
+        for e in support:
+            row = self._masks[e]
+            covered = [c | mask for c in covered for mask in row]
+        return list(map(self._weight, covered))
 
     def _weight(self, points: int) -> float:
         """Total weight of the universe points in bitmask ``points``.
@@ -456,6 +472,15 @@ class ExplicitTableFunction(KSubFunction):
 
     def _value(self, a: Assignment) -> float:
         return self.values[_table_index(a.labels, self.k)]
+
+    def _support_values(self, support: tuple[int, ...]) -> list[float]:
+        # prefix sums of table indices, then one lookup per labelling
+        base = self.k + 1
+        indices = [0]
+        for e in support:
+            steps = [i * base**e for i in range(1, base)]
+            indices = [j + step for j in indices for step in steps]
+        return list(map(self.values.__getitem__, indices))
 
     def __eq__(self, other):
         return (

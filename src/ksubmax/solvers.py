@@ -267,11 +267,30 @@ def brute_force_solve(
 ) -> SolveReport:
     """Exact optimum by enumerating assignments with independent support.
 
-    Among all optimal assignments the one with the largest support is
-    reported, and its size is ``max_opt_support_size`` (it equals the
-    matroid rank whenever the objective is monotone).  Refuses instances
-    where (k+1)^n exceeds ``cap`` rather than returning a sampled answer.
-    Oracle calls are not counted, so ``counters`` is None.
+    Refuses instances where (k+1)^n exceeds ``cap`` rather than returning
+    a sampled answer.  The enumeration walks the independent supports as
+    ascending element tuples, depth first from the empty one, and reaches
+    each once: a support ``S`` is extended by each element ``e`` past its
+    last one with one uncounted ``m._independent(S + (e,))``, so only sets
+    whose every prefix is independent are visited (every independent set,
+    for a matroid).  Each support is priced in one pass,
+    ``f._support_values(S)``, which gives the values of its ``k^|S|``
+    labellings (one family-specific pass for the shipped families); its
+    best labelling is the first maximum in that list.
+
+    Tie rule: the reported assignment has the largest value, then the
+    largest support, then the lexicographically smallest label tuple
+    (unplaced, label 0, sorts first), and ``value`` is its value.  This is
+    the first best leaf of a depth-first walk over label vectors that
+    tries labels 0, 1, ..., k per element in ascending order.
+    ``max_opt_support_size`` is the size of its support (it equals the
+    matroid rank whenever the objective is monotone).
+
+    Cost: one independence test per (independent support, later element)
+    pair and one ``_support_values`` pass per independent support.
+    Memory: one support's value list at a time, at most ``k^|S| <= cap``
+    entries, released before the next support.  Oracle calls are not
+    counted, so ``counters`` is None.
     """
     _check_inputs(f, m)
     start = time.perf_counter()
@@ -281,31 +300,33 @@ def brute_force_solve(
         raise CapExceededError(
             f"(k+1)^n = {total} assignments exceed the brute-force cap {cap}"
         )
+    independent = m._independent
+    support_values = f._support_values
     best_value = -math.inf
     best_size = -1
     best_labels: tuple[int, ...] = ()
-    labels = [0] * n
 
-    def visit(e: int, support: frozenset[int]) -> None:
+    def visit(support: tuple[int, ...]) -> None:
         nonlocal best_value, best_size, best_labels
-        if e == n:
-            a = Assignment._trusted(tuple(labels), k)
-            v = f.evaluate(a)
-            size = len(support)
-            if v > best_value or (v == best_value and size > best_size):
-                best_value = v
-                best_size = size
-                best_labels = a.labels
-            return
-        labels[e] = 0
-        visit(e + 1, support)
-        if m.is_independent(support | {e}):
-            for i in range(1, k + 1):
-                labels[e] = i
-                visit(e + 1, support | {e})
-            labels[e] = 0
+        values = support_values(support)
+        v = max(values)
+        size = len(support)
+        if v > best_value or (v == best_value and size >= best_size):
+            labels = [0] * n
+            j = values.index(v)
+            for e in reversed(support):
+                j, i = divmod(j, k)
+                labels[e] = i + 1
+            labels = tuple(labels)
+            if v > best_value or size > best_size or labels < best_labels:
+                best_value, best_size, best_labels = v, size, labels
+        del values  # hold one support's list at a time, not one per depth
+        for e in range(support[-1] + 1 if support else 0, n):
+            extended = support + (e,)
+            if independent(frozenset(extended)):
+                visit(extended)
 
-    visit(0, frozenset())
+    visit(())
     return SolveReport(
         assignment=Assignment(best_labels, k),
         value=best_value,

@@ -6,8 +6,8 @@ import random
 import time
 from typing import Optional
 
-from ksubmax import (Assignment, InstanceSpec, KSubFunction, Matroid, OracleCounters,
-                     UniformMatroid, serialize_instance)
+from ksubmax import (Assignment, CapExceededError, InstanceSpec, KSubFunction, Matroid,
+                     OracleCounters, UniformMatroid, serialize_instance)
 from ksubmax.instances import (
     CoverageFunction,
     ExplicitTableFunction,
@@ -17,7 +17,7 @@ from ksubmax.instances import (
 )
 from ksubmax.matroids import _set_of, feasible_extensions, greedy_basis
 from ksubmax.verify import Verdict
-from ksubmax.solvers import SolveReport, _check_inputs
+from ksubmax.solvers import DEFAULT_BRUTE_CAP, SolveReport, _check_inputs
 
 
 def hex_mask(points):
@@ -190,6 +190,62 @@ def reference_greedy_solve(f: KSubFunction, m: Matroid) -> SolveReport:
         counters=counters,
         rounds=[],
         elapsed=time.perf_counter() - start,
+    )
+
+
+def reference_brute_force_solve(
+    f: KSubFunction, m: Matroid, cap: int = DEFAULT_BRUTE_CAP
+) -> SolveReport:
+    """Reference brute force: a depth-first walk over label vectors.
+
+    Element ``e`` takes label 0 first, then, if ``m.is_independent`` holds
+    for the support so far plus ``e``, labels 1..k; every leaf builds an
+    assignment and evaluates it, and a leaf replaces the best one when its
+    value is larger or equal with a larger support.  This is the loop
+    ``brute_force_solve`` shipped before it enumerated supports and priced
+    each in one pass, kept unchanged so the solver can be checked against
+    it: same assignment, ``repr(value)`` and ``max_opt_support_size``.
+    """
+    _check_inputs(f, m)
+    start = time.perf_counter()
+    n, k = f.n, f.k
+    total = (k + 1) ** n
+    if total > cap:
+        raise CapExceededError(
+            f"(k+1)^n = {total} assignments exceed the brute-force cap {cap}"
+        )
+    best_value = -math.inf
+    best_size = -1
+    best_labels: tuple[int, ...] = ()
+    labels = [0] * n
+
+    def visit(e: int, support: frozenset[int]) -> None:
+        nonlocal best_value, best_size, best_labels
+        if e == n:
+            a = Assignment._trusted(tuple(labels), k)
+            v = f.evaluate(a)
+            size = len(support)
+            if v > best_value or (v == best_value and size > best_size):
+                best_value = v
+                best_size = size
+                best_labels = a.labels
+            return
+        labels[e] = 0
+        visit(e + 1, support)
+        if m.is_independent(support | {e}):
+            for i in range(1, k + 1):
+                labels[e] = i
+                visit(e + 1, support | {e})
+            labels[e] = 0
+
+    visit(0, frozenset())
+    return SolveReport(
+        assignment=Assignment(best_labels, k),
+        value=best_value,
+        counters=None,
+        rounds=[],
+        elapsed=time.perf_counter() - start,
+        max_opt_support_size=best_size,
     )
 
 
