@@ -7,6 +7,7 @@ command-line tool: ``ksubmax solve FILE --epsilon 0.3``,
 ``ksubmax verify FILE``, and ``ksubmax bench CONFIG`` for sweeps.
 """
 
+import json
 import tempfile
 from pathlib import Path
 
@@ -29,8 +30,8 @@ def main():
         metadata={"origin": "demo", "note": "coverage under a partition matroid"},
     )
     text = serialize_instance(spec)
-    print("serialized document:")
-    print(text)
+    print("serialized document (the file holds it on one line):")
+    print(json.dumps(json.loads(text), indent=2))
 
     path = Path(tempfile.mkdtemp()) / "demo_instance.json"
     path.write_text(text)

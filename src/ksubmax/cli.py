@@ -54,6 +54,7 @@ from .solvers import (
 )
 from .verify import (
     DEFAULT_PAIR_BUDGET,
+    _check_sampling,
     _lattice_pairs,
     verify_k_submodular,
     verify_monotone,
@@ -414,8 +415,10 @@ def cmd_verify(args) -> int:
 
     budget = DEFAULT_PAIR_BUDGET
     if args.sample is not None:
-        if args.sample < 1:
-            return _fail(f"--sample must be at least 1, got {args.sample}", EXIT_PARSE)
+        try:
+            _check_sampling(args.sample, args.seed or 0, "--sample")
+        except ValueError as err:
+            return _fail(str(err), EXIT_PARSE)
         budget = args.sample
     elif _lattice_pairs(spec.n, spec.k) > budget:
         return _fail(

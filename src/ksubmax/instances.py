@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from .core import (INTS, NUMBERS, Assignment, GainState, KSubFunction, OracleCounters,
-                   _check_seed, _typed, enumerate_assignments)
+                   _check_seed, _typed)
 from .matroids import ExplicitMatroid, Matroid, PartitionMatroid, UniformMatroid
 
 VALUE_GRID = 64  # generated values are integers divided by this
@@ -464,23 +464,25 @@ class ExplicitTableFunction(KSubFunction):
 
     @classmethod
     def tabulate(cls, f: KSubFunction) -> "ExplicitTableFunction":
-        """Materialize any function into an explicit table."""
-        values = [0.0] * (f.k + 1) ** f.n
-        for a in enumerate_assignments(f.n, f.k):
-            values[_table_index(a.labels, f.k)] = f.evaluate(a)
-        return cls(f.n, f.k, values)
+        """Materialize any function into an explicit table.
+
+        Walks the ``2^n`` supports as ascending tuples and writes each
+        one's ``f._support_values`` pass at its table indices, so every
+        entry is bit for bit ``f._value`` of its assignment.
+        """
+        n, k = f.n, f.k
+        values = [0.0] * (k + 1) ** n
+        for size in range(n + 1):
+            for support in itertools.combinations(range(n), size):
+                collections.deque(map(values.__setitem__, _support_indices(support, k),
+                                      f._support_values(support)), maxlen=0)
+        return cls(n, k, values)
 
     def _value(self, a: Assignment) -> float:
         return self.values[_table_index(a.labels, self.k)]
 
     def _support_values(self, support: tuple[int, ...]) -> list[float]:
-        # prefix sums of table indices, then one lookup per labelling
-        base = self.k + 1
-        indices = [0]
-        for e in support:
-            steps = [i * base**e for i in range(1, base)]
-            indices = [j + step for j in indices for step in steps]
-        return list(map(self.values.__getitem__, indices))
+        return list(map(self.values.__getitem__, _support_indices(support, self.k)))
 
     def __eq__(self, other):
         return (
@@ -502,6 +504,18 @@ def _table_index(labels: Sequence[int], k: int) -> int:
     for e in reversed(range(len(labels))):
         idx = idx * (k + 1) + labels[e]
     return idx
+
+
+def _support_indices(support: tuple[int, ...], k: int) -> list[int]:
+    """Table indices of the ``k^len(support)`` labellings of ascending
+    ``support``, in the order of :meth:`KSubFunction._support_values`;
+    prefix sums of the index steps, one list per element."""
+    base = k + 1
+    indices = [0]
+    for e in support:
+        steps = [i * base**e for i in range(1, base)]
+        indices = [j + step for j in indices for step in steps]
+    return indices
 
 
 @dataclass
@@ -539,14 +553,16 @@ def _rng(seed: int) -> random.Random:
     return random.Random(seed)
 
 
-def _grid_values(rng: random.Random, lo: float, hi: float, count: int) -> list[float]:
+def _grid_range(lo: float, hi: float) -> tuple[int, int]:
+    """The integers ``lo64..hi64`` whose 1/64 multiples lie in ``[lo, hi]``;
+    ValueError when the range is too wide for the grid or holds no point."""
     if not math.isfinite(lo * VALUE_GRID) or not math.isfinite(hi * VALUE_GRID):
         raise ValueError(f"value range [{lo}, {hi}] is too wide for the 1/{VALUE_GRID} grid")
     lo64 = math.ceil(lo * VALUE_GRID)
     hi64 = math.floor(hi * VALUE_GRID)
     if hi64 < lo64:
         raise ValueError(f"empty value range [{lo}, {hi}] on the 1/{VALUE_GRID} grid")
-    return [rng.randint(lo64, hi64) / VALUE_GRID for _ in range(count)]
+    return lo64, hi64
 
 
 def gen_modular(
@@ -561,7 +577,9 @@ def gen_modular(
     Monotone instances draw every entry nonnegative.  Non-monotone ones
     draw from the full range and rejection-sample each row until its
     pairwise entry sums are nonnegative, so negative marginals occur while
-    k-submodularity is preserved.
+    k-submodularity is preserved.  The value range is checked once per
+    call, each row is ``k`` calls to ``randint`` on the grid, and only a
+    row that can hold a negative pairwise sum is sorted and tested.
     """
     if n < 1 or k < 1:
         raise ValueError("n and k must be at least 1")
@@ -572,16 +590,22 @@ def gen_modular(
         raise ValueError(f"impossible value range for monotone={monotone}: ({lo}, {hi})")
     if not monotone and k >= 2 and 2 * hi < 0:
         raise ValueError("pairwise sums cannot be nonnegative with an all-negative range")
-    rng = _rng(seed)
+    randint = _rng(seed).randint
+    lo64, hi64 = _grid_range(lo, hi)
+    positions = range(k)
+    tested = k >= 2 and lo64 < 0  # else no pairwise sum can be negative
     table = []
-    for e in range(n):
+    for _ in range(n):
         for _ in range(10_000):
-            row = _grid_values(rng, lo, hi, k)
-            if k == 1 or sorted(row)[0] + sorted(row)[1] >= 0:
-                table.append(row)
+            row = [randint(lo64, hi64) / VALUE_GRID for _ in positions]
+            if not tested:
+                break
+            ordered = sorted(row)
+            if ordered[0] + ordered[1] >= 0:
                 break
         else:
             raise ValueError(f"could not sample a valid row for range ({lo}, {hi})")
+        table.append(row)
     return ModularFunction(table)
 
 
@@ -603,7 +627,7 @@ def gen_coverage(
     if not 0.0 <= density <= 1.0:
         raise ValueError(f"density must lie in [0, 1], got {density}")
     rng = _rng(seed)
-    weights = _grid_values(rng, 0.0, 1.0, universe_size)
+    weights = [rng.randint(0, VALUE_GRID) / VALUE_GRID for _ in range(universe_size)]
     draw = rng.random
     universe = range(universe_size)
     sets = [
@@ -701,6 +725,7 @@ def _matroid_to_doc(m: Matroid) -> dict:
 def serialize_instance(spec: InstanceSpec) -> str:
     """Render an instance as a JSON document (inverse of parse_instance).
 
+    The document is one line, written by the C encoder, plus a newline.
     Coverage cover sets are written as lowercase hex bitmask strings.
     """
     doc = {
@@ -711,7 +736,7 @@ def serialize_instance(spec: InstanceSpec) -> str:
     }
     if spec.metadata:
         doc["metadata"] = spec.metadata
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(doc) + "\n"
 
 
 def _require(doc: dict, key: str, where: str):

@@ -44,11 +44,12 @@ class Verdict:
         return self.holds
 
 
-def _check_sampling(budget: int, seed: int) -> None:
-    """Refuse a non-``int`` seed, and a budget below the one check a verdict needs."""
+def _check_sampling(budget: int, seed: int, what: str = "sampling budget") -> None:
+    """Refuse a non-``int`` seed, and a budget below the one check a verdict
+    needs; ``what`` names the budget in the message."""
     _check_seed(seed)
     if budget < 1:
-        raise ValueError(f"sampling budget must be at least 1, got {budget}")
+        raise ValueError(f"{what} must be at least 1, got {budget}")
 
 
 def _lattice_pairs(n: int, k: int) -> int:

@@ -7,13 +7,16 @@ import time
 from typing import Optional
 
 from ksubmax import (Assignment, CapExceededError, InstanceSpec, KSubFunction, Matroid,
-                     OracleCounters, UniformMatroid, serialize_instance)
+                     OracleCounters, UniformMatroid, enumerate_assignments, serialize_instance)
 from ksubmax.instances import (
+    VALUE_GRID,
     CoverageFunction,
     ExplicitTableFunction,
     ModularFunction,
     _check_finite,
     _check_sums_finite,
+    _rng,
+    _table_index,
 )
 from ksubmax.matroids import _set_of, feasible_extensions, greedy_basis
 from ksubmax.verify import Verdict
@@ -247,6 +250,72 @@ def reference_brute_force_solve(
         elapsed=time.perf_counter() - start,
         max_opt_support_size=best_size,
     )
+
+
+# ---------------------------------------------------------------------------
+# Reference instance builders: the loops the set-up ran before it tabulated
+# by supports and drew modular rows without per-row checks, kept unchanged
+# so the shipped builders can be checked against them.
+# ---------------------------------------------------------------------------
+
+def reference_tabulate(f: KSubFunction) -> ExplicitTableFunction:
+    """``ExplicitTableFunction.tabulate`` as one ``f.evaluate`` per assignment."""
+    values = [0.0] * (f.k + 1) ** f.n
+    for a in enumerate_assignments(f.n, f.k):
+        values[_table_index(a.labels, f.k)] = f.evaluate(a)
+    return ExplicitTableFunction(f.n, f.k, values)
+
+
+def _reference_grid_values(rng: random.Random, lo: float, hi: float, count: int) -> list[float]:
+    """``count`` draws on the 1/64 grid in ``[lo, hi]``, checking the range each call."""
+    if not math.isfinite(lo * VALUE_GRID) or not math.isfinite(hi * VALUE_GRID):
+        raise ValueError(f"value range [{lo}, {hi}] is too wide for the 1/{VALUE_GRID} grid")
+    lo64 = math.ceil(lo * VALUE_GRID)
+    hi64 = math.floor(hi * VALUE_GRID)
+    if hi64 < lo64:
+        raise ValueError(f"empty value range [{lo}, {hi}] on the 1/{VALUE_GRID} grid")
+    return [rng.randint(lo64, hi64) / VALUE_GRID for _ in range(count)]
+
+
+def reference_gen_modular(n, k, value_range=(-2.0, 4.0), monotone=True, seed=0):
+    """``gen_modular`` with the range checks and a pairwise test on every row."""
+    if n < 1 or k < 1:
+        raise ValueError("n and k must be at least 1")
+    lo, hi = value_range
+    if monotone:
+        lo = max(lo, 0.0)
+    if hi < lo:
+        raise ValueError(f"impossible value range for monotone={monotone}: ({lo}, {hi})")
+    if not monotone and k >= 2 and 2 * hi < 0:
+        raise ValueError("pairwise sums cannot be nonnegative with an all-negative range")
+    rng = _rng(seed)
+    table = []
+    for e in range(n):
+        for _ in range(10_000):
+            row = _reference_grid_values(rng, lo, hi, k)
+            if k == 1 or sorted(row)[0] + sorted(row)[1] >= 0:
+                table.append(row)
+                break
+        else:
+            raise ValueError(f"could not sample a valid row for range ({lo}, {hi})")
+    return ModularFunction(table)
+
+
+def reference_gen_coverage(n, k, universe_size, density, seed=0):
+    """``gen_coverage`` with its weights drawn by ``_reference_grid_values``."""
+    if n < 1 or k < 1 or universe_size < 1:
+        raise ValueError("n, k and universe_size must be at least 1")
+    if not 0.0 <= density <= 1.0:
+        raise ValueError(f"density must lie in [0, 1], got {density}")
+    rng = _rng(seed)
+    weights = _reference_grid_values(rng, 0.0, 1.0, universe_size)
+    draw = rng.random
+    universe = range(universe_size)
+    sets = [
+        [[u for u in universe if draw() < density] for _ in range(k)]
+        for _ in range(n)
+    ]
+    return CoverageFunction(weights, sets)
 
 
 # ---------------------------------------------------------------------------

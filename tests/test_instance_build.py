@@ -1,0 +1,163 @@
+"""The instance builders against the loops they replaced.
+
+``ExplicitTableFunction.tabulate`` fills its table one support at a time
+through ``_support_values``; ``tests/helpers.reference_tabulate`` calls
+``f.evaluate`` once per assignment.  Tables are compared entry by entry
+with ``float.hex``, so ``-0.0`` and ``0.0`` count as different.
+
+``gen_modular`` checks its value range once per call and tests a row's
+pairwise sums only where they can be negative;
+``tests/helpers.reference_gen_modular`` does both on every row.  The
+random stream must not move: the same seed gives the same table, and the
+same refused input the same error.
+"""
+
+import math
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from ksubmax import (CoverageFunction, ExplicitTableFunction, KSubFunction, ModularFunction,
+                     gen_coverage, gen_modular)
+
+from helpers import (CountingWrapper, reference_gen_coverage, reference_gen_modular,
+                     reference_tabulate)
+
+
+def hexes(f: ExplicitTableFunction) -> list[str]:
+    return [v.hex() for v in f.values]
+
+
+def assert_same_table(f: KSubFunction) -> None:
+    assert hexes(ExplicitTableFunction.tabulate(f)) == hexes(reference_tabulate(f))
+
+
+class RootOfSum(KSubFunction):
+    """Not modular, off the 1/64 grid, ``-0.0`` at the empty assignment; it
+    keeps the default ``_support_values``, which calls ``_value``."""
+
+    def _value(self, a):
+        total = sum(0.1 * lab * (e + 1) for e, lab in enumerate(a.labels))
+        return math.sqrt(total) if total else -0.0
+
+
+def grid_function(family: str, n: int, k: int, seed: int) -> KSubFunction:
+    if family == "modular":
+        return gen_modular(n, k, seed=seed)
+    if family == "modular-nonmonotone":
+        return gen_modular(n, k, value_range=(-3.0, 2.0), monotone=False, seed=seed)
+    if family == "coverage-planes":
+        f = gen_coverage(n, k, 3 * n, 0.5, seed=seed)
+        assert f._planes is not None
+        return f
+    if family == "coverage-no-planes":
+        g = gen_coverage(n, k, 3 * n, 0.5, seed=seed)
+        f = CoverageFunction([w * 1e300 + 0.1 for w in g.weights], g.sets)
+        assert f._planes is None
+        return f
+    if family == "explicit":
+        values = [(-1) ** i * i / 7 for i in range((k + 1) ** n)]
+        values[0] = -0.0
+        values[-1] = -0.0
+        return ExplicitTableFunction(n, k, values)
+    if family == "default-path":
+        return RootOfSum(n, k)
+    return CountingWrapper(gen_modular(n, k, monotone=False, seed=seed))
+
+
+FAMILIES = ("modular", "modular-nonmonotone", "coverage-planes", "coverage-no-planes",
+            "explicit", "default-path", "wrapped")
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_tabulate_matches_reference_on_grid(family, k):
+    for n in range(1, 7):
+        assert_same_table(grid_function(family, n, k, seed=10 * n + k))
+
+
+floats = st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0, 1 / 3, 0.1])
+
+
+@st.composite
+def drawn_functions(draw):
+    """Functions of every family with values drawn anywhere, n <= 6, k <= 3."""
+    n, k = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    family = draw(st.sampled_from(["modular", "coverage", "explicit"]))
+    if family == "modular":
+        table = []
+        for _ in range(n):
+            row = draw(st.lists(st.floats(0, 1e6), min_size=k, max_size=k))
+            if k >= 2 and draw(st.booleans()):
+                row[0] = -draw(st.floats(0, min(row[1:])))
+            table.append(row)
+        f = ModularFunction(table)
+    elif family == "coverage":
+        universe = draw(st.integers(1, 8))
+        weight = st.integers(0, 64).map(lambda c: c / 64) | st.floats(0, 1e300)
+        weights = draw(st.lists(weight, min_size=universe, max_size=universe))
+        members = st.lists(st.integers(0, universe - 1), max_size=universe)
+        sets = draw(st.lists(st.lists(members, min_size=k, max_size=k),
+                             min_size=n, max_size=n))
+        f = CoverageFunction(weights, sets)
+    else:
+        size = (k + 1) ** n
+        f = ExplicitTableFunction(n, k, [draw(st.sampled_from([0.0, -0.0]))]
+                                  + draw(st.lists(floats, min_size=size - 1,
+                                                  max_size=size - 1)))
+    return CountingWrapper(f) if draw(st.booleans()) else f
+
+
+@settings(max_examples=200, deadline=None)
+@given(drawn_functions())
+def test_tabulate_matches_reference_property(f):
+    assert_same_table(f)
+
+
+def outcome(build):
+    """The table a generator call builds, or the type and text of its error."""
+    try:
+        f = build()
+    except (TypeError, ValueError) as err:
+        return type(err), str(err)
+    return f.table if isinstance(f, ModularFunction) else (f.weights, f._masks)
+
+
+RANGES = [(-2.0, 4.0), (-4.0, 1.0), (-0.5, 2.0), (0.5, 0.75), (-1 / 64, 1 / 64),
+          (-3.3, 2.71)]
+
+
+@pytest.mark.parametrize("monotone", [True, False])
+@pytest.mark.parametrize("value_range", RANGES)
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_gen_modular_stream_is_pinned(k, value_range, monotone):
+    for n in (1, 2, 9):
+        for seed in range(6):
+            args = (n, k, value_range, monotone, seed)
+            got = outcome(lambda: gen_modular(*args))
+            assert got == outcome(lambda: reference_gen_modular(*args))
+            assert not isinstance(got[0], type)
+
+
+@pytest.mark.parametrize("args", [
+    (3, 2, (-3.0, -1.0), True, 0),  # impossible for a monotone function
+    (3, 2, (-3.0, -1.0), False, 0),  # all-negative pairwise sums
+    (3, 2, (-1e308, 1e308), False, 0),  # too wide for the grid
+    (3, 2, (0.001, 0.01), True, 0),  # no grid point in the range
+    (3, 3, (-1e6, 1 / 64), False, 0),  # rejection loop exhausted
+    (3, 2, (-1e308, 1e308), False, -1),  # seed refused first
+    (3, 2, (0.001, 0.01), True, True),
+    (0, 2, (-2.0, 4.0), True, 0),
+])
+def test_gen_modular_refuses_as_reference(args):
+    got = outcome(lambda: gen_modular(*args))
+    assert isinstance(got[0], type)
+    assert got == outcome(lambda: reference_gen_modular(*args))
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("n, k, universe, density", [(1, 1, 1, 0.5), (5, 3, 9, 0.3),
+                                                     (8, 2, 16, 0.0)])
+def test_gen_coverage_stream_is_pinned(n, k, universe, density, seed):
+    assert (outcome(lambda: gen_coverage(n, k, universe, density, seed))
+            == outcome(lambda: reference_gen_coverage(n, k, universe, density, seed)))

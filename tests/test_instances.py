@@ -631,6 +631,14 @@ def test_drawn_instances_round_trip(spec):
     assert parse_instance(serialize_instance(spec)) == spec
 
 
+@settings(max_examples=300, deadline=None)
+@given(drawn_specs())
+def test_drawn_instances_serialize_to_one_line(spec):
+    """Files are the C encoder's compact form: one line, then a newline."""
+    text = serialize_instance(spec)
+    assert text == json.dumps(json.loads(text)) + "\n"
+
+
 @st.composite
 def mutated_documents(draw):
     """A valid instance document with one to three subtrees replaced by
