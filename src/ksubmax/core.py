@@ -11,6 +11,7 @@ asserted exactly in tests.
 from __future__ import annotations
 
 import itertools
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
@@ -304,13 +305,18 @@ class GainState:
     :meth:`Assignment.check_open` with its messages; a refused placement
     leaves the labels and ``value`` as they were.  The solvers price the
     elements they walk, all open by construction, through the unchecked
-    :meth:`_best`.
+    :meth:`_best` and its batched forms: :meth:`_bests` (each element's
+    best gain; threshold's opening scan) and :meth:`_best_of` (the best
+    element of a list; one greedy iteration).  A batched call charges what
+    its per-element loop charges, k EO calls per element priced.
 
     This default goes through ``f.evaluate`` and so works for every
-    function; it is the reference path.  Function families override
+    function; it is the reference path, and its batched calls are the
+    per-element loops over :meth:`_best`.  Function families override
     :meth:`KSubFunction.gain_state` with states that price a gain without
-    a full evaluation.  On values from the 1/64 grid the incremental gains
-    are exact, so both paths give identical gains, values and solver runs.
+    a full evaluation and a whole list in one pass.  On values from the
+    1/64 grid the incremental gains are exact, so both paths give
+    identical gains, values and solver runs.
     """
 
     def __init__(self, f: KSubFunction, counters: Optional[OracleCounters] = None):
@@ -361,6 +367,37 @@ class GainState:
                 best_i = i
         return best_gain, best_i
 
+    def _bests(self, elements: Sequence[int]) -> list[float]:
+        """Each element's best gain, as :meth:`_best` gives it; k EO calls per
+        element.  The elements must be unplaced ``int`` elements.
+
+        This default makes one :meth:`_best` call per element; overrides
+        count through :meth:`_charge_rows` and price the whole list in one
+        pass.
+        """
+        best = self._best
+        return [best(e)[0] for e in elements]
+
+    def _best_of(self, elements: Sequence[int]) -> Optional[tuple[int, int, float]]:
+        """The first element with the strictly largest best gain, as
+        ``(e, i, gain)`` with ``i`` its lowest best position; k EO calls per
+        element.  The elements must be unplaced ``int`` elements.
+
+        Returns None when no gain exceeds ``-inf`` (so when ``elements`` is
+        empty).  This default walks the list with one :meth:`_best` per
+        element and is the reference; overrides count through
+        :meth:`_charge_rows` and price the whole list in one pass.
+        """
+        best = self._best
+        best_gain = -math.inf
+        choice = None
+        for e in elements:
+            gain, i = best(e)
+            if gain > best_gain:
+                best_gain = gain
+                choice = (e, i, gain)
+        return choice
+
     def place(self, e: int, i: int, gain: float) -> None:
         """Put ``e`` into set ``i``; ``gain`` must be what :meth:`gain` returned."""
         _check_open(self._labels, self.f.k, e, i)
@@ -378,6 +415,12 @@ class GainState:
         """For overrides of :meth:`_best`: count k EO calls."""
         if self.counters is not None:
             self.counters.eo_calls += self.f.k
+
+    def _charge_rows(self, count: int) -> None:
+        """For overrides of :meth:`_bests` and :meth:`_best_of`: count k EO
+        calls for each of ``count`` elements."""
+        if self.counters is not None:
+            self.counters.eo_calls += self.f.k * count
 
 
 def enumerate_assignments(n: int, k: int) -> Iterator[Assignment]:

@@ -397,7 +397,16 @@ def _weight_planes(weights: tuple[float, ...]):
 
 
 class _ModularGainState(GainState):
-    """Modular gains are table lookups: f(p + (e, i)) - f(p) = table[e][i-1]."""
+    """Modular gains are table lookups: f(p + (e, i)) - f(p) = table[e][i-1].
+
+    They never change, so each row's maximum and its first position are
+    taken once per state, and every best gain after that is a lookup.
+    """
+
+    def __init__(self, f: ModularFunction, counters: Optional[OracleCounters] = None):
+        super().__init__(f, counters)
+        self.row_best = list(map(max, f.table))
+        self.row_pos = [row.index(gain) + 1 for row, gain in zip(f.table, self.row_best)]
 
     def gain(self, e: int, i: int) -> float:
         self._charge(e, i)
@@ -405,9 +414,19 @@ class _ModularGainState(GainState):
 
     def _best(self, e: int) -> tuple[float, int]:
         self._charge_row()
-        row = self.f.table[e]
-        gain = max(row)
-        return gain, row.index(gain) + 1
+        return self.row_best[e], self.row_pos[e]
+
+    def _bests(self, elements: Sequence[int]) -> list[float]:
+        self._charge_rows(len(elements))
+        return list(map(self.row_best.__getitem__, elements))
+
+    def _best_of(self, elements: Sequence[int]) -> Optional[tuple[int, int, float]]:
+        gains = self._bests(elements)
+        if not gains:
+            return None
+        gain = max(gains)
+        e = elements[gains.index(gain)]
+        return e, self.row_pos[e], gain
 
 
 class _CoverageGainState(GainState):
@@ -428,6 +447,25 @@ class _CoverageGainState(GainState):
         gains = [weight(mask & free) for mask in self.f._masks[e]]
         gain = max(gains)
         return gain, gains.index(gain) + 1
+
+    def _bests(self, elements: Sequence[int]) -> list[float]:
+        self._charge_rows(len(elements))
+        weight, masks, free = self.f._weight, self.f._masks, ~self.covered
+        return [max(map(weight, map(free.__and__, masks[e]))) for e in elements]
+
+    def _best_of(self, elements: Sequence[int]) -> Optional[tuple[int, int, float]]:
+        self._charge_rows(len(elements))
+        weight, masks, free = self.f._weight, self.f._masks, ~self.covered
+        best_gain = -math.inf
+        choice = None
+        for e in elements:
+            gains = [weight(mask & free) for mask in masks[e]]
+            gain = max(gains)
+            if gain > best_gain:
+                best_gain, choice, best_gains = gain, e, gains
+        if choice is None:
+            return None
+        return choice, best_gains.index(best_gain) + 1, best_gain
 
     def place(self, e: int, i: int, gain: float) -> None:
         super().place(e, i, gain)

@@ -9,7 +9,8 @@ the solvers' query-complexity assertions are written in.
 Solvers that grow one independent support test extensions through an
 :class:`IndependenceState` from :meth:`Matroid.independence_state`: one
 ``can_add`` is one counted IO call, answered in constant time by the
-shipped families.
+shipped families, and the batched ``_feasible`` and ``_extend`` test a
+whole list in one pass at one IO call per element.
 
 Subsets are plain Python sets of element indices at the API boundary; the
 explicit family stores bitmasks internally.
@@ -20,7 +21,7 @@ from __future__ import annotations
 import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .core import INTS, OracleCounters, _check_element, _check_ground_size, _typed
 from .verify import Verdict, _check_sampling
@@ -70,16 +71,21 @@ class IndependenceState:
     commits an element that is new and passes that test; anything else
     raises ``ValueError`` (``TypeError`` for a non-``int`` element) and
     leaves the state as it was.  ``support`` is the set of added
-    elements; only :meth:`add` may change it.  The solvers test the
-    elements they walk, all in range by construction, through the
-    unchecked :meth:`_can_add`.
+    elements; only :meth:`add` and :meth:`_extend` may change it.  The
+    solvers test the elements they walk, all in range by construction,
+    through the unchecked :meth:`_can_add` and its batched forms:
+    :meth:`_feasible` (the elements of a list that fit; one greedy
+    iteration) and :meth:`_extend` (greedy extension along an order; the
+    rank scan).  A batched call charges what its per-element loop charges,
+    1 IO call per element tested.
 
     This default tests through :meth:`Matroid.is_independent`, so it works
     for every matroid and costs time linear in the support per test; it is
-    the reference path.  The shipped families override
-    :meth:`Matroid.independence_state` with states that answer in constant
-    time from a running count, per-block room or bitmask.  Both paths give
-    the same answers and the same IO counts.
+    the reference path, and its batched calls are the per-element loops.
+    The shipped families override :meth:`Matroid.independence_state` with
+    states that answer in constant time from a running count, per-block
+    room or bitmask, and a whole list in one pass.  Both paths give the
+    same answers and the same IO counts.
     """
 
     def __init__(self, m: Matroid, counters: Optional[OracleCounters] = None):
@@ -100,6 +106,39 @@ class IndependenceState:
         if self.counters is not None:
             self.counters.io_calls += 1
         return self._fits(e) or e in self.support
+
+    def _feasible(self, elements: Sequence[int]) -> list[int]:
+        """The elements that :meth:`_can_add` accepts, in order; 1 IO call per
+        element.  The elements must be ``int`` elements of the ground set.
+
+        This default makes one :meth:`_can_add` call per element and is the
+        reference; the families override it with one pass over the list.
+        """
+        can_add = self._can_add
+        return [e for e in elements if can_add(e)]
+
+    def _extend(self, order: Sequence[int]) -> list[int]:
+        """Greedy extension: add each element of ``order`` that fits, in
+        turn, and return the added elements in order; 1 IO call per element.
+        ``order`` must list distinct ``int`` elements of the ground set
+        outside the support.
+
+        This default makes one :meth:`_can_add` and, on success, one
+        :meth:`add` per element and is the reference; the families override
+        it with one pass over the list.
+        """
+        added = []
+        for e in order:
+            if self._can_add(e):
+                self.add(e)
+                added.append(e)
+        return added
+
+    def _charge_tests(self, count: int) -> None:
+        """For overrides of :meth:`_feasible` and :meth:`_extend`: count
+        ``count`` IO calls, one per element tested."""
+        if self.counters is not None:
+            self.counters.io_calls += count
 
     def add(self, e: int) -> None:
         """Put ``e`` into the support; it must be new and pass :meth:`can_add`."""
@@ -145,6 +184,18 @@ class _UniformIndependenceState(IndependenceState):
 
     def _fits(self, e: int) -> bool:
         return len(self.support) < self.m.budget
+
+    def _feasible(self, elements: Sequence[int]) -> list[int]:
+        self._charge_tests(len(elements))
+        if len(self.support) < self.m.budget:
+            return list(elements)
+        return list(filter(self.support.__contains__, elements))
+
+    def _extend(self, order: Sequence[int]) -> list[int]:
+        self._charge_tests(len(order))
+        added = list(order[:max(0, self.m.budget - len(self.support))])
+        self.support.update(added)
+        return added
 
 
 @dataclass(frozen=True)
@@ -214,6 +265,23 @@ class _PartitionIndependenceState(IndependenceState):
     def add(self, e: int) -> None:
         super().add(e)
         self.room[self.block_of[e]] -= 1
+
+    def _feasible(self, elements: Sequence[int]) -> list[int]:
+        self._charge_tests(len(elements))
+        room, block_of, support = self.room, self.block_of, self.support
+        return [e for e in elements if room[block_of[e]] or e in support]
+
+    def _extend(self, order: Sequence[int]) -> list[int]:
+        self._charge_tests(len(order))
+        room, block_of = self.room, self.block_of
+        added = []
+        for e in order:
+            j = block_of[e]
+            if room[j]:
+                room[j] -= 1
+                added.append(e)
+        self.support.update(added)
+        return added
 
 
 def _mask_of(subset: Iterable[int]) -> int:
@@ -300,6 +368,23 @@ class _ExplicitIndependenceState(IndependenceState):
         super().add(e)
         self.mask |= 1 << e
 
+    def _feasible(self, elements: Sequence[int]) -> list[int]:
+        self._charge_tests(len(elements))
+        family, mask = self.m.family, self.mask
+        return [e for e in elements if (mask | 1 << e) in family]
+
+    def _extend(self, order: Sequence[int]) -> list[int]:
+        self._charge_tests(len(order))
+        family, mask = self.m.family, self.mask
+        added = []
+        for e in order:
+            if (mask | 1 << e) in family:
+                mask |= 1 << e
+                added.append(e)
+        self.mask = mask
+        self.support.update(added)
+        return added
+
 
 def greedy_basis(
     m: Matroid,
@@ -308,29 +393,40 @@ def greedy_basis(
 ) -> list[int]:
     """Basis built by greedy extension, visiting elements in ``order``.
 
-    ``order`` must list every element once.  Tests each element against
-    one :meth:`Matroid.independence_state`, so it issues exactly n counted
-    independence tests (constant time each for the shipped families) and
-    returns the accepted elements in visit order.  Every test before the
-    first acceptance is a singleton test, so the first accepted element is
-    the first independent singleton in ``order``.
+    ``order`` must list every element once; an element that is not an
+    ``int`` (TypeError), is out of range or is listed twice (ValueError)
+    is refused before any test.  One batched
+    :meth:`IndependenceState._extend` on a fresh
+    :meth:`Matroid.independence_state` tests the elements in turn, so it
+    charges exactly n counted independence tests, one per element as the
+    per-element loop does (one pass over the list for the shipped
+    families), and returns the accepted elements in visit order.  Every
+    test before the first acceptance is a singleton test, so the first
+    accepted element is the first independent singleton in ``order``.
     """
-    state = m.independence_state(counters)
-    basis: list[int] = []
-    for e in order:
-        if state.can_add(e):
-            state.add(e)
-            basis.append(e)
-    return basis
+    order = list(order)
+    n = m.ground_size
+    if not (_typed(order, INTS) and min(order, default=0) >= 0 and max(order, default=-1) < n):
+        for e in order:
+            _check_element(e, n)
+    if len(set(order)) != len(order):
+        seen = set()
+        for e in order:
+            if e in seen:
+                raise ValueError(f"element {e} is listed twice in the order")
+            seen.add(e)
+    return m.independence_state(counters)._extend(order)
 
 
 def rank(m: Matroid, counters: Optional[OracleCounters] = None) -> int:
     """Size of a maximal independent set, by greedy extension over 0..n-1.
 
-    Runs :func:`greedy_basis` in index order: exactly n counted
-    independence tests, in time linear in n for the shipped families.
+    The extension of :func:`greedy_basis` in index order, without its
+    checks (``range(n)`` needs none): one batched
+    :meth:`IndependenceState._extend`, exactly n counted independence
+    tests, in time linear in n for the shipped families.
     """
-    return len(greedy_basis(m, range(m.ground_size), counters))
+    return len(m.independence_state(counters)._extend(range(m.ground_size)))
 
 
 def feasible_extensions(
@@ -342,7 +438,8 @@ def feasible_extensions(
 
     Requires ``support`` itself to be independent (checked without touching
     the counters); then issues exactly one counted IO call per element
-    outside the support.  The tests go through one
+    outside the support.  The tests are one batched
+    :meth:`IndependenceState._feasible` on a
     :meth:`Matroid.independence_state` holding the support, so the shipped
     families take time linear in n plus the support size.
     """
@@ -352,9 +449,7 @@ def feasible_extensions(
     state = m.independence_state(counters)
     for e in supp:
         state.add(e)
-    return frozenset(
-        e for e in range(m.ground_size) if e not in supp and state.can_add(e)
-    )
+    return frozenset(state._feasible([e for e in range(m.ground_size) if e not in supp]))
 
 
 def check_basis_exchange(m: Matroid, a: Iterable[int], b: Iterable[int], e: int) -> bool:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import NUMBERS, Assignment, CapExceededError, KSubFunction, OracleCounters, _check_seed
-from .matroids import Matroid, greedy_basis
+from .matroids import Matroid
 
 # The solvers call none of these, but perfbench's tracer patches each of
 # them by name in this module to time the layers; keep them importable here.
@@ -116,16 +116,22 @@ def threshold_decreasing_solve(
     :class:`ExplicitTableFunction` that is not k-submodular may come out
     differently.
 
-    Gains are priced against the running state from ``f.gain_state``, one
-    element at all k positions per call (:meth:`GainState.best`, also used
-    by the opening scan): the row maximum of the table for modular
-    functions, the weights of newly covered points for coverage, k full
-    evaluations otherwise.  All three are exact on the 1/64 value grid, so
-    the run does not depend on which one prices it.
-    Independence tests go through ``m.independence_state`` (the rank scan
-    through :func:`greedy_basis`): constant time for the shipped matroid
-    families, ``is_independent`` otherwise, with the same answers and
-    counts either way.
+    Gains are priced against the running state from ``f.gain_state``: the
+    opening scan prices all n elements in one batched
+    :meth:`GainState._bests` call, and each visit prices one element at
+    all k positions with ``state._best(e)``: the row maximum of the table
+    for modular functions, the weights of newly covered points for
+    coverage, k full evaluations otherwise.  All three are exact on the
+    1/64 value grid, so the run does not depend on which one prices it.
+    Independence tests go through ``m.independence_state``, one
+    ``_can_add`` per visit; the rank scan is one batched
+    :meth:`IndependenceState._extend` on a state of its own, the greedy
+    extension of :func:`greedy_basis` without its checks of an order the
+    solver builds itself.  Both are constant time per element for the
+    shipped matroid families,
+    ``is_independent`` otherwise, with the same answers and counts either
+    way.  A batched call charges what its per-element loop would: k EO per
+    element priced, 1 IO per element tested.
 
     Exact oracle accounting: n*k EO for the initial single-element scan
     plus k EO per candidate visit that passes its IO test (one gain costs
@@ -161,12 +167,12 @@ def threshold_decreasing_solve(
     if n == 0:
         return report()
 
-    best = state._best  # every element the run walks is an open int in range(n)
-    single = [best(e)[0] for e in range(n)]
+    single = state._bests(range(n))
     if max(single) <= 0.0:
         return report()
 
-    basis = greedy_basis(m, sorted(range(n), key=lambda e: (-single[e], e)), counters)
+    by_value = sorted(range(n), key=lambda e: (-single[e], e))
+    basis = m.independence_state(counters)._extend(by_value)  # the rank scan
     if not basis or single[basis[0]] <= 0.0:
         return report()
     r = len(basis)
@@ -179,6 +185,7 @@ def threshold_decreasing_solve(
     bound = single  # last best gain per element: bounds its current gain
     candidates = order  # unassigned, not yet known infeasible, visit order
     support = indep.support
+    best = state._best  # every element the run walks is an open int in range(n)
     can_add = indep._can_add
     stop = (1 - epsilon) * epsilon * d / (2 * r)
     w = d
@@ -211,47 +218,39 @@ def greedy_solve(f: KSubFunction, m: Matroid) -> SolveReport:
     """Baseline: repeatedly add the best feasible (element, position) pair.
 
     The run holds one independence state from ``m.independence_state`` and
-    one gain state from ``f.gain_state``.  Each iteration walks the
-    elements in ascending order, skips those already placed, and tests
-    every other one with a single ``_can_add`` (constant time for the
-    shipped matroid families, see :func:`threshold_decreasing_solve`).  It
-    prices each feasible element at all k positions with one
-    ``state._best(e)`` against the running gain state (exact on the 1/64
-    value grid), which names its lowest best position, and keeps the
-    first element with the strictly largest gain, so it adds the argmax
-    pair with ties going to the lowest element, then the lowest position.
-    The run stops after the first iteration that finds no feasible
-    element, hence after at most rank-many additions.
+    one gain state from ``f.gain_state``, and keeps the elements outside
+    the support in an ascending list.  Each iteration makes two batched
+    calls on that list: :meth:`IndependenceState._feasible` tests every
+    element in it (one pass for the shipped matroid families), and
+    :meth:`GainState._best_of` prices every feasible one at all k
+    positions against the running gain state (exact on the 1/64 value
+    grid; one pass for the shipped modular and coverage families) and
+    returns the first element with the strictly largest gain and its
+    lowest best position.  So it adds the argmax pair with ties going to
+    the lowest element, then the lowest position.  The run stops after the
+    first iteration that finds no feasible element, hence after at most
+    rank-many additions.
 
-    Exact oracle accounting: every iteration, the last one included, costs
-    one IO call per element outside the support and k EO calls per
-    feasible one.  These equal the counts of rebuilding the feasible set
-    with :func:`feasible_extensions` every iteration.
+    Exact oracle accounting, charged per element by the batched calls just
+    as the per-element loop charges it: every iteration, the last one
+    included, costs one IO call per element outside the support and k EO
+    calls per feasible one.  These equal the counts of rebuilding the
+    feasible set with :func:`feasible_extensions` every iteration.
     """
     _check_inputs(f, m)
     start = time.perf_counter()
     counters = OracleCounters()
-    n = f.n
     state = f.gain_state(counters)
-    best = state._best  # every element the run walks is an open int in range(n)
     indep = m.independence_state(counters)
-    can_add = indep._can_add
-    support = indep.support
+    outside = list(range(f.n))  # ascending; every element is an open int in range(n)
     while True:
-        best_gain = -math.inf
-        best_pair = None
-        for e in range(n):
-            if e in support or not can_add(e):
-                continue
-            gain, i = best(e)
-            if gain > best_gain:
-                best_gain = gain
-                best_pair = (e, i)
-        if best_pair is None:
+        choice = state._best_of(indep._feasible(outside))
+        if choice is None:
             break
-        e, i = best_pair
-        state.place(e, i, best_gain)
+        e, i, gain = choice
+        state.place(e, i, gain)
         indep.add(e)
+        outside.remove(e)
     a = state.assignment
     return SolveReport(
         assignment=a,

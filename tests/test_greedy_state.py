@@ -11,13 +11,20 @@ families and on ``ReferenceMatroid`` (the ``is_independent`` path).
 A guard also requires that the solvers never fall back to
 ``Matroid.is_independent`` (time linear in the support per test) or
 ``Assignment.assign`` (an n-tuple copy per placement) on the shipped
-function and matroid families.
+function and matroid families.  A second guard requires that greedy, and
+the rank scan (``greedy_basis``, ``rank``), make only batched oracle calls
+there: they never reach the per-element ``GainState._best`` or
+``IndependenceState._can_add``, which raise in that test.
 """
 
 from hypothesis import given, settings
 
+import pytest
+
 from ksubmax import (
     Assignment,
+    GainState,
+    IndependenceState,
     Matroid,
     UniformMatroid,
     gen_coverage,
@@ -25,8 +32,11 @@ from ksubmax import (
     gen_modular,
     gen_partition_matroid,
     greedy_solve,
+    rank,
     threshold_decreasing_solve,
 )
+from ksubmax.instances import _CoverageGainState, _ModularGainState
+from ksubmax.matroids import greedy_basis
 
 from helpers import CountingWrapper, ReferenceMatroid, reference_greedy_solve
 from test_gain_state import feasibility_instances, ratio_instances, same_run
@@ -101,3 +111,42 @@ def test_solvers_make_no_is_independent_or_assign_calls(monkeypatch):
     f, m = gen_modular(5, 2, seed=1), gen_partition_matroid(5, seed=1)
     greedy_solve(CountingWrapper(f), ReferenceMatroid(m))
     assert calls["is_independent"] > 0 and calls["assign"] > 0
+
+
+class PerElementCall(Exception):
+    """Raised by a per-element oracle method where only batched calls may run."""
+
+
+def _refuse(name):
+    def refuse(*args, **kwargs):
+        raise PerElementCall(name)
+
+    return refuse
+
+
+def test_greedy_and_rank_scan_make_only_batched_calls(monkeypatch):
+    for owner, name in ((GainState, "_best"), (_ModularGainState, "_best"),
+                        (_CoverageGainState, "_best"), (IndependenceState, "_can_add")):
+        monkeypatch.setattr(owner, name, _refuse(f"{owner.__name__}.{name}"))
+    runs = 0
+    for f, m in _guard_instances():
+        report = greedy_solve(f, m)
+        assert report.counters.io_calls >= f.n
+        order = sorted(range(m.ground_size), key=lambda e: (e % 3, -e))
+        basis = []
+        for e in order:
+            if m.is_independent(basis + [e]):
+                basis.append(e)
+        assert greedy_basis(m, order) == basis
+        assert rank(m) == len(basis)
+        runs += 1
+    assert runs == 3 * 3 * 3 * 3
+
+    # the guard is live: threshold's round visits, and the default states,
+    # still take the per-element path
+    f, m = gen_modular(5, 2, seed=1), gen_partition_matroid(5, seed=1)
+    for run in (lambda: threshold_decreasing_solve(f, m, 0.1),
+                lambda: greedy_solve(CountingWrapper(f), m),
+                lambda: greedy_solve(f, ReferenceMatroid(m))):
+        with pytest.raises(PerElementCall):
+            run()
