@@ -420,6 +420,8 @@ def cmd_verify(args) -> int:
         except ValueError as err:
             return _fail(str(err), EXIT_PARSE)
         budget = args.sample
+    elif args.seed is not None:
+        return _fail("--seed seeds sampled verification; pass --sample N with it", EXIT_PARSE)
     elif _lattice_pairs(spec.n, spec.k) > budget:
         return _fail(
             f"instance needs {_lattice_pairs(spec.n, spec.k)} checks for "
@@ -427,8 +429,6 @@ def cmd_verify(args) -> int:
             "verify on N random checks instead",
             EXIT_CAP,
         )
-    elif args.seed is not None:
-        return _fail("--seed seeds sampled verification; pass --sample N with it", EXIT_PARSE)
 
     f, m = spec.function, spec.matroid
     joint = verify_k_submodular(f, pair_budget=budget, seed=args.seed or 0)

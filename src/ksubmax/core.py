@@ -290,30 +290,30 @@ def marginal_gain(
 class GainState:
     """Running assignment and value of one solver run, with counted gains.
 
-    Starts at the empty assignment with value 0.  :meth:`gain` prices one
-    placement against the running assignment at 1 EO call, the same policy
-    as ``marginal_gain(f, assignment, e, i, counters, base=value)``;
-    :meth:`best` prices all k positions of one element at k EO calls and
-    returns the best; :meth:`place` commits one, adding the priced gain to
-    ``value``.
+    Starts at the empty assignment with value 0.  A state prices one way:
+    a whole row, the gains of one element at all k positions, at k EO
+    calls.  :meth:`best` returns the best of one element's row;
+    :meth:`place` commits one placement, adding the priced gain to
+    ``value``.  The gain of ``e`` at ``i`` is the one
+    ``marginal_gain(f, assignment, e, i, counters, base=value)`` gives.
 
     The labels live in a private mutable list, so :meth:`place` writes one
     label instead of copying an n-tuple.  ``assignment`` is a read-only
     view of them as an :class:`Assignment`, built on first use after each
-    placement and reused until the next.  :meth:`place`, :meth:`best`, and
-    the gain overrides through :meth:`_charge`, make the checks of
-    :meth:`Assignment.check_open` with its messages; a refused placement
-    leaves the labels and ``value`` as they were.  The solvers price the
-    elements they walk, all open by construction, through the unchecked
-    :meth:`_best` and its batched forms: :meth:`_bests` (each element's
-    best gain; threshold's opening scan) and :meth:`_best_of` (the best
-    element of a list; one greedy iteration).  A batched call charges what
-    its per-element loop charges, k EO calls per element priced.
+    placement and reused until the next.  :meth:`best` and :meth:`place`
+    make the checks of :meth:`Assignment.check_open` with its messages; a
+    refused placement leaves the labels and ``value`` as they were.  The
+    solvers price the elements they walk, all open by construction,
+    through the unchecked :meth:`_best` and its batched forms:
+    :meth:`_bests` (each element's best gain; threshold's opening scan)
+    and :meth:`_best_of` (the best element of a list; one greedy
+    iteration).  A batched call charges what its per-element loop charges,
+    k EO calls per element priced.
 
     This default goes through ``f.evaluate`` and so works for every
     function; it is the reference path, and its batched calls are the
     per-element loops over :meth:`_best`.  Function families override
-    :meth:`KSubFunction.gain_state` with states that price a gain without
+    :meth:`KSubFunction.gain_state` with states that price a row without
     a full evaluation and a whole list in one pass.  On values from the
     1/64 grid the incremental gains are exact, so both paths give
     identical gains, values and solver runs.
@@ -333,17 +333,12 @@ class GainState:
             self._assignment = Assignment._trusted(tuple(self._labels), self.f.k)
         return self._assignment
 
-    def gain(self, e: int, i: int) -> float:
-        """Gain of putting unplaced element ``e`` into set ``i``; 1 EO call."""
-        return marginal_gain(self.f, self.assignment, e, i, self.counters, base=self.value)
-
     def best(self, e: int) -> tuple[float, int]:
         """Best gain of unplaced ``e`` over positions ``1..k``, and its position.
 
         Returns ``(gain, i)`` with the lowest ``i`` attaining the maximum,
-        which is the first maximum of ``gain(e, 1), ..., gain(e, k)`` as
-        ``max`` takes it (so of ``0.0`` and ``-0.0`` the earlier one wins).
-        Costs k EO calls, like the k calls to :meth:`gain` it replaces.
+        which is the first maximum of the row as ``max`` takes it (so of
+        ``0.0`` and ``-0.0`` the earlier one wins).  Costs k EO calls.
         Checks ``e`` as :meth:`Assignment.check_open` does, then prices it
         through :meth:`_best`.
         """
@@ -354,18 +349,16 @@ class GainState:
         """:meth:`best` without the check of ``e``, which must be an unplaced
         ``int`` element; the solvers call this on the elements they walk.
 
-        This default makes the k calls to :meth:`gain`; overrides count the
-        k EO calls through :meth:`_charge_row` and price the k positions
-        together.
+        This default evaluates the k extended assignments, one EO call
+        each, and subtracts ``value``; overrides count the k EO calls
+        through :meth:`_charge_rows` and price the k positions together.
         """
-        best_gain = self.gain(e, 1)
-        best_i = 1
-        for i in range(2, self.f.k + 1):
-            gain = self.gain(e, i)
-            if gain > best_gain:
-                best_gain = gain
-                best_i = i
-        return best_gain, best_i
+        f, k, counters, value = self.f, self.f.k, self.counters, self.value
+        head, tail = tuple(self._labels[:e]), tuple(self._labels[e + 1:])
+        gains = [f.evaluate(Assignment._trusted(head + (i,) + tail, k), counters) - value
+                 for i in range(1, k + 1)]
+        gain = max(gains)
+        return gain, gains.index(gain) + 1
 
     def _bests(self, elements: Sequence[int]) -> list[float]:
         """Each element's best gain, as :meth:`_best` gives it; k EO calls per
@@ -399,26 +392,16 @@ class GainState:
         return choice
 
     def place(self, e: int, i: int, gain: float) -> None:
-        """Put ``e`` into set ``i``; ``gain`` must be what :meth:`gain` returned."""
+        """Put ``e`` into set ``i``; ``gain`` must be its priced gain, as
+        :meth:`best` returns it for the best ``i``."""
         _check_open(self._labels, self.f.k, e, i)
         self._labels[e] = i
         self._assignment = None
         self.value += gain
 
-    def _charge(self, e: int, i: int) -> None:
-        """For overrides of :meth:`gain`: check the placement, count 1 EO call."""
-        _check_open(self._labels, self.f.k, e, i)
-        if self.counters is not None:
-            self.counters.eo_calls += 1
-
-    def _charge_row(self) -> None:
-        """For overrides of :meth:`_best`: count k EO calls."""
-        if self.counters is not None:
-            self.counters.eo_calls += self.f.k
-
     def _charge_rows(self, count: int) -> None:
-        """For overrides of :meth:`_bests` and :meth:`_best_of`: count k EO
-        calls for each of ``count`` elements."""
+        """For the family overrides of :meth:`_best`, :meth:`_bests` and
+        :meth:`_best_of`: count k EO calls for each of ``count`` elements."""
         if self.counters is not None:
             self.counters.eo_calls += self.f.k * count
 

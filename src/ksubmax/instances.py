@@ -408,12 +408,8 @@ class _ModularGainState(GainState):
         self.row_best = list(map(max, f.table))
         self.row_pos = [row.index(gain) + 1 for row, gain in zip(f.table, self.row_best)]
 
-    def gain(self, e: int, i: int) -> float:
-        self._charge(e, i)
-        return self.f.table[e][i - 1]
-
     def _best(self, e: int) -> tuple[float, int]:
-        self._charge_row()
+        self._charge_rows(1)
         return self.row_best[e], self.row_pos[e]
 
     def _bests(self, elements: Sequence[int]) -> list[float]:
@@ -436,12 +432,8 @@ class _CoverageGainState(GainState):
         super().__init__(f, counters)
         self.covered = 0
 
-    def gain(self, e: int, i: int) -> float:
-        self._charge(e, i)
-        return self.f._weight(self.f._masks[e][i - 1] & ~self.covered)
-
     def _best(self, e: int) -> tuple[float, int]:
-        self._charge_row()
+        self._charge_rows(1)
         weight = self.f._weight
         free = ~self.covered
         gains = [weight(mask & free) for mask in self.f._masks[e]]

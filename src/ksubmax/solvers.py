@@ -26,10 +26,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import NUMBERS, Assignment, CapExceededError, KSubFunction, OracleCounters, _check_seed
-from .matroids import Matroid
+from .matroids import Matroid, _check_ints
 
 # The solvers call none of these, but perfbench's tracer patches each of
-# them by name in this module to time the layers; keep them importable here.
+# them by name in this module to time the layers; keep them importable here
+# until the tracer patches the calls the solvers make (ROADMAP item 1), and
+# delete them with it.
 from .core import marginal_gain  # noqa: F401
 from .matroids import feasible_extensions, rank  # noqa: F401
 
@@ -76,9 +78,11 @@ def predicted_round_bound(epsilon: float, r: int) -> int:
 
     The threshold decays by (1 - eps) per round and the loop stops once it
     falls to (1 - eps) * eps * d / (2r), so the executed rounds are at most
-    ceil(log(2r/eps) / log(1/(1-eps))) + 1.
+    ceil(log(2r/eps) / log(1/(1-eps))) + 1.  ``r`` must be an ``int``
+    (TypeError otherwise) of at least 1.
     """
     _check_epsilon(epsilon)
+    _check_ints((r,), "rank must be an integer")
     if r < 1:
         raise ValueError(f"rank must be at least 1, got {r}")
     return math.ceil(math.log(2 * r / epsilon) / math.log(1 / (1 - epsilon))) + 1
@@ -267,7 +271,7 @@ def brute_force_solve(
     """Exact optimum by enumerating assignments with independent support.
 
     Refuses instances where (k+1)^n exceeds ``cap`` rather than returning
-    a sampled answer.  The enumeration walks the independent supports as
+    a sampled answer; ``cap`` must be an ``int`` (TypeError otherwise).  The enumeration walks the independent supports as
     ascending element tuples, depth first from the empty one, and reaches
     each once: a support ``S`` is extended by each element ``e`` past its
     last one with one uncounted ``m._independent(S + (e,))``, so only sets
@@ -292,6 +296,7 @@ def brute_force_solve(
     counted, so ``counters`` is None.
     """
     _check_inputs(f, m)
+    _check_ints((cap,), "cap must be an integer")
     start = time.perf_counter()
     n, k = f.n, f.k
     total = (k + 1) ** n

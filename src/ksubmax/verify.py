@@ -45,9 +45,11 @@ class Verdict:
 
 
 def _check_sampling(budget: int, seed: int, what: str = "sampling budget") -> None:
-    """Refuse a non-``int`` seed, and a budget below the one check a verdict
-    needs; ``what`` names the budget in the message."""
+    """Refuse a non-``int`` seed or budget (TypeError), and a budget below the
+    one check a verdict needs; ``what`` names the budget in the message."""
     _check_seed(seed)
+    if type(budget) is not int:
+        raise TypeError(f"{what} must be an integer, got {budget!r}")
     if budget < 1:
         raise ValueError(f"{what} must be at least 1, got {budget}")
 

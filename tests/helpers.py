@@ -6,8 +6,10 @@ import random
 import time
 from typing import Optional
 
-from ksubmax import (Assignment, CapExceededError, InstanceSpec, KSubFunction, Matroid,
-                     OracleCounters, UniformMatroid, enumerate_assignments, serialize_instance)
+from ksubmax import (Assignment, CapExceededError, GainState, InstanceSpec, KSubFunction,
+                     Matroid, OracleCounters, UniformMatroid, enumerate_assignments,
+                     marginal_gain, serialize_instance)
+from ksubmax.core import _check_open
 from ksubmax.instances import (
     VALUE_GRID,
     CoverageFunction,
@@ -15,6 +17,8 @@ from ksubmax.instances import (
     ModularFunction,
     _check_finite,
     _check_sums_finite,
+    _CoverageGainState,
+    _ModularGainState,
     _rng,
     _table_index,
 )
@@ -69,6 +73,26 @@ class ReferenceMatroid(Matroid):
         return self.inner._independent(subset)
 
 
+def reference_gain(state: GainState, e: int, i: int) -> float:
+    """Gain of putting unplaced ``e`` into set ``i`` on top of ``state``; 1 EO call.
+
+    The one-position pricing the gain states made before they priced whole
+    rows only, kept so the references below run bit for bit as they did:
+    a table entry on the modular state, the weight of the newly covered
+    points on the coverage state, and ``marginal_gain`` against the running
+    value otherwise.  A placement that is not open is refused with the
+    checks and messages of ``Assignment.check_open``, counting nothing.
+    """
+    if not isinstance(state, (_ModularGainState, _CoverageGainState)):
+        return marginal_gain(state.f, state.assignment, e, i, state.counters, base=state.value)
+    _check_open(state._labels, state.f.k, e, i)
+    if state.counters is not None:
+        state.counters.eo_calls += 1
+    if isinstance(state, _ModularGainState):
+        return state.f.table[e][i - 1]
+    return state.f._weight(state.f._masks[e][i - 1] & ~state.covered)
+
+
 def eager_threshold_solve(
     f: KSubFunction,
     m: Matroid,
@@ -110,7 +134,7 @@ def eager_threshold_solve(
     if n == 0:
         return report()
 
-    single = [max(state.gain(e, i) for i in range(1, k + 1)) for e in range(n)]
+    single = [max(reference_gain(state, e, i) for i in range(1, k + 1)) for e in range(n)]
     if max(single) <= 0.0:
         return report()
 
@@ -137,7 +161,7 @@ def eager_threshold_solve(
             best_gain = -math.inf
             best_i = 0
             for i in range(1, k + 1):
-                gain = state.gain(e, i)
+                gain = reference_gain(state, e, i)
                 if gain > best_gain:
                     best_gain = gain
                     best_i = i
@@ -179,7 +203,7 @@ def reference_greedy_solve(f: KSubFunction, m: Matroid) -> SolveReport:
         best_pair = None
         for e in sorted(extensions):
             for i in range(1, k + 1):
-                gain = state.gain(e, i)
+                gain = reference_gain(state, e, i)
                 if gain > best_gain:
                     best_gain = gain
                     best_pair = (e, i)

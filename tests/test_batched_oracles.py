@@ -37,7 +37,7 @@ from ksubmax import (
 from ksubmax.instances import ExplicitTableFunction
 from ksubmax.matroids import greedy_basis
 
-from helpers import CountingWrapper, ReferenceMatroid, reference_greedy_solve
+from helpers import CountingWrapper, ReferenceMatroid, reference_gain, reference_greedy_solve
 from test_best_gain import modular_rows
 from test_gain_state import feasibility_instances, ratio_instances, same_run
 from test_independence_state import matroids
@@ -97,7 +97,7 @@ def gain_state_at(f, placements):
     """A fresh gain state on new counters, after ``placements``."""
     state = f.gain_state(OracleCounters())
     for e, i in placements:
-        state.place(e, i, state.gain(e, i))
+        state.place(e, i, reference_gain(state, e, i))
     state.counters.eo_calls = 0
     return state
 

@@ -2,18 +2,18 @@
 
 Along random placements on the default gain state (``CountingWrapper``
 forwards only ``_value``) and the modular and coverage overrides,
-``best(e)`` must return what the per-position loop over ``gain`` returns:
-the first maximum in position order, its sign of zero included, and the
-lowest position attaining it.  It costs exactly k EO calls, and refuses a
-placed or out-of-range element with the message of ``check_open``,
-counting nothing.
+``best(e)`` must return what the per-position loop over
+``helpers.reference_gain`` returns: the first maximum in position order,
+its sign of zero included, and the lowest position attaining it.  It
+costs exactly k EO calls, and refuses a placed or out-of-range element
+with the message of ``check_open``, counting nothing.
 """
 
 from hypothesis import example, given, settings, strategies as st
 
 from ksubmax import CoverageFunction, GainState, ModularFunction, OracleCounters
 
-from helpers import CountingWrapper
+from helpers import CountingWrapper, reference_gain
 
 ENTRIES = (0.0, -0.0, 0.25, 0.5, 1.0)
 
@@ -48,9 +48,9 @@ def walks(draw):
 
 def per_position(state, e, k):
     """The loop ``best`` replaces: the first strict maximum over positions."""
-    best_gain, best_i = state.gain(e, 1), 1
+    best_gain, best_i = reference_gain(state, e, 1), 1
     for i in range(2, k + 1):
-        gain = state.gain(e, i)
+        gain = reference_gain(state, e, i)
         if gain > best_gain:
             best_gain, best_i = gain, i
     return best_gain, best_i

@@ -215,6 +215,9 @@ class TestVerify:
         path.write_text(serialize_instance(spec))
         assert main(["verify", str(path)]) == 3
         assert "--sample" in capsys.readouterr().err
+        # the flag rule comes before the size rule: this used to exit 3
+        assert main(["verify", str(path), "--seed", "5"]) == 2
+        assert "--seed seeds sampled verification" in capsys.readouterr().err
         assert main(["verify", str(path), "--sample", "200"]) == 0
         out = capsys.readouterr().out
         assert "sampled" in out

@@ -32,6 +32,7 @@ from ksubmax import (
     gen_modular,
     gen_partition_matroid,
     greedy_solve,
+    marginal_gain,
     rank,
     threshold_decreasing_solve,
 )
@@ -107,9 +108,11 @@ def test_solvers_make_no_is_independent_or_assign_calls(monkeypatch):
     assert runs == 3 * 3 * 3 * 3 * 3
     assert calls == {"is_independent": 0, "assign": 0}
 
-    # the tallies are live: the reference paths go through both methods
+    # the tallies are live: the reference matroid path tests through
+    # is_independent, and marginal_gain places through assign
     f, m = gen_modular(5, 2, seed=1), gen_partition_matroid(5, seed=1)
     greedy_solve(CountingWrapper(f), ReferenceMatroid(m))
+    marginal_gain(f, f.zero(), 0, 1)
     assert calls["is_independent"] > 0 and calls["assign"] > 0
 
 

@@ -26,6 +26,7 @@ import pytest
 from ksubmax import (
     Assignment,
     InstanceFormatError,
+    brute_force_solve,
     enumerate_assignments,
     feasible_extensions,
     marginal_gain,
@@ -154,8 +155,8 @@ class TestIndexArguments:
                                    CountingWrapper(gen_modular(3, 2, seed=1))])
     def test_gain_state_refuses_bool_element(self, f):
         state = f.gain_state()
-        for call in (lambda: state.place(True, 1, 1.0), lambda: state.gain(True, 1),
-                     lambda: state.best(True), lambda: state.place(0, 1.0, 1.0)):
+        for call in (lambda: state.place(True, 1, 1.0), lambda: state.best(True),
+                     lambda: state.place(0, 1.0, 1.0)):
             with pytest.raises(TypeError, match="is not an int"):
                 call()
         assert state.assignment == f.zero() and state.value == 0.0
@@ -298,8 +299,7 @@ ELEMENT_CALLS = {
     "marginal_gain": lambda e: marginal_gain(RULE_F, RULE_F.zero(), e, 1),
     **{f"{type(f).__name__}.gain_state().{name}": call
        for f in (RULE_F, gen_coverage(3, 2, 6, 0.5, seed=1), CountingWrapper(RULE_F))
-       for name, call in (("gain", lambda e, f=f: f.gain_state().gain(e, 1)),
-                          ("best", lambda e, f=f: f.gain_state().best(e)),
+       for name, call in (("best", lambda e, f=f: f.gain_state().best(e)),
                           ("place", lambda e, f=f: f.gain_state().place(e, 1, 0.0)))},
     **{f"{type(m).__name__}.{name}": call
        for m in (UniformMatroid(3, 2), gen_partition_matroid(3, seed=1),
@@ -392,6 +392,23 @@ def test_sampling_rule(bad):
         calls.append(lambda: check_matroid_axioms(SEED_M, seed=bad))
     for call in calls:
         assert refusal(call) == expected
+
+
+@rule_cases([True, False, 2.5, "9", None])
+def test_count_rule(bad):
+    """A sampling budget, a brute-force cap and a rank must be ``int``s.
+    ``verify_k_submodular(f, pair_budget=True)`` used to report
+    ``checked=True``, ``pair_budget=2.5`` ran 3 checks, ``cap=1.5`` was
+    taken, ``cap="9"`` failed on ``>``, and ``predicted_round_bound(0.1,
+    2.5)`` returned 39."""
+    budget = (TypeError, f"sampling budget must be an integer, got {bad!r}")
+    for verifier in (verify_k_submodular, verify_orthant_pairwise, verify_monotone):
+        assert refusal(lambda: verifier(SEED_F, pair_budget=bad)) == budget
+    assert refusal(lambda: check_matroid_axioms(SEED_M, budget=bad)) == budget
+    assert refusal(lambda: brute_force_solve(SEED_F, SEED_M, cap=bad)) == (
+        TypeError, f"cap must be an integer, got {bad!r}")
+    assert refusal(lambda: predicted_round_bound(0.1, bad)) == (
+        TypeError, f"rank must be an integer, got {bad!r}")
 
 
 SHAPES = {

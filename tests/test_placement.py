@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from ksubmax import Assignment, GainState, OracleCounters, gen_coverage, gen_modular
 
-from helpers import CountingWrapper
+from helpers import CountingWrapper, reference_gain
 
 
 @st.composite
@@ -58,11 +58,11 @@ def test_place_matches_successive_assign(run):
         value, eo = state.value, state.counters.eo_calls
         message = refusal(expected, e, i)
         if message is None:
-            gain = state.gain(e, i)
+            gain = reference_gain(state, e, i)
             state.place(e, i, gain)
             expected = Assignment(expected.assign(e, i).labels, f.k)
         else:
-            for attempt in (lambda: state.gain(e, i), lambda: state.place(e, i, 1.0)):
+            for attempt in (lambda: reference_gain(state, e, i), lambda: state.place(e, i, 1.0)):
                 with pytest.raises(ValueError) as err:
                     attempt()
                 assert str(err.value) == message
