@@ -10,15 +10,22 @@ on every input; tests exploit this as a cross-check.
 Enumeration is capped: verdicts obtained by sampling instead of exhaustive
 enumeration are flagged as such, never silently treated as exhaustive.  A
 budget below one check is refused with ValueError, so no verdict rests on
-zero checks.
+zero checks.  Every exhaustive check first evaluates f once at each of the
+(k+1)^n assignments.  The orthant and monotonicity checks then walk one
+list of those values indexed by the code sum(labels[e] * (k+1)**(n-1-e)),
+reaching a restriction or a neighbour of an assignment by integer steps on
+its code.  Sampled checks draw labels uniformly from {0,...,k}.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass
-from typing import Optional
+from functools import partial
+from itertools import chain, combinations, compress, islice, product, repeat
+from typing import Iterable, Iterator, Optional
 
 from .core import (Assignment, KSubFunction, _check_seed, enumerate_assignments, join, meet,
                    precedes)
@@ -65,8 +72,56 @@ def _value_table(f: KSubFunction) -> dict[tuple[int, ...], float]:
     return {a.labels: f.evaluate(a) for a in enumerate_assignments(f.n, f.k)}
 
 
+def _code_values(f: KSubFunction) -> list[float]:
+    """f at every assignment, listed by code sum(labels[e] * (k+1)**(n-1-e)):
+    the label order of :func:`enumerate_assignments`."""
+    return [f.evaluate(a) for a in enumerate_assignments(f.n, f.k)]
+
+
+def _code_weights(n: int, k: int) -> list[int]:
+    """The code step of each element: placing unplaced e at i adds i * weights[e]."""
+    return [(k + 1) ** (n - 1 - e) for e in range(n)]
+
+
+def _assignment(code: int, n: int, k: int) -> Assignment:
+    """The assignment with this code (a witness; built only on a violation)."""
+    labels = []
+    for _ in range(n):
+        code, label = divmod(code, k + 1)
+        labels.append(label)
+    return Assignment._trusted(tuple(reversed(labels)), k)
+
+
+def _walk(n: int, k: int) -> Iterator[tuple[int, list[int], list[int]]]:
+    """Each q in label order as (its code, the codes of its restrictions, its
+    unplaced elements).  The restrictions keep subsets of q's support by
+    size and then lexicographically; a restriction's code is the sum of its
+    kept digits labels[e] * weights[e]."""
+    weights = _code_weights(n, k)
+    elements = range(n)
+    for cq, labels in enumerate(product(range(k + 1), repeat=n)):
+        digits = list(compress(map(operator.mul, labels, weights), labels))
+        kept = list(map(sum, chain.from_iterable(
+            map(partial(combinations, digits), range(len(digits) + 1)))))
+        yield cq, kept, list(compress(elements, map(operator.not_, labels)))
+
+
+def _gains(values: list[float], code: int, steps: list[int]) -> list[float]:
+    """The gains value[code + s] - value[code], one per step s."""
+    return list(map(operator.sub, map(values.__getitem__, map(code.__add__, steps)),
+                    repeat(values[code])))
+
+
+def _first(flags: Iterable) -> int:
+    """Index of the first true flag (one is known to exist)."""
+    return next(t for t, flag in enumerate(flags) if flag)
+
+
 def _random_assignment(rng: random.Random, n: int, k: int) -> Assignment:
-    return Assignment._trusted(tuple(rng.randrange(k + 1) for _ in range(n)), k)
+    """n labels drawn uniformly from {0,...,k} in one pass: getrandbits with
+    rejection, which consumes ``rng`` exactly as n calls of randrange(k+1) do."""
+    draws = iter(partial(rng.getrandbits, (k + 1).bit_length()), None)
+    return Assignment._trusted(tuple(islice(filter((k + 1).__gt__, draws), n)), k)
 
 
 def _random_restriction(rng: random.Random, q: Assignment) -> Assignment:
@@ -83,7 +138,9 @@ def verify_k_submodular(
 
     Exhausts all unordered pairs when their number fits the budget,
     otherwise samples ``pair_budget`` random pairs.  Returns the first
-    violating (p, q) as counterexample.
+    violating (p, q) as counterexample.  The exhaustive check makes
+    (k+1)^n evaluations, then a join, a meet and four table lookups per
+    pair; ``checked`` counts pairs.
     """
     _check_sampling(pair_budget, seed)
     n, k = f.n, f.k
@@ -128,64 +185,83 @@ def verify_orthant_pairwise(
     q.  Pairwise monotonicity: for every p, unplaced e and positions
     i != j, the two gains sum to >= 0.  Counterexamples are tagged
     ("orthant", p, q, e, i) or ("pairwise", p, e, i, j).
+
+    The exhaustive check makes (k+1)^n evaluations and then compares, for
+    each of the (2k+1)^n pairs p preceding q, the row of gains of p with
+    that of q in one pass over q's unplaced elements; its ``checked``
+    counts those pairs, not the single gain tests, and the pairwise tests
+    add nothing to it.  Orthant violations are reported before pairwise
+    ones, each in the order of a walk over q in label order, its kept
+    subsets by size and then lexicographically, then (e, i) ascending.
+    The sampled check draws q, a random restriction p, an unplaced e and
+    a position i; ``checked`` counts the samples tested, so a q with no
+    unplaced element is drawn again without counting.
     """
     _check_sampling(pair_budget, seed)
     n, k = f.n, f.k
     if _ordered_pairs_count(n, k) <= pair_budget:
-        table = _value_table(f)
+        values = _code_values(f)
+        weights = _code_weights(n, k)
+        positions = range(1, k + 1)
+        pairs = list(combinations(positions, 2))
+        # index of gain (e, i) in a row is t*k + i - 1, e the t-th unplaced element
+        firsts = [t * k + i - 1 for t in range(n) for i, _ in pairs]
+        seconds = [t * k + j - 1 for t in range(n) for _, j in pairs]
+        pairwise = None
         checked = 0
-
-        def gain(labels: tuple[int, ...], e: int, i: int) -> float:
-            bumped = labels[:e] + (i,) + labels[e + 1 :]
-            return table[bumped] - table[labels]
-
-        for q in enumerate_assignments(n, k):
-            supp_q = sorted(q.support())
-            outside = [e for e in range(n) if e not in q.support()]
-            for keep_size in range(len(supp_q) + 1):
-                for keep in itertools.combinations(supp_q, keep_size):
-                    p = q.restrict(keep)
-                    checked += 1
-                    for e in outside:
-                        for i in range(1, k + 1):
-                            if gain(p.labels, e, i) < gain(q.labels, e, i):
-                                return Verdict(
-                                    False, ("orthant", p, q, e, i),
-                                    exhaustive=True, checked=checked,
-                                )
-        for p in enumerate_assignments(n, k):
-            for e in range(n):
-                if p.labels[e] != 0:
-                    continue
-                for i, j in itertools.combinations(range(1, k + 1), 2):
-                    if gain(p.labels, e, i) + gain(p.labels, e, j) < 0:
-                        return Verdict(
-                            False, ("pairwise", p, e, i, j),
-                            exhaustive=True, checked=checked,
-                        )
+        for cq, kept, outside in _walk(n, k):
+            if not outside:  # nothing to test against a full q
+                checked += len(kept)
+                continue
+            steps = [i * weights[e] for e in outside for i in positions]
+            gq = _gains(values, cq, steps)
+            if pairwise is None and pairs:
+                width = len(outside) * len(pairs)
+                sums = map(operator.add, map(gq.__getitem__, firsts[:width]),
+                           map(gq.__getitem__, seconds[:width]))
+                hits = list(map(operator.lt, sums, repeat(0)))
+                if any(hits):
+                    t = _first(hits)
+                    i, j = pairs[t % len(pairs)]
+                    pairwise = ("pairwise", _assignment(cq, n, k),
+                                outside[t // len(pairs)], i, j)
+            for checked, cp in enumerate(kept, checked + 1):
+                if any(map(operator.lt, map(operator.sub, map(values.__getitem__,
+                                                              map(cp.__add__, steps)),
+                                            repeat(values[cp])), gq)):
+                    t = _first(map(operator.lt, _gains(values, cp, steps), gq))
+                    return Verdict(
+                        False,
+                        ("orthant", _assignment(cp, n, k), _assignment(cq, n, k),
+                         outside[t // k], t % k + 1),
+                        exhaustive=True, checked=checked,
+                    )
+        if pairwise is not None:
+            return Verdict(False, pairwise, exhaustive=True, checked=checked)
         return Verdict(True, None, exhaustive=True, checked=checked)
 
     rng = random.Random(seed)
     checked = 0
     while checked < pair_budget:
-        checked += 1
         q = _random_assignment(rng, n, k)
         outside = [e for e in range(n) if q.labels[e] == 0]
-        if outside:
-            p = _random_restriction(rng, q)
-            e = rng.choice(outside)
-            i = rng.randrange(1, k + 1)
-            gp = f.evaluate(p.assign(e, i)) - f.evaluate(p)
-            gq = f.evaluate(q.assign(e, i)) - f.evaluate(q)
-            if gp < gq:
-                return Verdict(False, ("orthant", p, q, e, i),
+        if not outside:
+            continue
+        checked += 1
+        p = _random_restriction(rng, q)
+        e = rng.choice(outside)
+        i = rng.randrange(1, k + 1)
+        gp = f.evaluate(p.assign(e, i)) - f.evaluate(p)
+        gq = f.evaluate(q.assign(e, i)) - f.evaluate(q)
+        if gp < gq:
+            return Verdict(False, ("orthant", p, q, e, i),
+                           exhaustive=False, checked=checked)
+        if k >= 2:
+            j = rng.choice([x for x in range(1, k + 1) if x != i])
+            gj = f.evaluate(q.assign(e, j)) - f.evaluate(q)
+            if gq + gj < 0:
+                return Verdict(False, ("pairwise", q, e, i, j),
                                exhaustive=False, checked=checked)
-            if k >= 2:
-                j = rng.choice([x for x in range(1, k + 1) if x != i])
-                gj = f.evaluate(q.assign(e, j)) - f.evaluate(q)
-                if gq + gj < 0:
-                    return Verdict(False, ("pairwise", q, e, i, j),
-                                   exhaustive=False, checked=checked)
     return Verdict(True, None, exhaustive=False, checked=checked)
 
 
@@ -194,20 +270,25 @@ def verify_monotone(
     pair_budget: int = DEFAULT_PAIR_BUDGET,
     seed: int = 0,
 ) -> Verdict:
-    """Check f(p) <= f(q) for all p preceding q (sampled beyond the budget)."""
+    """Check f(p) <= f(q) for all p preceding q (sampled beyond the budget).
+
+    The exhaustive check makes (k+1)^n evaluations and then one comparison
+    per pair, in the walk order of :func:`verify_orthant_pairwise`; the
+    sampled one draws q and a random restriction p per check.
+    """
     _check_sampling(pair_budget, seed)
     n, k = f.n, f.k
     if _ordered_pairs_count(n, k) <= pair_budget:
-        table = _value_table(f)
+        values = _code_values(f)
         checked = 0
-        for q in enumerate_assignments(n, k):
-            supp_q = sorted(q.support())
-            for keep_size in range(len(supp_q) + 1):
-                for keep in itertools.combinations(supp_q, keep_size):
-                    p = q.restrict(keep)
-                    checked += 1
-                    if table[p.labels] > table[q.labels]:
-                        return Verdict(False, (p, q), exhaustive=True, checked=checked)
+        for cq, kept, _ in _walk(n, k):
+            fq = values[cq]
+            fps = list(map(values.__getitem__, kept))
+            if any(map(operator.gt, fps, repeat(fq))):
+                t = _first(map(operator.gt, fps, repeat(fq)))
+                return Verdict(False, (_assignment(kept[t], n, k), _assignment(cq, n, k)),
+                               exhaustive=True, checked=checked + t + 1)
+            checked += len(kept)
         return Verdict(True, None, exhaustive=True, checked=checked)
 
     rng = random.Random(seed)

@@ -1,5 +1,6 @@
 """Shared test utilities."""
 
+import itertools
 import json
 import math
 import random
@@ -7,8 +8,8 @@ import time
 from typing import Optional
 
 from ksubmax import (Assignment, CapExceededError, GainState, InstanceSpec, KSubFunction,
-                     Matroid, OracleCounters, UniformMatroid, enumerate_assignments,
-                     marginal_gain, serialize_instance)
+                     Matroid, OracleCounters, UniformMatroid, enumerate_assignments, join,
+                     marginal_gain, meet, serialize_instance, verify_k_submodular)
 from ksubmax.core import _check_open
 from ksubmax.instances import (
     VALUE_GRID,
@@ -23,7 +24,8 @@ from ksubmax.instances import (
     _table_index,
 )
 from ksubmax.matroids import _set_of, feasible_extensions, greedy_basis
-from ksubmax.verify import Verdict
+from ksubmax.verify import (Verdict, _check_sampling, _lattice_pairs, _ordered_pairs_count,
+                            _random_restriction, _value_table)
 from ksubmax.solvers import DEFAULT_BRUTE_CAP, SolveReport, _check_inputs
 
 
@@ -580,3 +582,116 @@ def _reference_axiom_violation(masks, family, pair_budget):
                 else:
                     return ("axiom-c", small, big), checks
     return None, checks
+
+
+def reference_random_assignment(rng: random.Random, n: int, k: int) -> Assignment:
+    """Reference label draw: n calls of ``randrange(k + 1)``."""
+    return Assignment._trusted(tuple(rng.randrange(k + 1) for _ in range(n)), k)
+
+
+def reference_verify_k_submodular(f: KSubFunction, pair_budget: int = 1_000_000,
+                                  seed: int = 0) -> Verdict:
+    """Reference lattice verifier: the shipped exhaustive loop (unchanged, so
+    it is called) and a sampled loop drawing labels with ``randrange``."""
+    _check_sampling(pair_budget, seed)
+    n, k = f.n, f.k
+    if _lattice_pairs(n, k) <= pair_budget:
+        return verify_k_submodular(f, pair_budget, seed)
+    rng = random.Random(seed)
+    for checked in range(1, pair_budget + 1):
+        p = reference_random_assignment(rng, n, k)
+        q = reference_random_assignment(rng, n, k)
+        lhs = f.evaluate(p) + f.evaluate(q)
+        rhs = f.evaluate(join(p, q)) + f.evaluate(meet(p, q))
+        if lhs < rhs:
+            return Verdict(False, (p, q), exhaustive=False, checked=checked)
+    return Verdict(True, None, exhaustive=False, checked=pair_budget)
+
+
+def reference_verify_orthant_pairwise(f: KSubFunction, pair_budget: int = 1_000_000,
+                                      seed: int = 0) -> Verdict:
+    """Reference orthant + pairwise verifier: per-assignment loops over a dict
+    of values keyed by labels, with ``randrange`` label draws.  The sampled
+    loop counts a sample only once it has an unplaced element to test."""
+    _check_sampling(pair_budget, seed)
+    n, k = f.n, f.k
+    if _ordered_pairs_count(n, k) <= pair_budget:
+        table = _value_table(f)
+        checked = 0
+
+        def gain(labels, e, i):
+            bumped = labels[:e] + (i,) + labels[e + 1:]
+            return table[bumped] - table[labels]
+
+        for q in enumerate_assignments(n, k):
+            supp_q = sorted(q.support())
+            outside = [e for e in range(n) if e not in q.support()]
+            for keep_size in range(len(supp_q) + 1):
+                for keep in itertools.combinations(supp_q, keep_size):
+                    p = q.restrict(keep)
+                    checked += 1
+                    for e in outside:
+                        for i in range(1, k + 1):
+                            if gain(p.labels, e, i) < gain(q.labels, e, i):
+                                return Verdict(False, ("orthant", p, q, e, i),
+                                               exhaustive=True, checked=checked)
+        for p in enumerate_assignments(n, k):
+            for e in range(n):
+                if p.labels[e] != 0:
+                    continue
+                for i, j in itertools.combinations(range(1, k + 1), 2):
+                    if gain(p.labels, e, i) + gain(p.labels, e, j) < 0:
+                        return Verdict(False, ("pairwise", p, e, i, j),
+                                       exhaustive=True, checked=checked)
+        return Verdict(True, None, exhaustive=True, checked=checked)
+
+    rng = random.Random(seed)
+    checked = 0
+    while checked < pair_budget:
+        q = reference_random_assignment(rng, n, k)
+        outside = [e for e in range(n) if q.labels[e] == 0]
+        if not outside:
+            continue
+        checked += 1
+        p = _random_restriction(rng, q)
+        e = rng.choice(outside)
+        i = rng.randrange(1, k + 1)
+        gp = f.evaluate(p.assign(e, i)) - f.evaluate(p)
+        gq = f.evaluate(q.assign(e, i)) - f.evaluate(q)
+        if gp < gq:
+            return Verdict(False, ("orthant", p, q, e, i), exhaustive=False, checked=checked)
+        if k >= 2:
+            j = rng.choice([x for x in range(1, k + 1) if x != i])
+            gj = f.evaluate(q.assign(e, j)) - f.evaluate(q)
+            if gq + gj < 0:
+                return Verdict(False, ("pairwise", q, e, i, j),
+                               exhaustive=False, checked=checked)
+    return Verdict(True, None, exhaustive=False, checked=checked)
+
+
+def reference_verify_monotone(f: KSubFunction, pair_budget: int = 1_000_000,
+                              seed: int = 0) -> Verdict:
+    """Reference monotonicity verifier: a loop over every pair p preceding q
+    on a dict of values, with ``randrange`` label draws when sampled."""
+    _check_sampling(pair_budget, seed)
+    n, k = f.n, f.k
+    if _ordered_pairs_count(n, k) <= pair_budget:
+        table = _value_table(f)
+        checked = 0
+        for q in enumerate_assignments(n, k):
+            supp_q = sorted(q.support())
+            for keep_size in range(len(supp_q) + 1):
+                for keep in itertools.combinations(supp_q, keep_size):
+                    p = q.restrict(keep)
+                    checked += 1
+                    if table[p.labels] > table[q.labels]:
+                        return Verdict(False, (p, q), exhaustive=True, checked=checked)
+        return Verdict(True, None, exhaustive=True, checked=checked)
+
+    rng = random.Random(seed)
+    for checked in range(1, pair_budget + 1):
+        q = reference_random_assignment(rng, n, k)
+        p = _random_restriction(rng, q)
+        if f.evaluate(p) > f.evaluate(q):
+            return Verdict(False, (p, q), exhaustive=False, checked=checked)
+    return Verdict(True, None, exhaustive=False, checked=pair_budget)
