@@ -122,6 +122,18 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
+def _load(path: str, parse) -> tuple:
+    """``(parse(text), EXIT_OK)`` for the text of file ``path``, or
+    ``(None, EXIT_PARSE)``, the reason reported, when it cannot be read or
+    ``parse`` refuses it with :class:`InstanceFormatError`."""
+    try:
+        return parse(_read_text(path)), EXIT_OK
+    except OSError as err:
+        return None, _fail(f"cannot read {path}: {err}", EXIT_PARSE)
+    except InstanceFormatError as err:
+        return None, _fail(f"{path}: {err}", EXIT_PARSE)
+
+
 def _cell(value, column: str) -> str:
     if value is None:
         return ""
@@ -166,12 +178,9 @@ def _emit_rows(rows: list[BenchRow], fmt: str) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_solve(args) -> int:
-    try:
-        spec = parse_instance(_read_text(args.instance))
-    except OSError as err:
-        return _fail(f"cannot read {args.instance}: {err}", EXIT_PARSE)
-    except InstanceFormatError as err:
-        return _fail(f"{args.instance}: {err}", EXIT_PARSE)
+    spec, code = _load(args.instance, parse_instance)
+    if code:
+        return code
 
     threshold = args.solver == "threshold"
     if args.epsilon is None:
@@ -366,14 +375,9 @@ def run_bench(config: dict, cap: int) -> list[BenchRow]:
 
 
 def cmd_bench(args) -> int:
-    try:
-        text = _read_text(args.config)
-    except OSError as err:
-        return _fail(f"cannot read {args.config}: {err}", EXIT_PARSE)
-    try:
-        config = load_json(text)
-    except InstanceFormatError as err:
-        return _fail(f"{args.config}: {err}", EXIT_PARSE)
+    config, code = _load(args.config, load_json)
+    if code:
+        return code
     problem = _check_config(config)
     if problem is not None:
         return _fail(f"{args.config}: {problem}", EXIT_PARSE)
@@ -406,17 +410,15 @@ def _print_verdict(label: str, verdict) -> None:
 
 
 def cmd_verify(args) -> int:
-    try:
-        spec = parse_instance(_read_text(args.instance))
-    except OSError as err:
-        return _fail(f"cannot read {args.instance}: {err}", EXIT_PARSE)
-    except InstanceFormatError as err:
-        return _fail(f"{args.instance}: {err}", EXIT_PARSE)
+    spec, code = _load(args.instance, parse_instance)
+    if code:
+        return code
 
     budget = DEFAULT_PAIR_BUDGET
+    seed = args.seed or 0
     if args.sample is not None:
         try:
-            _check_sampling(args.sample, args.seed or 0, "--sample")
+            _check_sampling(args.sample, seed, "--sample")
         except ValueError as err:
             return _fail(str(err), EXIT_PARSE)
         budget = args.sample
@@ -431,10 +433,10 @@ def cmd_verify(args) -> int:
         )
 
     f, m = spec.function, spec.matroid
-    joint = verify_k_submodular(f, pair_budget=budget, seed=args.seed or 0)
-    split = verify_orthant_pairwise(f, pair_budget=budget, seed=args.seed or 0)
-    mono = verify_monotone(f, pair_budget=budget, seed=args.seed or 0)
-    axioms = check_matroid_axioms(m, budget=budget, seed=args.seed or 0)
+    joint = verify_k_submodular(f, pair_budget=budget, seed=seed)
+    split = verify_orthant_pairwise(f, pair_budget=budget, seed=seed)
+    mono = verify_monotone(f, pair_budget=budget, seed=seed)
+    axioms = check_matroid_axioms(m, budget=budget, seed=seed)
 
     _print_verdict("k-submodularity (lattice inequality)", joint)
     _print_verdict("k-submodularity (orthant + pairwise)", split)

@@ -10,6 +10,7 @@ asserted exactly in tests.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 from abc import ABC, abstractmethod
@@ -239,17 +240,29 @@ class KSubFunction(ABC):
         ``j`` labels ``support[t]`` with base-k digit ``t`` of ``j`` (most
         significant first) plus one, and leaves every other element
         unplaced.  Each entry is bit for bit what ``_value`` gives for that
-        labelling.  This default calls ``_value`` once per labelling and is
-        the reference path; function families override it with one pass
-        that shares the work of common prefixes.
+        labelling.  This default calls ``_value`` once per labelling, at
+        the assignments of :func:`_support_codes`, and is the reference
+        path; function families override it with one pass that shares the
+        work of common prefixes.
         """
         n, k = self.n, self.k
-        labels = [0] * n
-        values = []
-        for positions in itertools.product(range(1, k + 1), repeat=len(support)):
-            for e, i in zip(support, positions):
-                labels[e] = i
-            values.append(self._value(Assignment._trusted(tuple(labels), k)))
+        return [self._value(_decode(code, n, k)) for code in _support_codes(support, k)]
+
+    def _code_values(self) -> Sequence[float]:
+        """``_value`` at every assignment, listed by its code (see
+        :func:`_code_steps`); no counting.
+
+        Fills the list with one :meth:`_support_values` pass per support,
+        walking the ``2^n`` supports as ascending tuples, so every entry is
+        bit for bit ``_value`` of its assignment.  Explicit tables return
+        their own value list.
+        """
+        n, k = self.n, self.k
+        values = [0.0] * (k + 1) ** n
+        for size in range(n + 1):
+            for support in itertools.combinations(range(n), size):
+                collections.deque(map(values.__setitem__, _support_codes(support, k),
+                                      self._support_values(support)), maxlen=0)
         return values
 
     def zero(self) -> Assignment:
@@ -404,6 +417,34 @@ class GainState:
         :meth:`_best_of`: count k EO calls for each of ``count`` elements."""
         if self.counters is not None:
             self.counters.eo_calls += self.f.k * count
+
+
+def _code_steps(n: int, k: int) -> list[int]:
+    """The code step ``(k+1)**e`` of each element ``e``.
+
+    The code of an assignment is ``sum(labels[e] * (k+1)**e)``, its index
+    in an explicit table file; placing unplaced ``e`` at ``i`` adds
+    ``i * steps[e]`` to it.
+    """
+    return [(k + 1) ** e for e in range(n)]
+
+
+def _support_codes(support: tuple[int, ...], k: int) -> list[int]:
+    """Codes of the ``k^len(support)`` labellings of ascending ``support``,
+    in the order of :meth:`KSubFunction._support_values`; prefix sums of
+    the code steps, one list per element."""
+    base = k + 1
+    codes = [0]
+    for e in support:
+        step = base**e
+        steps = range(step, base * step, step)  # labels 1..k of e
+        codes = [c + s for c in codes for s in steps]
+    return codes
+
+
+def _decode(code: int, n: int, k: int) -> Assignment:
+    """The assignment with this code on an n-element ground set."""
+    return Assignment._trusted(tuple(code // step % (k + 1) for step in _code_steps(n, k)), k)
 
 
 def enumerate_assignments(n: int, k: int) -> Iterator[Assignment]:

@@ -27,8 +27,9 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from .core import (INTS, NUMBERS, Assignment, GainState, KSubFunction, OracleCounters,
-                   _check_seed, _typed)
-from .matroids import ExplicitMatroid, Matroid, PartitionMatroid, UniformMatroid
+                   _check_ground_size, _check_k, _check_seed, _code_steps, _support_codes,
+                   _typed)
+from .matroids import ExplicitMatroid, Matroid, PartitionMatroid, UniformMatroid, _check_ints
 
 VALUE_GRID = 64  # generated values are integers divided by this
 
@@ -467,12 +468,14 @@ class _CoverageGainState(GainState):
 class ExplicitTableFunction(KSubFunction):
     """Function given by a full value table over all (k+1)^n assignments.
 
-    The table is indexed by sum(labels[e] * (k+1)**e); the all-zero
-    assignment sits at index 0 and must evaluate to 0.  No k-submodularity
-    check is performed at construction, so deliberately corrupted tables
-    can be built and fed to the verifiers.  Tables whose values are so
-    large that a sum of two overflows a float are refused, and so (with
-    TypeError) are values that are not ints or floats.
+    The table is indexed by the assignment code sum(labels[e] * (k+1)**e)
+    of :func:`ksubmax.core._code_steps`, and is the function's
+    :meth:`_code_values` list; the all-zero assignment sits at index 0 and
+    must evaluate to 0.  No k-submodularity check is performed at
+    construction, so deliberately corrupted tables can be built and fed to
+    the verifiers.  Tables whose values are so large that a sum of two
+    overflows a float are refused, and so (with TypeError) are values that
+    are not ints or floats.
     """
 
     def __init__(self, n: int, k: int, values: Sequence[float]):
@@ -491,28 +494,22 @@ class ExplicitTableFunction(KSubFunction):
             )
         _check_sums_finite(min(vals), max(vals))
         self.values = vals
+        self._steps = _code_steps(n, k)
 
     @classmethod
     def tabulate(cls, f: KSubFunction) -> "ExplicitTableFunction":
-        """Materialize any function into an explicit table.
-
-        Walks the ``2^n`` supports as ascending tuples and writes each
-        one's ``f._support_values`` pass at its table indices, so every
-        entry is bit for bit ``f._value`` of its assignment.
-        """
-        n, k = f.n, f.k
-        values = [0.0] * (k + 1) ** n
-        for size in range(n + 1):
-            for support in itertools.combinations(range(n), size):
-                collections.deque(map(values.__setitem__, _support_indices(support, k),
-                                      f._support_values(support)), maxlen=0)
-        return cls(n, k, values)
+        """Materialize any function into an explicit table: ``f._code_values()``,
+        so every entry is bit for bit ``f._value`` of its assignment."""
+        return cls(f.n, f.k, f._code_values())
 
     def _value(self, a: Assignment) -> float:
-        return self.values[_table_index(a.labels, self.k)]
+        return self.values[sum(map(operator.mul, a.labels, self._steps))]
 
     def _support_values(self, support: tuple[int, ...]) -> list[float]:
-        return list(map(self.values.__getitem__, _support_indices(support, self.k)))
+        return list(map(self.values.__getitem__, _support_codes(support, self.k)))
+
+    def _code_values(self) -> Sequence[float]:
+        return self.values
 
     def __eq__(self, other):
         return (
@@ -527,25 +524,6 @@ class ExplicitTableFunction(KSubFunction):
 
     def __repr__(self):
         return f"ExplicitTableFunction(n={self.n}, k={self.k})"
-
-
-def _table_index(labels: Sequence[int], k: int) -> int:
-    idx = 0
-    for e in reversed(range(len(labels))):
-        idx = idx * (k + 1) + labels[e]
-    return idx
-
-
-def _support_indices(support: tuple[int, ...], k: int) -> list[int]:
-    """Table indices of the ``k^len(support)`` labellings of ascending
-    ``support``, in the order of :meth:`KSubFunction._support_values`;
-    prefix sums of the index steps, one list per element."""
-    base = k + 1
-    indices = [0]
-    for e in support:
-        steps = [i * base**e for i in range(1, base)]
-        indices = [j + step for j in indices for step in steps]
-    return indices
 
 
 @dataclass
@@ -611,7 +589,9 @@ def gen_modular(
     call, each row is ``k`` calls to ``randint`` on the grid, and only a
     row that can hold a negative pairwise sum is sorted and tested.
     """
-    if n < 1 or k < 1:
+    _check_ground_size(n)
+    _check_k(k)
+    if n < 1:
         raise ValueError("n and k must be at least 1")
     lo, hi = value_range
     if monotone:
@@ -652,7 +632,12 @@ def gen_coverage(
     joins each (element, position) cover set independently with the given
     density.  density == 0 yields the all-zero function.
     """
-    if n < 1 or k < 1 or universe_size < 1:
+    _check_ground_size(n)
+    _check_k(k)
+    _check_ints((universe_size,), "universe_size must be an integer")
+    if type(density) not in NUMBERS:
+        raise TypeError(f"density must be a number, got {density!r}")
+    if n < 1 or universe_size < 1:
         raise ValueError("n, k and universe_size must be at least 1")
     if not 0.0 <= density <= 1.0:
         raise ValueError(f"density must lie in [0, 1], got {density}")
@@ -669,8 +654,12 @@ def gen_coverage(
 
 def gen_partition_matroid(n: int, seed: int = 0, max_blocks: int = 4) -> PartitionMatroid:
     """Random partition matroid: random blocks, random per-block capacities."""
+    _check_ground_size(n)
+    _check_ints((max_blocks,), "max_blocks must be an integer")
     if n < 1:
         raise ValueError("n must be at least 1")
+    if max_blocks < 1:
+        raise ValueError(f"max_blocks must be at least 1, got {max_blocks}")
     rng = _rng(seed)
     n_blocks = rng.randint(1, max_blocks)
     blocks: list[list[int]] = [[] for _ in range(n_blocks)]
@@ -688,6 +677,7 @@ def gen_explicit_matroid(n: int, seed: int = 0) -> ExplicitMatroid:
     acyclic.  Self-loops (always dependent singletons) occur naturally.
     Limited to n <= 10 since the family is materialized from all subsets.
     """
+    _check_ground_size(n)
     if not 1 <= n <= 10:
         raise ValueError("explicit matroid generation supports 1 <= n <= 10")
     rng = _rng(seed)

@@ -25,7 +25,8 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import NUMBERS, Assignment, CapExceededError, KSubFunction, OracleCounters, _check_seed
+from .core import (NUMBERS, Assignment, CapExceededError, KSubFunction, OracleCounters,
+                   _check_seed, _decode, _support_codes)
 from .matroids import Matroid, _check_ints
 
 # The solvers call none of these, but perfbench's tracer patches each of
@@ -279,7 +280,9 @@ def brute_force_solve(
     for a matroid).  Each support is priced in one pass,
     ``f._support_values(S)``, which gives the values of its ``k^|S|``
     labellings (one family-specific pass for the shipped families); its
-    best labelling is the first maximum in that list.
+    best labelling is the first maximum in that list.  A leaf is kept as
+    its support and index in that list, and decoded from its code in
+    ``_support_codes(S, k)`` only to break a tie and to report the winner.
 
     Tie rule: the reported assignment has the largest value, then the
     largest support, then the lexicographically smallest label tuple
@@ -308,22 +311,20 @@ def brute_force_solve(
     support_values = f._support_values
     best_value = -math.inf
     best_size = -1
-    best_labels: tuple[int, ...] = ()
+    best = ((), 0)  # the best leaf: its support and its index in the support's values
+
+    def labels(support: tuple[int, ...], j: int) -> tuple[int, ...]:
+        return _decode(_support_codes(support, k)[j], n, k).labels
 
     def visit(support: tuple[int, ...]) -> None:
-        nonlocal best_value, best_size, best_labels
+        nonlocal best_value, best_size, best
         values = support_values(support)
         v = max(values)
         size = len(support)
         if v > best_value or (v == best_value and size >= best_size):
-            labels = [0] * n
-            j = values.index(v)
-            for e in reversed(support):
-                j, i = divmod(j, k)
-                labels[e] = i + 1
-            labels = tuple(labels)
-            if v > best_value or size > best_size or labels < best_labels:
-                best_value, best_size, best_labels = v, size, labels
+            leaf = (support, values.index(v))
+            if v > best_value or size > best_size or labels(*leaf) < labels(*best):
+                best_value, best_size, best = v, size, leaf
         del values  # hold one support's list at a time, not one per depth
         for e in range(support[-1] + 1 if support else 0, n):
             extended = support + (e,)
@@ -332,7 +333,7 @@ def brute_force_solve(
 
     visit(())
     return SolveReport(
-        assignment=Assignment(best_labels, k),
+        assignment=Assignment(labels(*best), k),
         value=best_value,
         counters=None,
         rounds=[],

@@ -10,11 +10,14 @@ on every input; tests exploit this as a cross-check.
 Enumeration is capped: verdicts obtained by sampling instead of exhaustive
 enumeration are flagged as such, never silently treated as exhaustive.  A
 budget below one check is refused with ValueError, so no verdict rests on
-zero checks.  Every exhaustive check first evaluates f once at each of the
-(k+1)^n assignments.  The orthant and monotonicity checks then walk one
-list of those values indexed by the code sum(labels[e] * (k+1)**(n-1-e)),
-reaching a restriction or a neighbour of an assignment by integer steps on
-its code.  Sampled checks draw labels uniformly from {0,...,k}.
+zero checks.  Every exhaustive check first reads f at each of the (k+1)^n
+assignments from ``f._code_values()``, the list indexed by the code
+sum(labels[e] * (k+1)**e) of :func:`ksubmax.core._code_steps` (an explicit
+table's own value list; one ``_support_values`` pass per support for the
+other families), so it makes no ``evaluate`` call.  The orthant and
+monotonicity checks walk that list, reaching a restriction or a neighbour
+of an assignment by integer steps on its code.  Sampled checks draw labels
+uniformly from {0,...,k}.
 """
 
 from __future__ import annotations
@@ -25,10 +28,10 @@ import random
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, combinations, compress, islice, product, repeat
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
-from .core import (Assignment, KSubFunction, _check_seed, enumerate_assignments, join, meet,
-                   precedes)
+from .core import (Assignment, KSubFunction, _check_seed, _code_steps, _decode,
+                   enumerate_assignments, join, meet, precedes)
 
 DEFAULT_PAIR_BUDGET = 1_000_000
 
@@ -68,45 +71,21 @@ def _lattice_pairs(n: int, k: int) -> int:
     return total * (total + 1) // 2
 
 
-def _value_table(f: KSubFunction) -> dict[tuple[int, ...], float]:
-    return {a.labels: f.evaluate(a) for a in enumerate_assignments(f.n, f.k)}
-
-
-def _code_values(f: KSubFunction) -> list[float]:
-    """f at every assignment, listed by code sum(labels[e] * (k+1)**(n-1-e)):
-    the label order of :func:`enumerate_assignments`."""
-    return [f.evaluate(a) for a in enumerate_assignments(f.n, f.k)]
-
-
-def _code_weights(n: int, k: int) -> list[int]:
-    """The code step of each element: placing unplaced e at i adds i * weights[e]."""
-    return [(k + 1) ** (n - 1 - e) for e in range(n)]
-
-
-def _assignment(code: int, n: int, k: int) -> Assignment:
-    """The assignment with this code (a witness; built only on a violation)."""
-    labels = []
-    for _ in range(n):
-        code, label = divmod(code, k + 1)
-        labels.append(label)
-    return Assignment._trusted(tuple(reversed(labels)), k)
-
-
 def _walk(n: int, k: int) -> Iterator[tuple[int, list[int], list[int]]]:
     """Each q in label order as (its code, the codes of its restrictions, its
     unplaced elements).  The restrictions keep subsets of q's support by
     size and then lexicographically; a restriction's code is the sum of its
-    kept digits labels[e] * weights[e]."""
-    weights = _code_weights(n, k)
+    kept digits labels[e] * steps[e]."""
+    steps = _code_steps(n, k)
     elements = range(n)
-    for cq, labels in enumerate(product(range(k + 1), repeat=n)):
-        digits = list(compress(map(operator.mul, labels, weights), labels))
+    for labels in product(range(k + 1), repeat=n):
+        digits = list(compress(map(operator.mul, labels, steps), labels))
         kept = list(map(sum, chain.from_iterable(
             map(partial(combinations, digits), range(len(digits) + 1)))))
-        yield cq, kept, list(compress(elements, map(operator.not_, labels)))
+        yield sum(digits), kept, list(compress(elements, map(operator.not_, labels)))
 
 
-def _gains(values: list[float], code: int, steps: list[int]) -> list[float]:
+def _gains(values: Sequence[float], code: int, steps: list[int]) -> list[float]:
     """The gains value[code + s] - value[code], one per step s."""
     return list(map(operator.sub, map(values.__getitem__, map(code.__add__, steps)),
                     repeat(values[code])))
@@ -138,16 +117,17 @@ def verify_k_submodular(
 
     Exhausts all unordered pairs when their number fits the budget,
     otherwise samples ``pair_budget`` random pairs.  Returns the first
-    violating (p, q) as counterexample.  The exhaustive check makes
-    (k+1)^n evaluations, then a join, a meet and four table lookups per
-    pair; ``checked`` counts pairs.
+    violating (p, q) as counterexample.  The exhaustive check keys the
+    (k+1)^n values of ``f._code_values()`` by labels, then makes a join, a
+    meet and four lookups per pair; ``checked`` counts pairs.
     """
     _check_sampling(pair_budget, seed)
     n, k = f.n, f.k
     if _lattice_pairs(n, k) <= pair_budget:
-        table = _value_table(f)
-        checked = 0
+        values, steps = f._code_values(), _code_steps(n, k)
         everything = list(enumerate_assignments(n, k))
+        table = {a.labels: values[sum(map(operator.mul, a.labels, steps))] for a in everything}
+        checked = 0
         for p, q in itertools.combinations_with_replacement(everything, 2):
             checked += 1
             lhs = table[p.labels] + table[q.labels]
@@ -186,7 +166,7 @@ def verify_orthant_pairwise(
     i != j, the two gains sum to >= 0.  Counterexamples are tagged
     ("orthant", p, q, e, i) or ("pairwise", p, e, i, j).
 
-    The exhaustive check makes (k+1)^n evaluations and then compares, for
+    The exhaustive check reads ``f._code_values()`` and then compares, for
     each of the (2k+1)^n pairs p preceding q, the row of gains of p with
     that of q in one pass over q's unplaced elements; its ``checked``
     counts those pairs, not the single gain tests, and the pairwise tests
@@ -200,8 +180,8 @@ def verify_orthant_pairwise(
     _check_sampling(pair_budget, seed)
     n, k = f.n, f.k
     if _ordered_pairs_count(n, k) <= pair_budget:
-        values = _code_values(f)
-        weights = _code_weights(n, k)
+        values = f._code_values()
+        code_steps = _code_steps(n, k)
         positions = range(1, k + 1)
         pairs = list(combinations(positions, 2))
         # index of gain (e, i) in a row is t*k + i - 1, e the t-th unplaced element
@@ -213,7 +193,7 @@ def verify_orthant_pairwise(
             if not outside:  # nothing to test against a full q
                 checked += len(kept)
                 continue
-            steps = [i * weights[e] for e in outside for i in positions]
+            steps = [i * code_steps[e] for e in outside for i in positions]
             gq = _gains(values, cq, steps)
             if pairwise is None and pairs:
                 width = len(outside) * len(pairs)
@@ -223,7 +203,7 @@ def verify_orthant_pairwise(
                 if any(hits):
                     t = _first(hits)
                     i, j = pairs[t % len(pairs)]
-                    pairwise = ("pairwise", _assignment(cq, n, k),
+                    pairwise = ("pairwise", _decode(cq, n, k),
                                 outside[t // len(pairs)], i, j)
             for checked, cp in enumerate(kept, checked + 1):
                 if any(map(operator.lt, map(operator.sub, map(values.__getitem__,
@@ -232,7 +212,7 @@ def verify_orthant_pairwise(
                     t = _first(map(operator.lt, _gains(values, cp, steps), gq))
                     return Verdict(
                         False,
-                        ("orthant", _assignment(cp, n, k), _assignment(cq, n, k),
+                        ("orthant", _decode(cp, n, k), _decode(cq, n, k),
                          outside[t // k], t % k + 1),
                         exhaustive=True, checked=checked,
                     )
@@ -272,21 +252,21 @@ def verify_monotone(
 ) -> Verdict:
     """Check f(p) <= f(q) for all p preceding q (sampled beyond the budget).
 
-    The exhaustive check makes (k+1)^n evaluations and then one comparison
-    per pair, in the walk order of :func:`verify_orthant_pairwise`; the
-    sampled one draws q and a random restriction p per check.
+    The exhaustive check reads ``f._code_values()`` and then makes one
+    comparison per pair, in the walk order of :func:`verify_orthant_pairwise`;
+    the sampled one draws q and a random restriction p per check.
     """
     _check_sampling(pair_budget, seed)
     n, k = f.n, f.k
     if _ordered_pairs_count(n, k) <= pair_budget:
-        values = _code_values(f)
+        values = f._code_values()
         checked = 0
         for cq, kept, _ in _walk(n, k):
             fq = values[cq]
             fps = list(map(values.__getitem__, kept))
             if any(map(operator.gt, fps, repeat(fq))):
                 t = _first(map(operator.gt, fps, repeat(fq)))
-                return Verdict(False, (_assignment(kept[t], n, k), _assignment(cq, n, k)),
+                return Verdict(False, (_decode(kept[t], n, k), _decode(cq, n, k)),
                                exhaustive=True, checked=checked + t + 1)
             checked += len(kept)
         return Verdict(True, None, exhaustive=True, checked=checked)

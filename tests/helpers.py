@@ -9,7 +9,7 @@ from typing import Optional
 
 from ksubmax import (Assignment, CapExceededError, GainState, InstanceSpec, KSubFunction,
                      Matroid, OracleCounters, UniformMatroid, enumerate_assignments, join,
-                     marginal_gain, meet, serialize_instance, verify_k_submodular)
+                     marginal_gain, meet, serialize_instance)
 from ksubmax.core import _check_open
 from ksubmax.instances import (
     VALUE_GRID,
@@ -21,11 +21,10 @@ from ksubmax.instances import (
     _CoverageGainState,
     _ModularGainState,
     _rng,
-    _table_index,
 )
 from ksubmax.matroids import _set_of, feasible_extensions, greedy_basis
 from ksubmax.verify import (Verdict, _check_sampling, _lattice_pairs, _ordered_pairs_count,
-                            _random_restriction, _value_table)
+                            _random_restriction)
 from ksubmax.solvers import DEFAULT_BRUTE_CAP, SolveReport, _check_inputs
 
 
@@ -285,10 +284,11 @@ def reference_brute_force_solve(
 # ---------------------------------------------------------------------------
 
 def reference_tabulate(f: KSubFunction) -> ExplicitTableFunction:
-    """``ExplicitTableFunction.tabulate`` as one ``f.evaluate`` per assignment."""
+    """``ExplicitTableFunction.tabulate`` as one ``f.evaluate`` per assignment,
+    each written at its file-format index ``sum(labels[e] * (k+1)**e)``."""
     values = [0.0] * (f.k + 1) ** f.n
     for a in enumerate_assignments(f.n, f.k):
-        values[_table_index(a.labels, f.k)] = f.evaluate(a)
+        values[sum(lab * (f.k + 1) ** e for e, lab in enumerate(a.labels))] = f.evaluate(a)
     return ExplicitTableFunction(f.n, f.k, values)
 
 
@@ -589,14 +589,28 @@ def reference_random_assignment(rng: random.Random, n: int, k: int) -> Assignmen
     return Assignment._trusted(tuple(rng.randrange(k + 1) for _ in range(n)), k)
 
 
+def reference_value_table(f: KSubFunction) -> dict[tuple[int, ...], float]:
+    """f at every assignment, keyed by labels: one ``f.evaluate`` each."""
+    return {a.labels: f.evaluate(a) for a in enumerate_assignments(f.n, f.k)}
+
+
 def reference_verify_k_submodular(f: KSubFunction, pair_budget: int = 1_000_000,
                                   seed: int = 0) -> Verdict:
-    """Reference lattice verifier: the shipped exhaustive loop (unchanged, so
-    it is called) and a sampled loop drawing labels with ``randrange``."""
+    """Reference lattice verifier: the all-pairs loop over a dict of values
+    keyed by labels, and a sampled loop drawing labels with ``randrange``."""
     _check_sampling(pair_budget, seed)
     n, k = f.n, f.k
     if _lattice_pairs(n, k) <= pair_budget:
-        return verify_k_submodular(f, pair_budget, seed)
+        table = reference_value_table(f)
+        checked = 0
+        everything = list(enumerate_assignments(n, k))
+        for p, q in itertools.combinations_with_replacement(everything, 2):
+            checked += 1
+            lhs = table[p.labels] + table[q.labels]
+            rhs = table[join(p, q).labels] + table[meet(p, q).labels]
+            if lhs < rhs:
+                return Verdict(False, (p, q), exhaustive=True, checked=checked)
+        return Verdict(True, None, exhaustive=True, checked=checked)
     rng = random.Random(seed)
     for checked in range(1, pair_budget + 1):
         p = reference_random_assignment(rng, n, k)
@@ -616,7 +630,7 @@ def reference_verify_orthant_pairwise(f: KSubFunction, pair_budget: int = 1_000_
     _check_sampling(pair_budget, seed)
     n, k = f.n, f.k
     if _ordered_pairs_count(n, k) <= pair_budget:
-        table = _value_table(f)
+        table = reference_value_table(f)
         checked = 0
 
         def gain(labels, e, i):
@@ -676,7 +690,7 @@ def reference_verify_monotone(f: KSubFunction, pair_budget: int = 1_000_000,
     _check_sampling(pair_budget, seed)
     n, k = f.n, f.k
     if _ordered_pairs_count(n, k) <= pair_budget:
-        table = _value_table(f)
+        table = reference_value_table(f)
         checked = 0
         for q in enumerate_assignments(n, k):
             supp_q = sorted(q.support())

@@ -335,7 +335,8 @@ def test_k_rule(bad):
         expected = (TypeError, f"k must be an int, got {bad!r}")
     for call in (lambda: Assignment((0, 0), bad), lambda: Assignment.zero(2, bad),
                  lambda: list(enumerate_assignments(2, bad)),
-                 lambda: ExplicitTableFunction(0, bad, [0.0])):
+                 lambda: ExplicitTableFunction(0, bad, [0.0]),
+                 lambda: gen_modular(2, bad), lambda: gen_coverage(2, bad, 4, 0.5)):
         assert refusal(call) == expected
 
 
@@ -350,7 +351,9 @@ def test_ground_size_rule(bad):
         expected = (TypeError, f"ground_size must be an integer, got {bad!r}")
     for call in (lambda: UniformMatroid(bad, 0), lambda: PartitionMatroid(bad, [], []),
                  lambda: ExplicitMatroid(bad, [0]), lambda: ExplicitMatroid.from_sets(bad, [[]]),
-                 lambda: ExplicitTableFunction(bad, 1, [0.0])):
+                 lambda: ExplicitTableFunction(bad, 1, [0.0]),
+                 lambda: gen_modular(bad, 2), lambda: gen_coverage(bad, 2, 4, 0.5),
+                 lambda: gen_partition_matroid(bad), lambda: gen_explicit_matroid(bad)):
         assert refusal(call) == expected
 
 
@@ -409,6 +412,34 @@ def test_count_rule(bad):
         TypeError, f"cap must be an integer, got {bad!r}")
     assert refusal(lambda: predicted_round_bound(0.1, bad)) == (
         TypeError, f"rank must be an integer, got {bad!r}")
+    assert refusal(lambda: gen_coverage(2, 2, bad, 0.5)) == (
+        TypeError, f"universe_size must be an integer, got {bad!r}")
+    assert refusal(lambda: gen_partition_matroid(3, max_blocks=bad)) == (
+        TypeError, f"max_blocks must be an integer, got {bad!r}")
+
+
+@pytest.mark.parametrize("call, expected", [
+    # each used to build an instance of n = 1, a 1-point universe and
+    # density 1.0, or to fail with a raw error of ``range`` or ``randrange``
+    (lambda: gen_modular(True, 2), (TypeError, "ground_size must be an integer, got True")),
+    (lambda: gen_coverage(2, 2, True, 0.5),
+     (TypeError, "universe_size must be an integer, got True")),
+    (lambda: gen_coverage(2, 2, 4, True), (TypeError, "density must be a number, got True")),
+    (lambda: gen_coverage(2, 2, 4, "0.5"), (TypeError, "density must be a number, got '0.5'")),
+    (lambda: gen_coverage(2, 2, 4, None), (TypeError, "density must be a number, got None")),
+    (lambda: gen_coverage(2.0, 2, 4, 0.5), (TypeError, "ground_size must be an integer, got 2.0")),
+    (lambda: gen_partition_matroid(3, max_blocks=2.5),
+     (TypeError, "max_blocks must be an integer, got 2.5")),
+    (lambda: gen_partition_matroid(3, max_blocks=0),
+     (ValueError, "max_blocks must be at least 1, got 0")),
+    (lambda: gen_partition_matroid(3, max_blocks=-2),
+     (ValueError, "max_blocks must be at least 1, got -2")),
+], ids=["modular n=True", "coverage universe=True", "coverage density=True",
+        "coverage density='0.5'", "coverage density=None", "coverage n=2.0",
+        "partition max_blocks=2.5", "partition max_blocks=0", "partition max_blocks=-2"])
+def test_generator_sizes_rule(call, expected):
+    """The generators check their sizes and ``density`` before drawing."""
+    assert refusal(call) == expected
 
 
 SHAPES = {
