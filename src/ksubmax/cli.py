@@ -29,7 +29,7 @@ import functools
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 from .core import INTS, NUMBERS, Assignment, CapExceededError, KSubFunction, _typed
@@ -78,10 +78,6 @@ SOLVERS = {
         spec.function, spec.matroid, cap=cap),
 }
 SOLVER_NAMES = tuple(SOLVERS)
-BENCH_COLUMNS = (
-    "instance", "solver", "n", "k", "r", "epsilon", "value", "opt",
-    "ratio", "eo_calls", "io_calls", "rounds", "elapsed", "error",
-)
 
 
 @dataclass
@@ -112,6 +108,9 @@ class BenchRow:
     error: str = ""
 
 
+BENCH_COLUMNS = tuple(column.name for column in fields(BenchRow))
+
+
 def _fail(message: str, code: int) -> int:
     print(f"ksubmax: {message}", file=sys.stderr)
     return code
@@ -124,11 +123,12 @@ def _read_text(path: str) -> str:
 
 def _load(path: str, parse) -> tuple:
     """``(parse(text), EXIT_OK)`` for the text of file ``path``, or
-    ``(None, EXIT_PARSE)``, the reason reported, when it cannot be read or
-    ``parse`` refuses it with :class:`InstanceFormatError`."""
+    ``(None, EXIT_PARSE)``, the reason reported, when it cannot be read
+    (a text that is not UTF-8 included) or ``parse`` refuses it with
+    :class:`InstanceFormatError`."""
     try:
         return parse(_read_text(path)), EXIT_OK
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         return None, _fail(f"cannot read {path}: {err}", EXIT_PARSE)
     except InstanceFormatError as err:
         return None, _fail(f"{path}: {err}", EXIT_PARSE)

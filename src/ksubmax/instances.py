@@ -588,9 +588,17 @@ def gen_modular(
     k-submodularity is preserved.  The value range is checked once per
     call, each row is ``k`` calls to ``randint`` on the grid, and only a
     row that can hold a negative pairwise sum is sorted and tested.
+    ``monotone`` must be a bool and ``value_range`` a pair of ints or
+    floats (a bool is neither); anything else is refused with TypeError
+    before any draw.
     """
     _check_ground_size(n)
     _check_k(k)
+    if type(monotone) is not bool:
+        raise TypeError(f"monotone must be a bool, got {monotone!r}")
+    if not (isinstance(value_range, (tuple, list)) and len(value_range) == 2
+            and _typed(value_range, NUMBERS)):
+        raise TypeError(f"value_range must be a pair of numbers, got {value_range!r}")
     if n < 1:
         raise ValueError("n and k must be at least 1")
     lo, hi = value_range
@@ -765,46 +773,48 @@ def _require(doc: dict, key: str, where: str):
     return doc[key]
 
 
-def _parse_function(doc, n: int, k: int) -> KSubFunction:
+# The builders of each family, by the tag that names it in the document;
+# each makes its object from the tagged body and the declared n and k.
+_FUNCTION_BUILDERS = {
+    "modular": lambda body, n, k: ModularFunction(_require(body, "table", "function.modular")),
+    "coverage": lambda body, n, k: CoverageFunction(_require(body, "weights", "function.coverage"),
+                                                    _require(body, "sets", "function.coverage")),
+    "explicit": lambda body, n, k: ExplicitTableFunction(
+        n, k, _require(body, "values", "function.explicit")),
+}
+_MATROID_BUILDERS = {
+    "uniform": lambda body, n, k: UniformMatroid(n, body),
+    "partition": lambda body, n, k: PartitionMatroid(
+        n, _require(body, "blocks", "matroid.partition"),
+        _require(body, "caps", "matroid.partition")),
+    "explicit": lambda body, n, k: ExplicitMatroid(n, body),
+}
+
+
+def _parse_family(doc, what: str, builders: dict, n: int, k: int):
+    """Build the ``what`` part of an instance (``"function"`` or
+    ``"matroid"``) from its document, a one-key object tagged by family.
+
+    Anything but a one-key object, or a tag missing from ``builders``, is
+    refused with :class:`InstanceFormatError` naming ``what``.  The tag's
+    builder gets the body with ``n`` and ``k``; a ``TypeError`` or
+    ``ValueError`` from the constructor is reported as
+    ``"<what>.<tag>: <message>"``, and a missing field, already an
+    :class:`InstanceFormatError`, passes through as it is.  The parser
+    makes no type test of the body: the constructors make them all.
+    """
     if not isinstance(doc, dict) or len(doc) != 1:
-        raise InstanceFormatError(
-            "function: expected exactly one of 'modular', 'coverage', 'explicit'"
-        )
+        choices = ", ".join(f"'{tag}'" for tag in builders)
+        raise InstanceFormatError(f"{what}: expected exactly one of {choices}")
     (tag, body), = doc.items()
+    if tag not in builders:
+        raise InstanceFormatError(f"{what}: unknown family '{tag}'")
     try:
-        if tag == "modular":
-            return ModularFunction(_require(body, "table", "function.modular"))
-        if tag == "coverage":
-            return CoverageFunction(_require(body, "weights", "function.coverage"),
-                                    _require(body, "sets", "function.coverage"))
-        if tag == "explicit":
-            return ExplicitTableFunction(n, k, _require(body, "values", "function.explicit"))
+        return builders[tag](body, n, k)
     except InstanceFormatError:
         raise
     except (TypeError, ValueError) as err:
-        raise InstanceFormatError(f"function.{tag}: {err}") from err
-    raise InstanceFormatError(f"function: unknown family '{tag}'")
-
-
-def _parse_matroid(doc, n: int) -> Matroid:
-    if not isinstance(doc, dict) or len(doc) != 1:
-        raise InstanceFormatError(
-            "matroid: expected exactly one of 'uniform', 'partition', 'explicit'"
-        )
-    (tag, body), = doc.items()
-    try:
-        if tag == "uniform":
-            return UniformMatroid(n, body)
-        if tag == "partition":
-            return PartitionMatroid(n, _require(body, "blocks", "matroid.partition"),
-                                    _require(body, "caps", "matroid.partition"))
-        if tag == "explicit":
-            return ExplicitMatroid(n, body)
-    except InstanceFormatError:
-        raise
-    except (TypeError, ValueError) as err:
-        raise InstanceFormatError(f"matroid.{tag}: {err}") from err
-    raise InstanceFormatError(f"matroid: unknown family '{tag}'")
+        raise InstanceFormatError(f"{what}.{tag}: {err}") from err
 
 
 def load_json(text: str):
@@ -850,8 +860,10 @@ def parse_instance(text: str) -> InstanceSpec:
         raise InstanceFormatError(f"n: expected a nonnegative integer, got {n!r}")
     if type(k) is not int or k < 1:
         raise InstanceFormatError(f"k: expected a positive integer, got {k!r}")
-    fn = _parse_function(_require(doc, "function", "top level"), n, k)
-    matroid = _parse_matroid(_require(doc, "matroid", "top level"), n)
+    fn = _parse_family(_require(doc, "function", "top level"), "function",
+                       _FUNCTION_BUILDERS, n, k)
+    matroid = _parse_family(_require(doc, "matroid", "top level"), "matroid",
+                            _MATROID_BUILDERS, n, k)
     metadata = doc.get("metadata", {})
     if not isinstance(metadata, dict):
         raise InstanceFormatError("metadata: expected an object")

@@ -25,8 +25,8 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import (NUMBERS, Assignment, CapExceededError, KSubFunction, OracleCounters,
-                   _check_seed, _decode, _support_codes)
+from .core import (NUMBERS, Assignment, CapExceededError, GainState, KSubFunction,
+                   OracleCounters, _check_seed, _decode, _support_codes)
 from .matroids import Matroid, _check_ints
 
 # The solvers call none of these, but perfbench's tracer patches each of
@@ -87,6 +87,21 @@ def predicted_round_bound(epsilon: float, r: int) -> int:
     if r < 1:
         raise ValueError(f"rank must be at least 1, got {r}")
     return math.ceil(math.log(2 * r / epsilon) / math.log(1 / (1 - epsilon))) + 1
+
+
+def _report(f: KSubFunction, state: GainState, counters: OracleCounters,
+            rounds: list[tuple[float, int]], start: float) -> SolveReport:
+    """The report of a counted run (threshold or greedy) that ends at
+    ``state``'s assignment.
+
+    ``value`` is the audit: one evaluation of that assignment by ``f``
+    outside ``counters``, so the counts are the run's alone.  ``elapsed``
+    is the wall time since ``start`` (a ``time.perf_counter`` reading),
+    the audit included.
+    """
+    a = state.assignment
+    return SolveReport(assignment=a, value=f.evaluate(a), counters=counters, rounds=rounds,
+                       elapsed=time.perf_counter() - start)
 
 
 def threshold_decreasing_solve(
@@ -158,28 +173,17 @@ def threshold_decreasing_solve(
     state = f.gain_state(counters)
     indep = m.independence_state(counters)
     rounds: list[tuple[float, int]] = []
-
-    def report() -> SolveReport:
-        a = state.assignment
-        return SolveReport(
-            assignment=a,
-            value=f.evaluate(a),
-            counters=counters,
-            rounds=rounds,
-            elapsed=time.perf_counter() - start,
-        )
-
     if n == 0:
-        return report()
+        return _report(f, state, counters, rounds, start)
 
     single = state._bests(range(n))
     if max(single) <= 0.0:
-        return report()
+        return _report(f, state, counters, rounds, start)
 
     by_value = sorted(range(n), key=lambda e: (-single[e], e))
     basis = m.independence_state(counters)._extend(by_value)  # the rank scan
     if not basis or single[basis[0]] <= 0.0:
-        return report()
+        return _report(f, state, counters, rounds, start)
     r = len(basis)
     d = single[basis[0]]
 
@@ -216,7 +220,7 @@ def threshold_decreasing_solve(
         candidates = survivors
         rounds.append((w, added))
         w *= 1 - epsilon
-    return report()
+    return _report(f, state, counters, rounds, start)
 
 
 def greedy_solve(f: KSubFunction, m: Matroid) -> SolveReport:
@@ -256,14 +260,7 @@ def greedy_solve(f: KSubFunction, m: Matroid) -> SolveReport:
         state.place(e, i, gain)
         indep.add(e)
         outside.remove(e)
-    a = state.assignment
-    return SolveReport(
-        assignment=a,
-        value=f.evaluate(a),
-        counters=counters,
-        rounds=[],
-        elapsed=time.perf_counter() - start,
-    )
+    return _report(f, state, counters, [], start)
 
 
 def brute_force_solve(

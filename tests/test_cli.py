@@ -545,6 +545,21 @@ class TestClosedStdout:
         assert child.returncode == 1
 
 
+@pytest.mark.parametrize("argv", [["solve", "--epsilon", "0.5"], ["verify"], ["bench"]],
+                         ids=["solve", "verify", "bench"])
+def test_file_that_is_not_utf8_exits_2(argv, tmp_path, capsys):
+    """A file that starts with the bytes ``ff fe`` used to end in a
+    ``UnicodeDecodeError`` traceback and exit 1, the code of a closed
+    stdout; it is refused like an unreadable file."""
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe" + '{"n": 1}'.encode("utf-16-le"))
+    assert main([argv[0], str(path), *argv[1:]]) == ksubmax.cli.EXIT_PARSE == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"ksubmax: cannot read {path}: 'utf-8' codec can't decode")
+    assert captured.err.count("\n") == 1
+
+
 class TestParserReuse:
     """``main`` builds its parser once per process; every later call must
     behave as if it had a parser of its own."""

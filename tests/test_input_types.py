@@ -19,7 +19,6 @@ import collections
 import inspect
 import json
 import math
-import textwrap
 
 import pytest
 
@@ -257,13 +256,21 @@ def test_parse_makes_no_type_pass_over_mask_cover_sets(monkeypatch):
 
 
 def test_parser_makes_no_type_test_of_its_own():
-    """The function and matroid parsers call only the constructors, the
-    required-field lookup and their own dispatch checks on the tag."""
+    """The function and matroid envelope and their per-tag builders call
+    only the constructors, the required-field lookup and the envelope's own
+    checks on the tagged object."""
     allowed = {"isinstance", "len", "InstanceFormatError", "_require",
                "ModularFunction", "CoverageFunction", "ExplicitTableFunction",
                "UniformMatroid", "PartitionMatroid", "ExplicitMatroid"}
-    for parser in (instances._parse_function, instances._parse_matroid):
-        tree = ast.parse(textwrap.dedent(inspect.getsource(parser)))
+    module = ast.parse(inspect.getsource(instances))
+    tables = {"_FUNCTION_BUILDERS", "_MATROID_BUILDERS"}
+    parts = [node for node in module.body
+             if isinstance(node, ast.FunctionDef) and node.name == "_parse_family"
+             or isinstance(node, ast.Assign) and {ast.unparse(t) for t in node.targets} & tables]
+    assert len(parts) == 3
+    assert set(instances._FUNCTION_BUILDERS) == {"modular", "coverage", "explicit"}
+    assert set(instances._MATROID_BUILDERS) == {"uniform", "partition", "explicit"}
+    for tree in parts:
         calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
         names = {node.func.id for node in calls if isinstance(node.func, ast.Name)}
         assert names <= allowed, names - allowed
@@ -434,12 +441,32 @@ def test_count_rule(bad):
      (ValueError, "max_blocks must be at least 1, got 0")),
     (lambda: gen_partition_matroid(3, max_blocks=-2),
      (ValueError, "max_blocks must be at least 1, got -2")),
+    # "no" built a monotone table, True was read as 1, "a" failed on ``>``
+    # and three values on unpacking
+    (lambda: gen_modular(2, 2, monotone="no"),
+     (TypeError, "monotone must be a bool, got 'no'")),
+    (lambda: gen_modular(2, 2, value_range=(True, 4.0)),
+     (TypeError, "value_range must be a pair of numbers, got (True, 4.0)")),
+    (lambda: gen_modular(2, 2, value_range=("a", 4.0)),
+     (TypeError, "value_range must be a pair of numbers, got ('a', 4.0)")),
+    (lambda: gen_modular(2, 2, value_range=(-1.0, 2.0, 4.0)),
+     (TypeError, "value_range must be a pair of numbers, got (-1.0, 2.0, 4.0)")),
 ], ids=["modular n=True", "coverage universe=True", "coverage density=True",
         "coverage density='0.5'", "coverage density=None", "coverage n=2.0",
-        "partition max_blocks=2.5", "partition max_blocks=0", "partition max_blocks=-2"])
-def test_generator_sizes_rule(call, expected):
-    """The generators check their sizes and ``density`` before drawing."""
+        "partition max_blocks=2.5", "partition max_blocks=0", "partition max_blocks=-2",
+        "modular monotone='no'", "modular range (True, 4.0)", "modular range ('a', 4.0)",
+        "modular range of three"])
+def test_generator_sizes_rule(call, expected, monkeypatch):
+    """The generators check their sizes, ``density``, ``monotone`` and
+    ``value_range`` before drawing."""
+    monkeypatch.setattr(instances, "_rng", lambda seed: pytest.fail("drew before refusing"))
     assert refusal(call) == expected
+
+
+def test_gen_modular_takes_a_list_pair():
+    """A ``value_range`` may be a list, as a bench config's is."""
+    assert gen_modular(2, 2, value_range=[-1, 2.5], monotone=False, seed=3) == gen_modular(
+        2, 2, value_range=(-1.0, 2.5), monotone=False, seed=3)
 
 
 SHAPES = {

@@ -568,6 +568,56 @@ def test_json_that_json_refuses_without_a_decode_error(text):
         parse_instance(text)
 
 
+FUNCTION_CHOICES = "function: expected exactly one of 'modular', 'coverage', 'explicit'"
+MATROID_CHOICES = "matroid: expected exactly one of 'uniform', 'partition', 'explicit'"
+# (part, document, full message, type of the constructor's error or None);
+# a body that is not an object reaches the field lookup, which finds no field
+ENVELOPE_REFUSALS = [
+    ("function", [1], FUNCTION_CHOICES, None),
+    ("function", {}, FUNCTION_CHOICES, None),
+    ("function", {"modular": {"table": [[1.0]]}, "explicit": {"values": []}},
+     FUNCTION_CHOICES, None),
+    ("function", {"cubic": {}}, "function: unknown family 'cubic'", None),
+    ("function", {"coverage": {"weights": [1.0]}},
+     "function.coverage: missing required field 'sets'", None),
+    ("function", {"modular": [1]}, "function.modular: missing required field 'table'", None),
+    ("function", {"modular": {"table": [[1.0, "x"], [1.0, 1.0]]}},
+     "function.modular: table entries must be numbers; table row 0: 'x' is not a number",
+     TypeError),
+    ("function", {"explicit": {"values": [0.0]}},
+     "function.explicit: value table has 1 entries, expected (k+1)^n for n=2, k=2",
+     ValueError),
+    ("matroid", None, MATROID_CHOICES, None),
+    ("matroid", {}, MATROID_CHOICES, None),
+    ("matroid", {"uniform": 1, "explicit": [0]}, MATROID_CHOICES, None),
+    ("matroid", {"graphic": 1}, "matroid: unknown family 'graphic'", None),
+    ("matroid", {"partition": {"blocks": [[0, 1]]}},
+     "matroid.partition: missing required field 'caps'", None),
+    ("matroid", {"partition": []}, "matroid.partition: missing required field 'blocks'", None),
+    ("matroid", {"uniform": 1.5}, "matroid.uniform: budget must be an integer, got 1.5",
+     TypeError),
+    ("matroid", {"partition": {"blocks": [[0]], "caps": [1]}},
+     "matroid.partition: blocks do not cover the ground set; missing [1]", ValueError),
+]
+
+
+@pytest.mark.parametrize("part, body, message, cause", ENVELOPE_REFUSALS,
+                         ids=[f"{part}={json.dumps(body)}" for part, body, *_ in ENVELOPE_REFUSALS])
+def test_envelope_refusals_are_pinned(part, body, message, cause):
+    """The function and matroid documents share one envelope: a one-key
+    object whose key names a known family; a constructor's TypeError or
+    ValueError is reported under ``<part>.<tag>:`` and chained as the cause."""
+    doc = {"n": 2, "k": 2, "function": {"modular": {"table": [[1.0, 1.0], [1.0, 1.0]]}},
+           "matroid": {"uniform": 1}, part: body}
+    with pytest.raises(InstanceFormatError) as info:
+        parse_instance(json.dumps(doc))
+    assert str(info.value) == message
+    if cause is None:
+        assert info.value.__cause__ is None
+    else:
+        assert type(info.value.__cause__) is cause
+
+
 # Strict JSON values (no NaN or infinities), with the awkward scalars a
 # hand-edited file may hold.
 json_scalars = st.one_of(
