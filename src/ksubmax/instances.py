@@ -768,6 +768,9 @@ def serialize_instance(spec: InstanceSpec) -> str:
 
 
 def _require(doc: dict, key: str, where: str):
+    """``doc[key]``, refusing a ``doc`` that is not an object and a missing key."""
+    if not isinstance(doc, dict):
+        raise InstanceFormatError(f"{where}: expected an object, got {type(doc).__name__}")
     if key not in doc:
         raise InstanceFormatError(f"{where}: missing required field '{key}'")
     return doc[key]

@@ -21,6 +21,7 @@ from __future__ import annotations
 import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Iterable, Optional, Sequence
 
 from .core import INTS, OracleCounters, _check_element, _check_ground_size, _typed
@@ -525,6 +526,11 @@ def _axiom_violation(
     return None, checks
 
 
+def _listed(family: set[int], subset: frozenset[int]) -> bool:
+    """Whether ``subset`` is in a family of bitmasks."""
+    return _mask_of(subset) in family
+
+
 def check_matroid_axioms(
     m: Matroid,
     budget: int = DEFAULT_PAIR_BUDGET,
@@ -537,16 +543,24 @@ def check_matroid_axioms(
     sizes s and s+1 suffices because, combined with downward closure, it
     implies the exchange axiom for arbitrary size gaps.  Beyond the budget
     the axioms are spot-checked on random subsets and flagged as sampled.
-    The budget must be at least 1 and the seed an ``int``, as for the
-    verifiers in :mod:`ksubmax.verify`, so no verdict rests on zero checks;
-    it defaults to theirs, ``verify.DEFAULT_PAIR_BUDGET``, which is also
-    the budget of ``ksubmax verify`` without ``--sample``.
+    Whenever 2^n fits the budget, the 2^n subsets are listed first with the
+    uncounted ``m._independent``; if the augmentation pairs then do not
+    fit, the sampled tests are answered by bitmask membership in that
+    list, so the oracle is asked 2^n times in all.  The samples draw
+    subsets and elements as they do without the list, so the verdict is
+    the same either way.  The budget must be at least 1 and the seed an
+    ``int``, as for the verifiers in :mod:`ksubmax.verify`, so no verdict
+    rests on zero checks; it defaults to theirs,
+    ``verify.DEFAULT_PAIR_BUDGET``, which is also the budget of ``ksubmax
+    verify`` without ``--sample``.
     """
     _check_sampling(budget, seed)
     n = m.ground_size
+    independent = m.is_independent
     if 2**n <= budget:
-        independents = [mask for mask in range(1 << n) if m.is_independent(_set_of(mask))]
-        violation, checks = _axiom_violation(independents, set(independents), budget)
+        independents = [mask for mask in range(1 << n) if m._independent(_set_of(mask))]
+        family = set(independents)
+        violation, checks = _axiom_violation(independents, family, budget)
         if violation == ("axiom-a",):
             return Verdict(False, violation, exhaustive=True, checked=checks)
         if checks is not None:
@@ -554,17 +568,18 @@ def check_matroid_axioms(
                 violation = (violation[0], _set_of(violation[1]), _set_of(violation[2]))
             return Verdict(violation is None, violation, exhaustive=True,
                            checked=(1 << n) + checks)
+        independent = partial(_listed, family)
 
     rng = random.Random(seed)
-    if not m.is_independent(frozenset()):
+    if not independent(frozenset()):
         return Verdict(False, ("axiom-a",), exhaustive=False, checked=1)
     checked = 1
     while checked < budget:
         checked += 1
         subset = frozenset(e for e in range(n) if rng.random() < 0.5)
-        if m.is_independent(subset) and subset:
+        if independent(subset) and subset:
             e = rng.choice(sorted(subset))
-            if not m.is_independent(subset - {e}):
+            if not independent(subset - {e}):
                 return Verdict(
                     False, ("axiom-b", subset, subset - {e}),
                     exhaustive=False, checked=checked,
@@ -573,10 +588,10 @@ def check_matroid_axioms(
         small, big = sorted((subset, other), key=len)
         if (
             len(small) < len(big)
-            and m.is_independent(small)
-            and m.is_independent(big)
+            and independent(small)
+            and independent(big)
         ):
-            if not any(m.is_independent(small | {e}) for e in big - small):
+            if not any(independent(small | {e}) for e in big - small):
                 return Verdict(
                     False, ("axiom-c", small, big),
                     exhaustive=False, checked=checked,

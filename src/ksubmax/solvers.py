@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import (NUMBERS, Assignment, CapExceededError, GainState, KSubFunction,
-                   OracleCounters, _check_seed, _decode, _support_codes)
+                   OracleCounters, _check_seed)
 from .matroids import Matroid, _check_ints
 
 # The solvers call none of these, but perfbench's tracer patches each of
@@ -278,8 +278,10 @@ def brute_force_solve(
     ``f._support_values(S)``, which gives the values of its ``k^|S|``
     labellings (one family-specific pass for the shipped families); its
     best labelling is the first maximum in that list.  A leaf is kept as
-    its support and index in that list, and decoded from its code in
-    ``_support_codes(S, k)`` only to break a tie and to report the winner.
+    its support and its index ``j`` in that list, and decoded only to break
+    a tie and to report the winner: ``S[t]`` takes base-k digit ``t`` of
+    ``j`` (most significant first) plus one, the order of
+    ``_support_values``.
 
     Tie rule: the reported assignment has the largest value, then the
     largest support, then the lexicographically smallest label tuple
@@ -311,7 +313,12 @@ def brute_force_solve(
     best = ((), 0)  # the best leaf: its support and its index in the support's values
 
     def labels(support: tuple[int, ...], j: int) -> tuple[int, ...]:
-        return _decode(_support_codes(support, k)[j], n, k).labels
+        # j's base-k digits, most significant first, each plus one, on support
+        out = [0] * n
+        for e in reversed(support):
+            j, digit = divmod(j, k)
+            out[e] = digit + 1
+        return tuple(out)
 
     def visit(support: tuple[int, ...]) -> None:
         nonlocal best_value, best_size, best

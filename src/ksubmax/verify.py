@@ -16,8 +16,17 @@ sum(labels[e] * (k+1)**e) of :func:`ksubmax.core._code_steps` (an explicit
 table's own value list; one ``_support_values`` pass per support for the
 other families), so it makes no ``evaluate`` call.  The orthant and
 monotonicity checks walk that list, reaching a restriction or a neighbour
-of an assignment by integer steps on its code.  Sampled checks draw labels
-uniformly from {0,...,k}.
+of an assignment by integer steps on its code.
+
+Sampled checks take each assignment's labels, uniform on {0,...,k}, in
+one C-level pass from a stream of rejection-sampled ``getrandbits`` draws
+(:func:`_label_draws`), and draw a random restriction of q in the
+iteration order of q's support as a frozenset
+(:func:`_random_restriction`), so they consume the seeded generator as
+the per-assignment loops in ``tests/helpers.py`` do.  They work on label
+tuples and read each value with one uncounted ``f._value`` call, making
+no ``evaluate`` call; an :class:`Assignment` is built only for a
+counterexample.
 """
 
 from __future__ import annotations
@@ -96,16 +105,45 @@ def _first(flags: Iterable) -> int:
     return next(t for t, flag in enumerate(flags) if flag)
 
 
-def _random_assignment(rng: random.Random, n: int, k: int) -> Assignment:
-    """n labels drawn uniformly from {0,...,k} in one pass: getrandbits with
-    rejection, which consumes ``rng`` exactly as n calls of randrange(k+1) do."""
-    draws = iter(partial(rng.getrandbits, (k + 1).bit_length()), None)
-    return Assignment._trusted(tuple(islice(filter((k + 1).__gt__, draws), n)), k)
+def _label_draws(rng: random.Random, k: int) -> Iterator[int]:
+    """Labels drawn uniformly from {0,...,k}, lazily: getrandbits with
+    rejection, so n of them taken with ``islice`` consume ``rng`` exactly as
+    n calls of randrange(k+1) do, and other draws from ``rng`` may come
+    between two takes."""
+    return filter((k + 1).__gt__, iter(partial(rng.getrandbits, (k + 1).bit_length()), None))
 
 
-def _random_restriction(rng: random.Random, q: Assignment) -> Assignment:
-    keep = [e for e in q.support() if rng.random() < 0.5]
-    return q.restrict(keep)
+def _random_restriction(rng: random.Random, q: tuple[int, ...]) -> tuple[int, ...]:
+    """q's labels with each placed element kept on ``rng.random() < 0.5``.
+
+    The draws follow the iteration order of q's support as a frozenset, as
+    ``Assignment.support`` builds it; that order is ascending only while
+    every placed element is below the set's hash-table size, so it is kept
+    rather than sorted."""
+    labels = list(q)
+    for e in frozenset(compress(range(len(q)), q)):
+        if not rng.random() < 0.5:
+            labels[e] = 0
+    return tuple(labels)
+
+
+def _label_value(f: KSubFunction):
+    """``f._value`` at a label tuple of f's shape; no counting, no shape check."""
+    value, trusted, k = f._value, Assignment._trusted, f.k
+    return lambda labels: value(trusted(labels, k))
+
+
+def _lattice_tables(k: int) -> tuple[list[list[int]], list[list[int]]]:
+    """The join and meet of two labels a and b, as ``table[a][b]``."""
+    labels = range(k + 1)
+    joins = [[b if a == 0 else a if b in (0, a) else 0 for b in labels] for a in labels]
+    meets = [[a if a == b else 0 for b in labels] for a in labels]
+    return joins, meets
+
+
+def _combine(table: list[list[int]], p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
+    """The labels ``table[p[e]][q[e]]``, in one C-level pass."""
+    return tuple(map(operator.getitem, map(table.__getitem__, p), q))
 
 
 def verify_k_submodular(
@@ -136,14 +174,16 @@ def verify_k_submodular(
                 return Verdict(False, (p, q), exhaustive=True, checked=checked)
         return Verdict(True, None, exhaustive=True, checked=checked)
 
-    rng = random.Random(seed)
+    labels, value = _label_draws(random.Random(seed), k), _label_value(f)
+    joins, meets = _lattice_tables(k)
     for checked in range(1, pair_budget + 1):
-        p = _random_assignment(rng, n, k)
-        q = _random_assignment(rng, n, k)
-        lhs = f.evaluate(p) + f.evaluate(q)
-        rhs = f.evaluate(join(p, q)) + f.evaluate(meet(p, q))
+        p = tuple(islice(labels, n))
+        q = tuple(islice(labels, n))
+        lhs = value(p) + value(q)
+        rhs = value(_combine(joins, p, q)) + value(_combine(meets, p, q))
         if lhs < rhs:
-            return Verdict(False, (p, q), exhaustive=False, checked=checked)
+            return Verdict(False, (Assignment._trusted(p, k), Assignment._trusted(q, k)),
+                           exhaustive=False, checked=checked)
     return Verdict(True, None, exhaustive=False, checked=pair_budget)
 
 
@@ -221,26 +261,31 @@ def verify_orthant_pairwise(
         return Verdict(True, None, exhaustive=True, checked=checked)
 
     rng = random.Random(seed)
+    labels, value = _label_draws(rng, k), _label_value(f)
+    elements = range(n)
+    others = [[x for x in range(1, k + 1) if x != i] for i in range(k + 1)]
     checked = 0
     while checked < pair_budget:
-        q = _random_assignment(rng, n, k)
-        outside = [e for e in range(n) if q.labels[e] == 0]
+        q = tuple(islice(labels, n))
+        outside = list(compress(elements, map(operator.not_, q)))
         if not outside:
             continue
         checked += 1
         p = _random_restriction(rng, q)
         e = rng.choice(outside)
         i = rng.randrange(1, k + 1)
-        gp = f.evaluate(p.assign(e, i)) - f.evaluate(p)
-        gq = f.evaluate(q.assign(e, i)) - f.evaluate(q)
+        fq = value(q)
+        gp = value(p[:e] + (i,) + p[e + 1:]) - value(p)
+        gq = value(q[:e] + (i,) + q[e + 1:]) - fq
         if gp < gq:
-            return Verdict(False, ("orthant", p, q, e, i),
+            return Verdict(False, ("orthant", Assignment._trusted(p, k),
+                                   Assignment._trusted(q, k), e, i),
                            exhaustive=False, checked=checked)
         if k >= 2:
-            j = rng.choice([x for x in range(1, k + 1) if x != i])
-            gj = f.evaluate(q.assign(e, j)) - f.evaluate(q)
+            j = rng.choice(others[i])
+            gj = value(q[:e] + (j,) + q[e + 1:]) - fq
             if gq + gj < 0:
-                return Verdict(False, ("pairwise", q, e, i, j),
+                return Verdict(False, ("pairwise", Assignment._trusted(q, k), e, i, j),
                                exhaustive=False, checked=checked)
     return Verdict(True, None, exhaustive=False, checked=checked)
 
@@ -272,11 +317,13 @@ def verify_monotone(
         return Verdict(True, None, exhaustive=True, checked=checked)
 
     rng = random.Random(seed)
+    labels, value = _label_draws(rng, k), _label_value(f)
     for checked in range(1, pair_budget + 1):
-        q = _random_assignment(rng, n, k)
+        q = tuple(islice(labels, n))
         p = _random_restriction(rng, q)
-        if f.evaluate(p) > f.evaluate(q):
-            return Verdict(False, (p, q), exhaustive=False, checked=checked)
+        if value(p) > value(q):
+            return Verdict(False, (Assignment._trusted(p, k), Assignment._trusted(q, k)),
+                           exhaustive=False, checked=checked)
     return Verdict(True, None, exhaustive=False, checked=pair_budget)
 
 

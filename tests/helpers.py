@@ -23,8 +23,7 @@ from ksubmax.instances import (
     _rng,
 )
 from ksubmax.matroids import _set_of, feasible_extensions, greedy_basis
-from ksubmax.verify import (Verdict, _check_sampling, _lattice_pairs, _ordered_pairs_count,
-                            _random_restriction)
+from ksubmax.verify import Verdict, _check_sampling, _lattice_pairs, _ordered_pairs_count
 from ksubmax.solvers import DEFAULT_BRUTE_CAP, SolveReport, _check_inputs
 
 
@@ -589,6 +588,14 @@ def reference_random_assignment(rng: random.Random, n: int, k: int) -> Assignmen
     return Assignment._trusted(tuple(rng.randrange(k + 1) for _ in range(n)), k)
 
 
+def reference_random_restriction(rng: random.Random, q: Assignment) -> Assignment:
+    """Reference restriction draw: one ``rng.random()`` per element of
+    ``q.support()``, in that frozenset's iteration order, keeping those
+    drawn below 0.5."""
+    keep = [e for e in q.support() if rng.random() < 0.5]
+    return q.restrict(keep)
+
+
 def reference_value_table(f: KSubFunction) -> dict[tuple[int, ...], float]:
     """f at every assignment, keyed by labels: one ``f.evaluate`` each."""
     return {a.labels: f.evaluate(a) for a in enumerate_assignments(f.n, f.k)}
@@ -667,7 +674,7 @@ def reference_verify_orthant_pairwise(f: KSubFunction, pair_budget: int = 1_000_
         if not outside:
             continue
         checked += 1
-        p = _random_restriction(rng, q)
+        p = reference_random_restriction(rng, q)
         e = rng.choice(outside)
         i = rng.randrange(1, k + 1)
         gp = f.evaluate(p.assign(e, i)) - f.evaluate(p)
@@ -705,7 +712,7 @@ def reference_verify_monotone(f: KSubFunction, pair_budget: int = 1_000_000,
     rng = random.Random(seed)
     for checked in range(1, pair_budget + 1):
         q = reference_random_assignment(rng, n, k)
-        p = _random_restriction(rng, q)
+        p = reference_random_restriction(rng, q)
         if f.evaluate(p) > f.evaluate(q):
             return Verdict(False, (p, q), exhaustive=False, checked=checked)
     return Verdict(True, None, exhaustive=False, checked=pair_budget)

@@ -138,6 +138,20 @@ def test_ties_break_by_size_then_labels():
     assert repr(res.value) == repr(f._value(res.assignment))
 
 
+def test_ties_at_support_size_three_decode_each_leaf():
+    """Three labellings worth 1.0 on three supports of size 3, everything
+    else 0: the walk meets (3, 2, 1, 0) first, then (1, 0, 3, 2) and
+    (0, 2, 3, 1), and each tie goes to the smaller label tuple.  Decoding a
+    leaf with its digits in the wrong order would report another one."""
+    n, k = 4, 3
+    values = [0.0] * (k + 1) ** n
+    for labels in ((3, 2, 1, 0), (1, 0, 3, 2), (0, 2, 3, 1)):
+        values[sum(lab * (k + 1) ** e for e, lab in enumerate(labels))] = 1.0
+    res = assert_same_optimum(ExplicitTableFunction(n, k, values), UniformMatroid(n, 3))
+    assert res.assignment.labels == (0, 2, 3, 1)
+    assert (res.value, res.max_opt_support_size) == (1.0, 3)
+
+
 def _bits(x: float) -> bytes:
     return struct.pack("<d", x)
 

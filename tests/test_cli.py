@@ -560,6 +560,21 @@ def test_file_that_is_not_utf8_exits_2(argv, tmp_path, capsys):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("body", [5, "table", None, [1]], ids=["int", "str", "null", "list"])
+def test_family_body_that_is_not_an_object_exits_2(body, tmp_path, capsys):
+    """A tagged family body must be an object; anything else is refused
+    with one line that says so, not with text made by Python's ``in`` or
+    ``[]`` on the body."""
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps({"n": 1, "k": 1, "function": {"modular": body},
+                                "matroid": {"uniform": 1}}))
+    assert main(["verify", str(path)]) == ksubmax.cli.EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"ksubmax: {path}: function.modular: expected an object, "
+                            f"got {type(body).__name__}\n")
+
+
 class TestParserReuse:
     """``main`` builds its parser once per process; every later call must
     behave as if it had a parser of its own."""

@@ -580,7 +580,13 @@ ENVELOPE_REFUSALS = [
     ("function", {"cubic": {}}, "function: unknown family 'cubic'", None),
     ("function", {"coverage": {"weights": [1.0]}},
      "function.coverage: missing required field 'sets'", None),
-    ("function", {"modular": [1]}, "function.modular: missing required field 'table'", None),
+    ("function", {"modular": [1]}, "function.modular: expected an object, got list", None),
+    ("function", {"modular": 5}, "function.modular: expected an object, got int", None),
+    ("function", {"modular": "table"}, "function.modular: expected an object, got str", None),
+    ("function", {"coverage": None}, "function.coverage: expected an object, got NoneType",
+     None),
+    ("function", {"explicit": "values"}, "function.explicit: expected an object, got str",
+     None),
     ("function", {"modular": {"table": [[1.0, "x"], [1.0, 1.0]]}},
      "function.modular: table entries must be numbers; table row 0: 'x' is not a number",
      TypeError),
@@ -593,7 +599,12 @@ ENVELOPE_REFUSALS = [
     ("matroid", {"graphic": 1}, "matroid: unknown family 'graphic'", None),
     ("matroid", {"partition": {"blocks": [[0, 1]]}},
      "matroid.partition: missing required field 'caps'", None),
-    ("matroid", {"partition": []}, "matroid.partition: missing required field 'blocks'", None),
+    ("matroid", {"partition": []}, "matroid.partition: expected an object, got list", None),
+    ("matroid", {"partition": 3}, "matroid.partition: expected an object, got int", None),
+    ("matroid", {"partition": "blocks"}, "matroid.partition: expected an object, got str",
+     None),
+    ("matroid", {"partition": None}, "matroid.partition: expected an object, got NoneType",
+     None),
     ("matroid", {"uniform": 1.5}, "matroid.uniform: budget must be an integer, got 1.5",
      TypeError),
     ("matroid", {"partition": {"blocks": [[0]], "caps": [1]}},

@@ -355,3 +355,40 @@ def test_axiom_verdicts_match_the_reference_on_any_family(case):
     n, family = case
     assert check_matroid_axioms(FamilyMatroid(n, family)) == \
         reference_check_matroid_axioms(FamilyMatroid(n, family))
+
+
+LISTED_THEN_SAMPLED = [
+    ("uniform 8, 4", UniformMatroid(8, 4), 400),
+    *((f"explicit n=8 seed={seed}", gen_explicit_matroid(8, seed=seed), 400)
+      for seed in (0, 3, 7)),
+    *((f"partition n=8 seed={seed}", gen_partition_matroid(8, seed=seed), 400)
+      for seed in (3, 4)),
+    ("partition n=7 seed=5", gen_partition_matroid(7, seed=5), 128),
+    # downward closed, but {0, 1} cannot be augmented from {2, ..., 7}
+    ("not augmenting", FamilyMatroid(8, down_closure([0b00000011, 0b11111100])), 256),
+    ("not augmenting, one", FamilyMatroid(8, down_closure([0b00000001, 0b11111110])), 300),
+    ("closed", FamilyMatroid(8, down_closure([0b00111111, 0b11001111, 0b11110011])), 400),
+]
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("name, m, budget", LISTED_THEN_SAMPLED,
+                         ids=[name for name, *_ in LISTED_THEN_SAMPLED])
+def test_sampled_axioms_are_answered_from_the_listed_family(name, m, budget, seed):
+    """With ``2^n <= budget`` but more augmentation pairs than the budget,
+    the checker lists the 2^n subsets and then samples; its sampled tests
+    are answered from that list, so the oracle is asked 2^n times in all,
+    and the verdict is the reference's, which asks the oracle again."""
+    shipped, reference = CountedMatroid(m), CountedMatroid(m)
+    got = check_matroid_axioms(shipped, budget=budget, seed=seed)
+    assert got == reference_check_matroid_axioms(reference, budget=budget, seed=seed)
+    assert 2 ** m.ground_size <= budget and not got.exhaustive
+    assert shipped.tests == 2 ** m.ground_size < reference.tests
+
+
+def test_listed_then_sampled_cases_break_and_hold():
+    """The cases above include sampled failures of axiom (c) as well as passes."""
+    verdicts = [check_matroid_axioms(m, budget=budget, seed=0)
+                for _, m, budget in LISTED_THEN_SAMPLED]
+    assert {v.counterexample[0] for v in verdicts if not v.holds} == {"axiom-c"}
+    assert sum(v.holds for v in verdicts) >= 5

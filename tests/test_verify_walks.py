@@ -6,6 +6,7 @@ checked, on exhaustive and sampled runs alike.
 """
 
 import random
+from itertools import islice
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -28,7 +29,7 @@ from ksubmax import (
     verify_monotone,
     verify_orthant_pairwise,
 )
-from ksubmax.verify import _lattice_pairs, _ordered_pairs_count, _random_assignment
+from ksubmax.verify import _label_draws, _lattice_pairs, _ordered_pairs_count
 
 VERIFIERS = (
     (verify_k_submodular, reference_verify_k_submodular),
@@ -127,14 +128,82 @@ def test_walks_give_the_reference_verdicts(case):
     assert_walks_match(*case)
 
 
+class Bumped(KSubFunction):
+    """Another function plus ``bump`` wherever its labels match ``pattern``
+    (a tuple of (element, label) pairs): a positive bump on two placed
+    elements breaks the lattice inequality, a negative one monotonicity."""
+
+    def __init__(self, inner, pattern, bump):
+        super().__init__(inner.n, inner.k)
+        self.inner, self.pattern, self.bump = inner, pattern, bump
+
+    def _value(self, a: Assignment) -> float:
+        hit = all(a.labels[e] == i for e, i in self.pattern)
+        return self.inner._value(a) + (self.bump if hit else 0.0)
+
+
+@st.composite
+def wide_cases(draw):
+    """Functions on 9 to 14 elements with budgets far below (2k+1)^n, so
+    every verifier samples.  Past 8 elements, a support of at most 4
+    elements iterates as a frozenset out of ascending order when one of
+    them is 8 or more (its hash-table slot wraps around)."""
+    n = draw(st.integers(9, 14))
+    k = draw(st.integers(1, 3))
+    seed = draw(st.integers(0, 2**16))
+    kind = draw(st.sampled_from(["modular", "coverage", "bumped", "user", "table"]))
+    if kind == "table" and (k + 1) ** n > 20_000:
+        kind = "modular"
+    if kind == "modular":
+        f = gen_modular(n, k, monotone=draw(st.booleans()), seed=seed)
+    elif kind == "coverage":
+        f = gen_coverage(n, k, 2 * n, draw(st.sampled_from((0.25, 0.5))), seed=seed)
+    elif kind == "user":
+        rows = [[draw(st.integers(-1, 3)) for _ in range(k)] for _ in range(n)]
+        f = TruncatedSum(rows, draw(st.integers(0, 12)))
+    elif kind == "table":
+        pick = random.Random(seed).choice
+        f = ExplicitTableFunction(n, k, [0.0] + [pick(TIED) for _ in range((k + 1) ** n - 1)])
+    else:
+        elements = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True))
+        pattern = tuple((e, draw(st.integers(1, k))) for e in elements)
+        f = Bumped(gen_modular(n, k, seed=seed), pattern,
+                   draw(st.sampled_from((-3.0, -0.25, 0.25, 3.0))))
+    return f, draw(st.integers(1, 40)), draw(st.integers(0, 5))
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_cases())
+@example((Bumped(gen_modular(12, 2, seed=1), ((8, 1), (1, 2)), 3.0), 40, 0))
+@example((gen_modular(14, 3, monotone=False, seed=4), 40, 2))
+# restrictions drawn in ascending order would change these two verdicts
+@example((gen_modular(10, 1, monotone=False, seed=1), 40, 0))
+@example((Bumped(gen_modular(10, 1, seed=0), ((8, 1), (1, 1)), 3.0), 40, 1))
+def test_sampled_draws_match_the_reference_past_eight_elements(case):
+    f, budget, seed = case
+    assert budget < _lattice_pairs(f.n, f.k) and budget < _ordered_pairs_count(f.n, f.k)
+    assert_walks_match(f, budget, seed)
+
+
+def test_supports_past_eight_elements_iterate_out_of_order():
+    """The property above reaches supports whose frozenset order is not
+    ascending, the order in which restrictions draw."""
+    labels = _label_draws(random.Random(0), 1)
+    supports = [Assignment(tuple(islice(labels, 10)), 1).support() for _ in range(50)]
+    assert any(list(s) != sorted(s) for s in supports)
+
+
 @pytest.mark.parametrize("k", range(1, 9))
 def test_one_pass_draw_consumes_like_randrange(k):
+    # two takes from one stream with a draw of another kind between them
     for n in range(13):
         for seed in range(200):
             ours, theirs = random.Random(seed), random.Random(seed)
-            got = _random_assignment(ours, n, k)
-            assert got.labels == reference_random_assignment(theirs, n, k).labels
-            assert got.k == k
+            labels = _label_draws(ours, k)
+            assert tuple(islice(labels, n)) == reference_random_assignment(theirs, n, k).labels
+            assert ours.getstate() == theirs.getstate()
+            assert ours.random() == theirs.random()
+            assert tuple(islice(labels, n)) == reference_random_assignment(theirs, n, k).labels
             assert ours.getstate() == theirs.getstate()
 
 
