@@ -13,9 +13,10 @@ from __future__ import annotations
 import collections
 import itertools
 import math
+import operator
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 
 class CapExceededError(Exception):
@@ -24,12 +25,98 @@ class CapExceededError(Exception):
 
 INTS = frozenset({int})
 NUMBERS = frozenset({int, float})
+FLOATS = frozenset({float})
 
 
 def _typed(values: Iterable, types: frozenset) -> bool:
     """Whether each item's type is exactly one of ``types`` (a bool is not an
     int); the one pass runs in C.  Constructors check their lists with this."""
     return set(map(type, values)) <= types
+
+
+def _sum_exact(rows: tuple[tuple, ...], where: str, rule: str,
+               magnitudes: Callable[[tuple], Iterable[float]]) -> tuple[tuple[float, ...], ...]:
+    """``rows`` with every value a float, refused unless the values are sum-exact.
+
+    This is the exactness rule of every function family.  Values are
+    *sum-exact* when each is a multiple of one unit ``2^-S`` and twice the
+    largest magnitude the function can reach, ``math.fsum(magnitudes(rows))``,
+    is below ``2^53`` units.  Every value the function takes is then a
+    whole number of units below ``2^52``, so every sum or difference of
+    two values, and every partial sum on the way to one, is a float
+    without rounding.  The test takes the finest unit the magnitude
+    allows, ``S = 52 - math.frexp(magnitude)[1]``, capped at 1074 since
+    every float is a multiple of ``2^-1074``; a magnitude of ``2^1023`` or
+    more, whose double overflows, is refused with no unit.
+
+    ``magnitudes`` gets the float rows, makes the family's own checks
+    (ValueError) and returns the terms of the magnitude.  The work is
+    C-level passes: a type pass (two when some value is not a float), a
+    float copy unless every value is a float already, and one pass that
+    scales each value by ``2^S`` and asks whether it is a whole number,
+    which fails for NaN and infinities too.  Where ``2^S`` overflows, or
+    ``S < 0`` and a small value could underflow to 0, the pass takes the
+    remainder by the unit instead, which is exact.  Only a refused input
+    is walked again, by :func:`_refuse`, to name the first bad value; a
+    value that is not finite is named before the family's checks speak.
+    """
+    entries = itertools.chain.from_iterable
+    floats = rows
+    if not _typed(entries(rows), FLOATS):
+        if not _typed(entries(rows), NUMBERS):
+            _refuse(rows, where, rule)
+        try:
+            floats = tuple(map(tuple, map(map, itertools.repeat(float), rows)))
+        except OverflowError:
+            _refuse(rows, where, rule)
+    try:
+        terms = magnitudes(floats)
+    except ValueError:
+        _refuse(rows, where, rule)
+        raise
+    try:
+        magnitude = math.fsum(terms)
+    except (OverflowError, ValueError):  # past the float range, or inf - inf
+        magnitude = math.inf
+    if not magnitude < 2.0 ** 1023:
+        _refuse(rows, where, rule)
+        raise ValueError(f"not sum-exact: twice the magnitude {magnitude} overflows a float")
+    exponent = min(52 - math.frexp(magnitude)[1], 1074)
+    if 0 <= exponent <= 1023:  # x * 2^S is exact, and whole iff x is a multiple of 2^-S
+        units = map(operator.mul, entries(floats), itertools.repeat(2.0 ** exponent))
+        exact = all(map(float.is_integer, units))
+    else:  # 2^S overflows, or x * 2^S may underflow; the remainder is exact
+        exact = not any(map(operator.mod, entries(floats), itertools.repeat(2.0 ** -exponent)))
+    if not exact or floats != rows:  # an int may round
+        _refuse(rows, where, rule, exponent, magnitude)
+    return floats
+
+
+def _refuse(rows: tuple[tuple, ...], where: str, rule: str,
+            exponent: Optional[int] = None, magnitude: float = 0.0) -> None:
+    """The slow path of :func:`_sum_exact`: raise for the first bad value of
+    ``rows``, named ``where.format(row, column)``, and return if none is.
+
+    A value is bad when it is not an int or float (TypeError, opening with
+    ``rule``; a bool is neither), when it is not finite (ValueError), and,
+    given the unit exponent, when it (an int included) is not a multiple
+    of ``2^-exponent`` (ValueError naming the exponent and ``magnitude``).
+    """
+    for e, row in enumerate(rows):
+        for i, v in enumerate(row):
+            spot = where.format(e, i)
+            if type(v) not in NUMBERS:
+                raise TypeError(f"{rule}; {spot}: {v!r} is not a number")
+            try:
+                x = float(v)
+            except OverflowError:
+                x = math.inf
+            if not math.isfinite(x):
+                raise ValueError(f"{spot}: value {v} is not finite")
+            if exponent is not None and (x != v or x % 2.0 ** -exponent):
+                raise ValueError(f"{spot}: value {v} is not a multiple of 2^{-exponent} (S = "
+                                 f"{exponent}), the finest unit at which twice the magnitude "
+                                 f"{magnitude} stays below 2^53 units; values must be sum-exact")
 
 
 def _check_ground_size(n) -> None:
@@ -327,9 +414,9 @@ class GainState:
     function; it is the reference path, and its batched calls are the
     per-element loops over :meth:`_best`.  Function families override
     :meth:`KSubFunction.gain_state` with states that price a row without
-    a full evaluation and a whole list in one pass.  On values from the
-    1/64 grid the incremental gains are exact, so both paths give
-    identical gains, values and solver runs.
+    a full evaluation and a whole list in one pass.  The families' values
+    are sum-exact (see :func:`_sum_exact`), so the incremental gains are
+    exact and both paths give identical gains, values and solver runs.
     """
 
     def __init__(self, f: KSubFunction, counters: Optional[OracleCounters] = None):

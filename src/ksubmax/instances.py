@@ -8,9 +8,10 @@ monotonicity), while still permitting genuinely non-monotone instances.
 Weighted coverage functions are monotone and k-submodular; each (element,
 position) pair covers a subset of a weighted universe.
 
-Generators draw every value as a multiple of 1/64 so all test arithmetic
-is exact in double precision.  Instance files are JSON documents; see
-``parse_instance`` for the grammar.
+Every family takes only sum-exact values (see
+:func:`ksubmax.core._sum_exact`), so its arithmetic is exact in double
+precision; the generators draw every value as a multiple of 1/64.
+Instance files are JSON documents; see ``parse_instance`` for the grammar.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from .core import (INTS, NUMBERS, Assignment, GainState, KSubFunction, OracleCounters,
-                   _check_ground_size, _check_k, _check_seed, _code_steps, _support_codes,
-                   _typed)
+                   _check_ground_size, _check_k, _check_seed, _code_steps, _sum_exact,
+                   _support_codes, _typed)
 from .matroids import ExplicitMatroid, Matroid, PartitionMatroid, UniformMatroid, _check_ints
 
 VALUE_GRID = 64  # generated values are integers divided by this
@@ -36,39 +37,6 @@ VALUE_GRID = 64  # generated values are integers divided by this
 
 class InstanceFormatError(ValueError):
     """Malformed or inconsistent instance/config document."""
-
-
-def _check_finite(value: float, where: str, rule: str) -> float:
-    """``value`` as a float; TypeError, opening with ``rule``, unless an int or
-    float (a bool is neither), ValueError unless finite."""
-    if type(value) not in NUMBERS:
-        raise TypeError(f"{rule}; {where}: {value!r} is not a number")
-    try:
-        value = float(value)
-    except OverflowError:
-        raise ValueError(f"{where}: value {value} is not finite") from None
-    if not math.isfinite(value):
-        raise ValueError(f"{where}: value {value} is not finite")
-    return value
-
-
-def _finite_floats(values: Sequence, where: str, rule: str) -> tuple[float, ...]:
-    """Every item of ``values`` as a float, by the rule of :func:`_check_finite`.
-
-    Tests types, converts and tests finiteness in three C-level passes.
-    Only a refused list is walked again, item by item through
-    :func:`_check_finite`, so that the error names its first bad item,
-    ``where.format(index)``.
-    """
-    values = tuple(values)
-    if _typed(values, NUMBERS):
-        try:
-            floats = tuple(map(float, values))
-            if all(map(math.isfinite, floats)):
-                return floats
-        except OverflowError:
-            pass
-    return tuple(_check_finite(v, where.format(i), rule) for i, v in enumerate(values))
 
 
 _BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
@@ -144,19 +112,24 @@ def _cover_mask(members, universe: int, e: int, i: int) -> int:
     return _points_mask(points, top)
 
 
-def _check_sums_finite(lo: float, hi: float) -> None:
-    """Refuse a function whose values, or sums of two of them, can overflow.
-
-    ``lo <= 0 <= hi`` bound every value the function takes.  Where values
-    are sums, the bounds add the extreme terms in the same order, so
-    rounding keeps every computed value between them.  When ``2 * lo``
-    and ``2 * hi`` are finite, so is every value and every sum or
-    difference of two.
-    """
-    if not (math.isfinite(2 * lo) and math.isfinite(2 * hi)):
-        raise ValueError(
-            f"values reach [{lo}, {hi}], where a sum of two values overflows a float"
-        )
+def _row_magnitudes(rows: tuple[tuple[float, ...], ...]) -> list[float]:
+    """Each modular row's largest magnitude, after the table's shape and
+    pairwise-sum checks."""
+    if not rows:
+        raise ValueError("table must have at least one row")
+    k = len(rows[0])
+    if k < 1:
+        raise ValueError("table rows must have at least one entry")
+    terms = []
+    for e, row in enumerate(rows):
+        if len(row) != k:
+            raise ValueError(f"table row {e} has {len(row)} entries, expected {k}")
+        ordered = sorted(row)
+        if k >= 2 and ordered[0] + ordered[1] < 0:
+            raise ValueError(f"table row {e} violates the pairwise-sum constraint: "
+                             f"{ordered[0]} + {ordered[1]} < 0")
+        terms.append(max(ordered[-1], -ordered[0]))
+    return terms
 
 
 class ModularFunction(KSubFunction):
@@ -164,47 +137,18 @@ class ModularFunction(KSubFunction):
 
     Every row must satisfy table[e][i] + table[e][j] >= 0 for i != j; this
     is checked at construction and guarantees k-submodularity.  The
-    function is monotone iff every entry is nonnegative.  Tables whose
-    values, or sums of two values, can overflow a float are refused.
-    Entries must be ints or floats (TypeError otherwise) and are checked
-    in C-level passes over the whole table; the checks above take one
-    Python step per row.
+    function is monotone iff every entry is nonnegative.  Entries must be
+    ints or floats (TypeError otherwise) and sum-exact (see
+    :func:`ksubmax.core._sum_exact`) at the magnitude
+    ``sum(max(abs(v) for v in row) for row in table)``; they are checked
+    in C-level passes over the whole table, and the checks above take
+    one Python step per row.
     """
 
     def __init__(self, table: Sequence[Sequence[float]]):
-        table = tuple(map(tuple, table))
-        entries = itertools.chain.from_iterable
-        try:
-            rows = tuple(map(tuple, map(map, itertools.repeat(float), table)))
-            finite = _typed(entries(table), NUMBERS) and all(map(math.isfinite, entries(rows)))
-        except (TypeError, ValueError, OverflowError):
-            finite = False
-        if not finite:  # name the first bad entry
-            rule = "table entries must be numbers"
-            rows = tuple(tuple(_check_finite(v, f"table row {e}", rule) for v in row)
-                         for e, row in enumerate(table))
-        if not rows:
-            raise ValueError("table must have at least one row")
-        k = len(rows[0])
-        if k < 1:
-            raise ValueError("table rows must have at least one entry")
-        lo = hi = 0.0
-        for e, row in enumerate(rows):
-            if len(row) != k:
-                raise ValueError(f"table row {e} has {len(row)} entries, expected {k}")
-            ordered = sorted(row)
-            if k >= 2 and ordered[0] + ordered[1] < 0:
-                raise ValueError(
-                    f"table row {e} violates the pairwise-sum constraint: "
-                    f"{ordered[0]} + {ordered[1]} < 0"
-                )
-            if ordered[0] < 0:
-                lo += ordered[0]
-            if ordered[-1] > 0:
-                hi += ordered[-1]
-        _check_sums_finite(lo, hi)
-        super().__init__(len(rows), k)
-        self.table = rows
+        self.table = _sum_exact(tuple(map(tuple, table)), "table row {0}",
+                                "table entries must be numbers", _row_magnitudes)
+        super().__init__(len(self.table), len(self.table[0]))
 
     @property
     def monotone(self) -> bool:
@@ -257,18 +201,18 @@ class CoverageFunction(KSubFunction):
 
     Weighing a set of points costs the smaller of its size and the number
     of weight bit planes in Python-level steps.  Every weight is a dyadic
-    rational ``c_u / 2^S`` (``S`` the largest denominator exponent); when
-    ``sum(c_u) < 2^53``, every partial sum of any subset is an exact
-    float, so the sum in ascending point order equals
-    ``sum(popcount(points & plane_b) << b) / 2^S``, where ``plane_b`` holds
-    the points whose numerator has bit ``b`` set.  Weights on the 1/64 grid
-    in [0, 1] need 7 planes.  Weights that fail the test, and sets with no
-    more points than planes, are summed point by point, which gives the
-    same float.
+    rational ``c_u / 2^S`` (``S`` the largest denominator exponent), and
+    the weights are sum-exact (see :func:`ksubmax.core._sum_exact`) at
+    the magnitude ``sum(weights)``, so ``sum(c_u) < 2^52`` and every
+    partial sum of any subset is an exact float.  The sum in ascending
+    point order therefore equals ``sum(popcount(points & plane_b) << b) /
+    2^S``, where ``plane_b`` holds the points whose numerator has bit
+    ``b`` set.  Weights that are multiples of 1/64 in [0, 1] need 7
+    planes.  Sets with no more points than planes are summed point by
+    point, which gives the same float.
 
-    Weights are refused when the points some set covers weigh so much
-    that a sum of two values overflows a float.  Weights must be ints or
-    floats and points ints; a bool or string is refused with TypeError,
+    Weights must be ints or floats and points ints; a bool or string is
+    refused with TypeError,
     and so is a cover set that is neither iterable nor a string, or a row
     of ``sets`` that is a string.  A bitmask string must match
     ``[0-9a-f]+`` (no ``0x``, sign, ``_``, whitespace or capitals) and set
@@ -285,9 +229,8 @@ class CoverageFunction(KSubFunction):
         weights: Sequence[float],
         sets: Sequence[Sequence[Iterable[int] | str]],
     ):
-        self.weights = _finite_floats(weights, "weights[{}]", "weights must be numbers")
-        if self.weights and min(self.weights) < 0:
-            raise ValueError("universe weights must be nonnegative")
+        (self.weights,) = _sum_exact((tuple(weights),), "weights[{1}]",
+                                     "weights must be numbers", _nonnegative)
         universe = len(self.weights)
         masks = []
         for e, per_position in enumerate(_rows(sets, "sets")):
@@ -301,10 +244,6 @@ class CoverageFunction(KSubFunction):
             raise ValueError("every element needs one cover set per position")
         super().__init__(len(self._masks), k)
         self._planes, self._unit = _weight_planes(self.weights)
-        reachable = functools.reduce(
-            operator.or_, itertools.chain.from_iterable(self._masks), 0
-        )
-        _check_sums_finite(0.0, self._weight(reachable))
 
     @functools.cached_property
     def sets(self) -> tuple[tuple[frozenset[int], ...], ...]:
@@ -334,11 +273,11 @@ class CoverageFunction(KSubFunction):
         """Total weight of the universe points in bitmask ``points``.
 
         Equals the float sum of their weights in ascending point order, bit
-        for bit; the bit planes compute it exactly when they exist and the
-        set has more points than there are planes.
+        for bit; the bit planes compute it when the set has more points
+        than there are planes.
         """
         planes = self._planes
-        if planes is not None and points.bit_count() > len(planes):
+        if points.bit_count() > len(planes):
             total = 0
             for shift, plane in planes:
                 total += (points & plane).bit_count() << shift
@@ -371,22 +310,25 @@ class CoverageFunction(KSubFunction):
         )
 
 
+def _nonnegative(rows: tuple[tuple[float, ...]]) -> tuple[float, ...]:
+    """The coverage weights, ``rows[0]``, after their sign check."""
+    if min(rows[0], default=0.0) < 0:
+        raise ValueError("universe weights must be nonnegative")
+    return rows[0]
+
+
 def _weight_planes(weights: tuple[float, ...]):
     """Bit planes of the weights' numerators over their common denominator.
 
     Returns ``(planes, unit)``: ``planes`` lists ``(b, plane_b)`` for every
     nonempty plane and ``unit`` is ``2^-S``, so a set of points weighs
-    ``sum(popcount(points & plane_b) << b) * unit``.  ``planes`` is None
-    when the numerators sum to ``2^53`` or more, where partial sums may
-    round and only the point-by-point sum is the reference.
+    ``sum(popcount(points & plane_b) << b) * unit``.
     """
     ratios = list(map(float.as_integer_ratio, weights))
     denominators = list(map(operator.itemgetter(1), ratios))
     scale = max(denominators, default=1)  # every denominator is a power of two
     nums = list(map(operator.mul, map(operator.itemgetter(0), ratios),
                     map(scale.__floordiv__, denominators)))
-    if sum(nums) >= 1 << 53:
-        return None, 1.0
     planes = []
     for b in range(max(nums, default=0).bit_length()):
         bits = map(operator.and_, map(operator.rshift, nums, itertools.repeat(b)),
@@ -473,27 +415,23 @@ class ExplicitTableFunction(KSubFunction):
     :meth:`_code_values` list; the all-zero assignment sits at index 0 and
     must evaluate to 0.  No k-submodularity check is performed at
     construction, so deliberately corrupted tables can be built and fed to
-    the verifiers.  Tables whose values are so large that a sum of two
-    overflows a float are refused, and so (with TypeError) are values that
-    are not ints or floats.
+    the verifiers.  Values must be ints or floats (TypeError otherwise)
+    and sum-exact (see :func:`ksubmax.core._sum_exact`) at the magnitude
+    ``max(abs(v) for v in values)``.
     """
 
     def __init__(self, n: int, k: int, values: Sequence[float]):
         super().__init__(n, k)
-        vals = _finite_floats(values, "values[{}]", "values must be numbers")
+        values = tuple(values)
         # (k+1)^n >= 2^n exceeds the length once n reaches its bit length;
         # checking that first keeps a huge n from building a huge power
-        if n >= len(vals).bit_length() or len(vals) != (k + 1) ** n:
-            raise ValueError(
-                f"value table has {len(vals)} entries, expected (k+1)^n "
-                f"for n={n}, k={k}"
-            )
-        if vals[0] != 0.0:
-            raise ValueError(
-                f"value at the empty assignment must be 0, got {vals[0]}"
-            )
-        _check_sums_finite(min(vals), max(vals))
-        self.values = vals
+        if n >= len(values).bit_length() or len(values) != (k + 1) ** n:
+            raise ValueError(f"value table has {len(values)} entries, expected (k+1)^n "
+                             f"for n={n}, k={k}")
+        (self.values,) = _sum_exact((values,), "values[{1}]", "values must be numbers",
+                                    lambda rows: (max(max(rows[0]), -min(rows[0])),))
+        if self.values[0] != 0.0:
+            raise ValueError(f"value at the empty assignment must be 0, got {self.values[0]}")
         self._steps = _code_steps(n, k)
 
     @classmethod
@@ -550,7 +488,7 @@ class InstanceSpec:
 
 
 # ---------------------------------------------------------------------------
-# Random generators.  Values land on the 1/64 grid for exact test arithmetic.
+# Random generators.  Values land on the 1/64 grid.
 # ---------------------------------------------------------------------------
 
 def _rng(seed: int) -> random.Random:

@@ -118,7 +118,9 @@ def threshold_decreasing_solve(
     ``order_seed`` is given) and accepts an element when its best
     single-position gain meets the threshold.  The loop stops when the
     threshold reaches (1 - eps) * eps * d / (2r), no candidate is left, or
-    the support reaches the rank r.
+    the support reaches the rank r; also when rounding keeps the threshold
+    from shrinking, as it does for subnormal thresholds (sum-exact values
+    may all be subnormal) and for an eps whose 1 - eps rounds to 1.
 
     The walk is lazy.  Each element keeps ``bound[e]``, the last best gain
     computed for it (seeded by the opening singleton scan).  By orthant
@@ -142,7 +144,8 @@ def threshold_decreasing_solve(
     all k positions with ``state._best(e)``: the row maximum of the table
     for modular functions, the weights of newly covered points for
     coverage, k full evaluations otherwise.  All three are exact on the
-    1/64 value grid, so the run does not depend on which one prices it.
+    families' sum-exact values, so the run does not depend on which one
+    prices it.
     Independence tests go through ``m.independence_state``, one
     ``_can_add`` per visit; the rank scan is one batched
     :meth:`IndependenceState._extend` on a state of its own, the greedy
@@ -197,8 +200,8 @@ def threshold_decreasing_solve(
     best = state._best  # every element the run walks is an open int in range(n)
     can_add = indep._can_add
     stop = (1 - epsilon) * epsilon * d / (2 * r)
-    w = d
-    while w > stop and candidates and len(support) < r:
+    w, previous = d, math.inf
+    while stop < w < previous and candidates and len(support) < r:
         added = 0
         survivors = []
         for e in candidates:
@@ -219,7 +222,7 @@ def threshold_decreasing_solve(
                 survivors.append(e)
         candidates = survivors
         rounds.append((w, added))
-        w *= 1 - epsilon
+        w, previous = w * (1 - epsilon), w
     return _report(f, state, counters, rounds, start)
 
 
@@ -232,8 +235,8 @@ def greedy_solve(f: KSubFunction, m: Matroid) -> SolveReport:
     calls on that list: :meth:`IndependenceState._feasible` tests every
     element in it (one pass for the shipped matroid families), and
     :meth:`GainState._best_of` prices every feasible one at all k
-    positions against the running gain state (exact on the 1/64 value
-    grid; one pass for the shipped modular and coverage families) and
+    positions against the running gain state (exact on sum-exact values;
+    one pass for the shipped modular and coverage families) and
     returns the first element with the strictly largest gain and its
     lowest best position.  So it adds the argmax pair with ties going to
     the lowest element, then the lowest position.  The run stops after the

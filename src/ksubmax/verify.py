@@ -213,9 +213,10 @@ def verify_orthant_pairwise(
     add nothing to it.  Orthant violations are reported before pairwise
     ones, each in the order of a walk over q in label order, its kept
     subsets by size and then lexicographically, then (e, i) ascending.
-    The sampled check draws q, a random restriction p, an unplaced e and
-    a position i; ``checked`` counts the samples tested, so a q with no
-    unplaced element is drawn again without counting.
+    The sampled check draws an element e, then q's labels on the other
+    n - 1 elements (e is left unplaced), a random restriction p and a
+    position i, so every test makes a fixed number of draws; ``checked``
+    counts the tests.
     """
     _check_sampling(pair_budget, seed)
     n, k = f.n, f.k
@@ -262,17 +263,11 @@ def verify_orthant_pairwise(
 
     rng = random.Random(seed)
     labels, value = _label_draws(rng, k), _label_value(f)
-    elements = range(n)
     others = [[x for x in range(1, k + 1) if x != i] for i in range(k + 1)]
-    checked = 0
-    while checked < pair_budget:
-        q = tuple(islice(labels, n))
-        outside = list(compress(elements, map(operator.not_, q)))
-        if not outside:
-            continue
-        checked += 1
+    for checked in range(1, pair_budget + 1):
+        e = rng.randrange(n)
+        q = tuple(islice(labels, e)) + (0,) + tuple(islice(labels, n - 1 - e))
         p = _random_restriction(rng, q)
-        e = rng.choice(outside)
         i = rng.randrange(1, k + 1)
         fq = value(q)
         gp = value(p[:e] + (i,) + p[e + 1:]) - value(p)
@@ -287,7 +282,7 @@ def verify_orthant_pairwise(
             if gq + gj < 0:
                 return Verdict(False, ("pairwise", Assignment._trusted(q, k), e, i, j),
                                exhaustive=False, checked=checked)
-    return Verdict(True, None, exhaustive=False, checked=checked)
+    return Verdict(True, None, exhaustive=False, checked=pair_budget)
 
 
 def verify_monotone(

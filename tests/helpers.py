@@ -5,6 +5,7 @@ import json
 import math
 import random
 import time
+from fractions import Fraction
 from typing import Optional
 
 from ksubmax import (Assignment, CapExceededError, GainState, InstanceSpec, KSubFunction,
@@ -16,8 +17,6 @@ from ksubmax.instances import (
     CoverageFunction,
     ExplicitTableFunction,
     ModularFunction,
-    _check_finite,
-    _check_sums_finite,
     _CoverageGainState,
     _ModularGainState,
     _rng,
@@ -350,36 +349,118 @@ def reference_gen_coverage(n, k, universe_size, density, seed=0):
 # be compared field by field, or by the error they raise.
 # ---------------------------------------------------------------------------
 
+def reference_sum_exact(rows, where, rule, magnitudes):
+    """``ksubmax.core._sum_exact`` one value at a time.
+
+    Each value is typed and converted on its own, and its multiple of the
+    unit is tested in exact rationals; the checks come in the shipped
+    order, so the first bad value it names is the one the shipped rule
+    names.
+    """
+    spots = [(where.format(e, i), v) for e, row in enumerate(rows) for i, v in enumerate(row)]
+
+    def as_float(v):
+        try:
+            return float(v)
+        except OverflowError:
+            return math.inf
+
+    def first_bad(exponent=None, magnitude=0.0):
+        for spot, v in spots:
+            if type(v) not in (int, float):
+                raise TypeError(f"{rule}; {spot}: {v!r} is not a number")
+            if not math.isfinite(as_float(v)):
+                raise ValueError(f"{spot}: value {v} is not finite")
+            if exponent is not None and (Fraction(v) * Fraction(2) ** exponent).denominator != 1:
+                raise ValueError(
+                    f"{spot}: value {v} is not a multiple of 2^{-exponent} (S = {exponent}), "
+                    f"the finest unit at which twice the magnitude {magnitude} stays below "
+                    "2^53 units; values must be sum-exact")
+
+    for _, v in spots:
+        if type(v) not in (int, float) or math.isinf(as_float(v)) and type(v) is int:
+            first_bad()
+    floats = tuple(tuple(float(v) for v in row) for row in rows)
+    try:
+        terms = magnitudes(floats)
+    except ValueError:
+        first_bad()
+        raise
+    try:
+        magnitude = math.fsum(terms)
+    except (OverflowError, ValueError):
+        magnitude = math.inf
+    if not magnitude < 2.0 ** 1023:
+        first_bad()
+        raise ValueError(f"not sum-exact: twice the magnitude {magnitude} overflows a float")
+    first_bad(min(52 - math.frexp(magnitude)[1], 1074), magnitude)
+    return floats
+
+
+def reference_is_sum_exact(values, magnitude) -> bool:
+    """The sum-exactness rule from its definition, in exact rationals.
+
+    ``values`` are finite ints or floats and ``magnitude`` is the exact
+    largest magnitude the function reaches.  They are sum-exact when some
+    unit ``2^-S`` divides every value and twice the magnitude is below
+    ``2^53`` units, with ``S >= -971`` so that ``2^53`` units stay below
+    the float range.  The coarsest unit that divides every value gives
+    the fewest units, so only it is tried.
+    """
+    exponents = [-_two_adic_valuation(Fraction(v)) for v in values if v]
+    if not exponents:
+        return True
+    unit_exponent = max(max(exponents), -971)
+    return 2 * Fraction(magnitude) * Fraction(2) ** unit_exponent < 2 ** 53
+
+
+def _two_adic_valuation(x: Fraction) -> int:
+    """The exponent of 2 in nonzero ``x``."""
+    num, den = abs(x.numerator), x.denominator
+    return (num & -num).bit_length() - den.bit_length()
+
+
+def modular_opt(f: ModularFunction, m: Matroid) -> float:
+    """OPT of modular ``f`` under ``m`` in closed form.
+
+    A modular function is separable, so its optimum under a matroid is a
+    max-weight independent set for the weights ``w_e = max(0, max(row_e))``,
+    each element at its best position: the weight of the basis that
+    ``greedy_basis`` builds, heaviest element first.  The values are
+    sum-exact, so the sum is exact in any order.
+    """
+    weights = [max(0.0, *row) for row in f.table]
+    return sum(weights[e] for e in greedy_basis(m, sorted(range(f.n), key=lambda e: -weights[e])))
+
+
+def reference_row_magnitudes(rows):
+    """The modular shape and pairwise checks, and each row's largest magnitude."""
+    if not rows:
+        raise ValueError("table must have at least one row")
+    k = len(rows[0])
+    if k < 1:
+        raise ValueError("table rows must have at least one entry")
+    terms = []
+    for e, row in enumerate(rows):
+        if len(row) != k:
+            raise ValueError(f"table row {e} has {len(row)} entries, expected {k}")
+        ordered = sorted(row)
+        if k >= 2 and ordered[0] + ordered[1] < 0:
+            raise ValueError(
+                f"table row {e} violates the pairwise-sum constraint: "
+                f"{ordered[0]} + {ordered[1]} < 0"
+            )
+        terms.append(max(ordered[-1], -ordered[0]))
+    return terms
+
+
 class ReferenceModularFunction(ModularFunction):
     """``ModularFunction`` with its per-entry constructor."""
 
     def __init__(self, table):
-        rows = tuple(
-            tuple(_check_finite(v, f"table row {e}", "table entries must be numbers")
-                  for v in row)
-            for e, row in enumerate(table)
-        )
-        if not rows:
-            raise ValueError("table must have at least one row")
-        k = len(rows[0])
-        if k < 1:
-            raise ValueError("table rows must have at least one entry")
-        lo = hi = 0.0
-        for e, row in enumerate(rows):
-            if len(row) != k:
-                raise ValueError(f"table row {e} has {len(row)} entries, expected {k}")
-            ordered = sorted(row)
-            if k >= 2 and ordered[0] + ordered[1] < 0:
-                raise ValueError(
-                    f"table row {e} violates the pairwise-sum constraint: "
-                    f"{ordered[0]} + {ordered[1]} < 0"
-                )
-            if ordered[0] < 0:
-                lo += ordered[0]
-            if ordered[-1] > 0:
-                hi += ordered[-1]
-        _check_sums_finite(lo, hi)
-        KSubFunction.__init__(self, len(rows), k)
+        rows = reference_sum_exact([list(row) for row in table], "table row {0}",
+                                   "table entries must be numbers", reference_row_magnitudes)
+        KSubFunction.__init__(self, len(rows), len(rows[0]))
         self.table = rows
 
 
@@ -407,10 +488,13 @@ class ReferenceCoverageFunction(CoverageFunction):
     """
 
     def __init__(self, weights, sets):
-        self.weights = tuple(_check_finite(w, f"weights[{u}]", "weights must be numbers")
-                             for u, w in enumerate(weights))
-        if any(w < 0 for w in self.weights):
-            raise ValueError("universe weights must be nonnegative")
+        def nonnegative(rows):
+            if any(w < 0 for w in rows[0]):
+                raise ValueError("universe weights must be nonnegative")
+            return rows[0]
+
+        (self.weights,) = reference_sum_exact([list(weights)], "weights[{1}]",
+                                              "weights must be numbers", nonnegative)
         universe = len(self.weights)
         norm = []
         for e, per_position in enumerate(reference_rows(sets, "sets")):
@@ -452,11 +536,6 @@ class ReferenceCoverageFunction(CoverageFunction):
             tuple(sum(1 << u for u in fs) for fs in row) for row in self.sets
         )
         self._planes, self._unit = reference_weight_planes(self.weights)
-        reachable = 0
-        for row in self._masks:
-            for mask in row:
-                reachable |= mask
-        _check_sums_finite(0.0, self._weight(reachable))
 
 
 def reference_mask_points(text, universe, e, i):
@@ -479,8 +558,6 @@ def reference_weight_planes(weights):
     ratios = [w.as_integer_ratio() for w in weights]
     shift = max((d.bit_length() - 1 for _, d in ratios), default=0)
     nums = [c << (shift - d.bit_length() + 1) for c, d in ratios]
-    if sum(nums) >= 1 << 53:
-        return None, 1.0
     planes = []
     for b in range(max(nums, default=0).bit_length()):
         plane = sum(1 << u for u, c in enumerate(nums) if c >> b & 1)
@@ -494,19 +571,18 @@ class ReferenceExplicitTableFunction(ExplicitTableFunction):
 
     def __init__(self, n, k, values):
         KSubFunction.__init__(self, n, k)
-        vals = tuple(_check_finite(v, f"values[{i}]", "values must be numbers")
-                     for i, v in enumerate(values))
-        if n >= len(vals).bit_length() or len(vals) != (k + 1) ** n:
+        values = list(values)
+        if n >= len(values).bit_length() or len(values) != (k + 1) ** n:
             raise ValueError(
-                f"value table has {len(vals)} entries, expected (k+1)^n "
+                f"value table has {len(values)} entries, expected (k+1)^n "
                 f"for n={n}, k={k}"
             )
-        if vals[0] != 0.0:
+        (self.values,) = reference_sum_exact([values], "values[{1}]", "values must be numbers",
+                                             lambda rows: [max(abs(v) for v in rows[0])])
+        if self.values[0] != 0.0:
             raise ValueError(
-                f"value at the empty assignment must be 0, got {vals[0]}"
+                f"value at the empty assignment must be 0, got {self.values[0]}"
             )
-        _check_sums_finite(min(vals), max(vals))
-        self.values = vals
 
 
 def reference_check_matroid_axioms(m: Matroid, budget: int = 1_000_000, seed: int = 0) -> Verdict:
@@ -633,7 +709,7 @@ def reference_verify_orthant_pairwise(f: KSubFunction, pair_budget: int = 1_000_
                                       seed: int = 0) -> Verdict:
     """Reference orthant + pairwise verifier: per-assignment loops over a dict
     of values keyed by labels, with ``randrange`` label draws.  The sampled
-    loop counts a sample only once it has an unplaced element to test."""
+    loop draws the element to test first and leaves it unplaced in q."""
     _check_sampling(pair_budget, seed)
     n, k = f.n, f.k
     if _ordered_pairs_count(n, k) <= pair_budget:
@@ -667,15 +743,11 @@ def reference_verify_orthant_pairwise(f: KSubFunction, pair_budget: int = 1_000_
         return Verdict(True, None, exhaustive=True, checked=checked)
 
     rng = random.Random(seed)
-    checked = 0
-    while checked < pair_budget:
-        q = reference_random_assignment(rng, n, k)
-        outside = [e for e in range(n) if q.labels[e] == 0]
-        if not outside:
-            continue
-        checked += 1
+    for checked in range(1, pair_budget + 1):
+        e = rng.randrange(n)
+        rest = reference_random_assignment(rng, n - 1, k).labels
+        q = Assignment._trusted(rest[:e] + (0,) + rest[e:], k)
         p = reference_random_restriction(rng, q)
-        e = rng.choice(outside)
         i = rng.randrange(1, k + 1)
         gp = f.evaluate(p.assign(e, i)) - f.evaluate(p)
         gq = f.evaluate(q.assign(e, i)) - f.evaluate(q)
@@ -687,7 +759,7 @@ def reference_verify_orthant_pairwise(f: KSubFunction, pair_budget: int = 1_000_
             if gq + gj < 0:
                 return Verdict(False, ("pairwise", q, e, i, j),
                                exhaustive=False, checked=checked)
-    return Verdict(True, None, exhaustive=False, checked=checked)
+    return Verdict(True, None, exhaustive=False, checked=pair_budget)
 
 
 def reference_verify_monotone(f: KSubFunction, pair_budget: int = 1_000_000,

@@ -7,7 +7,8 @@ same assignment, ``repr(value)`` and ``max_opt_support_size`` as
 instances of every family (non-k-submodular tables with ties and ``-0.0``
 included) under every matroid family, and on user-defined subclasses,
 which take the default ``_support_values``.  Each family's override must
-give what ``_value`` gives, bit for bit, on values off the 1/64 grid.
+give what ``_value`` gives, bit for bit, on sum-exact values spread over
+many binades.
 """
 
 import itertools
@@ -75,7 +76,7 @@ def instances(draw):
         f = gen_coverage(n, k, universe_size=2 * n, density=0.4, seed=seed)
     elif family == "table":
         # few distinct values, so ties abound; not k-submodular in general
-        tail = draw(st.lists(st.sampled_from((0.0, -0.0, 1.0, -1.0, 0.5, 0.1, 0.3)),
+        tail = draw(st.lists(st.sampled_from((0.0, -0.0, 1.0, -1.0, 0.5, 0.125, 0.375)),
                              min_size=(k + 1) ** n - 1, max_size=(k + 1) ** n - 1))
         f = ExplicitTableFunction(n, k, [draw(st.sampled_from((0.0, -0.0)))] + tail)
     else:
@@ -176,15 +177,16 @@ def assert_support_values_exact(f):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_support_values_match_value_bit_for_bit(seed):
-    """Off-grid values, where the order of float additions shows."""
+    """Values off the 1/64 grid and about 2^40 apart, where the order of
+    float additions would show if the rule let any sum round."""
     n, k = 4 + seed % 2, 1 + seed % 3
-    scales = [0.1, 1e16, 0.3, 1e-17, 0.7]
+    scales = [0.1875, 2.0 ** 30, 0.3125, 2.0 ** -10, 0.6875]
     # row e is [-x, 2x, 3x, ...] for odd e, [x, 2x, 3x, ...] for even e
     table = [[(-x if i == 0 and e % 2 else x * (1 + i)) for i in range(k)]
              for e, x in enumerate(scales[(e + seed) % 5] for e in range(n))]
     coverage = gen_coverage(n, k, universe_size=2 * n, density=0.5, seed=seed)
-    weights = [0.1 * (1 + u % 3) for u in range(coverage.universe_size)]
-    table_values = [0.0] + [0.1 * (j % 7) - 0.3 for j in range(1, (k + 1) ** n)]
+    weights = [(1 + u % 3) * 2.0 ** (30 * (u % 2) - 10) for u in range(coverage.universe_size)]
+    table_values = [0.0] + [(j % 7) * 2.0 ** -(j % 5) - 0.375 for j in range(1, (k + 1) ** n)]
     families = (
         ModularFunction(table),
         CoverageFunction(weights, [[format(mask, "x") for mask in row]

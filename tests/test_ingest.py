@@ -29,7 +29,7 @@ from ksubmax import (
     serialize_instance,
     threshold_decreasing_solve,
 )
-from ksubmax import instances
+from ksubmax import core, instances
 from ksubmax.instances import (
     CoverageFunction,
     ExplicitTableFunction,
@@ -248,9 +248,10 @@ def valid_specs():
 
 
 def test_no_per_entry_checks_and_no_per_position_gains(monkeypatch):
-    """Parsing valid files, and solving them, calls no ``_check_finite``:
-    entries are checked in passes.  The gain states have no per-position
-    ``gain`` left to call; an element is priced at all positions at once."""
+    """Parsing valid files, and solving them, calls no ``_refuse``, the
+    exactness rule's per-entry slow path: entries are checked in passes.
+    The gain states have no per-position ``gain`` left to call; an element
+    is priced at all positions at once."""
     calls = collections.Counter()
 
     def tally(name, fn):
@@ -259,8 +260,7 @@ def test_no_per_entry_checks_and_no_per_position_gains(monkeypatch):
             return fn(*args, **kwargs)
         return counted
 
-    monkeypatch.setattr(instances, "_check_finite",
-                        tally("_check_finite", instances._check_finite))
+    monkeypatch.setattr(core, "_refuse", tally("_refuse", core._refuse))
 
     texts = [serialize_instance(spec) for spec in valid_specs()]
     for text in texts:
@@ -281,4 +281,4 @@ def test_no_per_entry_checks_and_no_per_position_gains(monkeypatch):
     doc["function"]["modular"]["table"][3][1] = 10 ** 400
     with pytest.raises(InstanceFormatError, match="table row 3"):
         parse_instance(json.dumps(doc))
-    assert set(calls) == {"_check_finite"}
+    assert set(calls) == {"_refuse"}

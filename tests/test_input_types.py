@@ -238,7 +238,7 @@ def test_parse_type_checks_each_cover_set_once(monkeypatch):
     assert parse_instance(text).function == f
     cover_sets = collections.Counter(
         (core.INTS, tuple(points)) for row in doc["sets"] for points in row)
-    assert calls == cover_sets + collections.Counter({(core.NUMBERS, tuple(doc["weights"])): 1})
+    assert calls == cover_sets + collections.Counter({(core.FLOATS, tuple(doc["weights"])): 1})
 
 
 def test_parse_makes_no_type_pass_over_mask_cover_sets(monkeypatch):
@@ -252,7 +252,7 @@ def test_parse_makes_no_type_pass_over_mask_cover_sets(monkeypatch):
     calls = tally_typed(monkeypatch)
     doc = json.loads(text)["function"]["coverage"]
     assert parse_instance(text).function == f
-    assert calls == collections.Counter({(core.NUMBERS, tuple(doc["weights"])): 1})
+    assert calls == collections.Counter({(core.FLOATS, tuple(doc["weights"])): 1})
 
 
 def test_parser_makes_no_type_test_of_its_own():

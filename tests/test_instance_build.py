@@ -22,6 +22,7 @@ from ksubmax import (CoverageFunction, ExplicitTableFunction, KSubFunction, Modu
 
 from helpers import (CountingWrapper, reference_gen_coverage, reference_gen_modular,
                      reference_tabulate)
+from test_exactness import dyadics
 
 
 def hexes(f: ExplicitTableFunction) -> list[str]:
@@ -32,13 +33,13 @@ def assert_same_table(f: KSubFunction) -> None:
     assert hexes(ExplicitTableFunction.tabulate(f)) == hexes(reference_tabulate(f))
 
 
-class RootOfSum(KSubFunction):
+class SquareOfSum(KSubFunction):
     """Not modular, off the 1/64 grid, ``-0.0`` at the empty assignment; it
     keeps the default ``_support_values``, which calls ``_value``."""
 
     def _value(self, a):
-        total = sum(0.1 * lab * (e + 1) for e, lab in enumerate(a.labels))
-        return math.sqrt(total) if total else -0.0
+        total = sum(lab * (e + 1) for e, lab in enumerate(a.labels))
+        return math.ldexp(total * total, -(total % 11)) if total else -0.0
 
 
 def grid_function(family: str, n: int, k: int, seed: int) -> KSubFunction:
@@ -48,24 +49,25 @@ def grid_function(family: str, n: int, k: int, seed: int) -> KSubFunction:
         return gen_modular(n, k, value_range=(-3.0, 2.0), monotone=False, seed=seed)
     if family == "coverage-planes":
         f = gen_coverage(n, k, 3 * n, 0.5, seed=seed)
-        assert f._planes is not None
+        assert len(f._planes) <= 7
         return f
-    if family == "coverage-no-planes":
+    if family == "coverage-wide":
+        # weights over 40 binades, with a plane at each end
         g = gen_coverage(n, k, 3 * n, 0.5, seed=seed)
-        f = CoverageFunction([w * 1e300 + 0.1 for w in g.weights], g.sets)
-        assert f._planes is None
+        f = CoverageFunction([w * 2.0 ** 30 + 2.0 ** -10 for w in g.weights], g.sets)
+        assert f._planes[0][0] == 0 and f._planes[-1][0] >= 34
         return f
     if family == "explicit":
-        values = [(-1) ** i * i / 7 for i in range((k + 1) ** n)]
+        values = [(-1) ** i * i * 2.0 ** -(i % 40) for i in range((k + 1) ** n)]
         values[0] = -0.0
         values[-1] = -0.0
         return ExplicitTableFunction(n, k, values)
     if family == "default-path":
-        return RootOfSum(n, k)
+        return SquareOfSum(n, k)
     return CountingWrapper(gen_modular(n, k, monotone=False, seed=seed))
 
 
-FAMILIES = ("modular", "modular-nonmonotone", "coverage-planes", "coverage-no-planes",
+FAMILIES = ("modular", "modular-nonmonotone", "coverage-planes", "coverage-wide",
             "explicit", "default-path", "wrapped")
 
 
@@ -76,34 +78,33 @@ def test_tabulate_matches_reference_on_grid(family, k):
         assert_same_table(grid_function(family, n, k, seed=10 * n + k))
 
 
-floats = st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0, 1 / 3, 0.1])
-
-
 @st.composite
 def drawn_functions(draw):
-    """Functions of every family with values drawn anywhere, n <= 6, k <= 3."""
+    """Functions of every family with values drawn from one window of 30
+    binades anywhere in the float range, n <= 6, k <= 3."""
     n, k = draw(st.integers(1, 6)), draw(st.integers(1, 3))
     family = draw(st.sampled_from(["modular", "coverage", "explicit"]))
+    value = dyadics(draw(st.integers(-1074, 900)))
     if family == "modular":
         table = []
         for _ in range(n):
-            row = draw(st.lists(st.floats(0, 1e6), min_size=k, max_size=k))
+            row = draw(st.lists(value, min_size=k, max_size=k))
             if k >= 2 and draw(st.booleans()):
-                row[0] = -draw(st.floats(0, min(row[1:])))
+                row[0] = -draw(st.sampled_from([0.0, min(row[1:])]))
             table.append(row)
         f = ModularFunction(table)
     elif family == "coverage":
         universe = draw(st.integers(1, 8))
-        weight = st.integers(0, 64).map(lambda c: c / 64) | st.floats(0, 1e300)
-        weights = draw(st.lists(weight, min_size=universe, max_size=universe))
+        weights = draw(st.lists(value, min_size=universe, max_size=universe))
         members = st.lists(st.integers(0, universe - 1), max_size=universe)
         sets = draw(st.lists(st.lists(members, min_size=k, max_size=k),
                              min_size=n, max_size=n))
         f = CoverageFunction(weights, sets)
     else:
         size = (k + 1) ** n
+        signed = st.builds(lambda v, negative: -v if negative else v, value, st.booleans())
         f = ExplicitTableFunction(n, k, [draw(st.sampled_from([0.0, -0.0]))]
-                                  + draw(st.lists(floats, min_size=size - 1,
+                                  + draw(st.lists(signed, min_size=size - 1,
                                                   max_size=size - 1)))
     return CountingWrapper(f) if draw(st.booleans()) else f
 

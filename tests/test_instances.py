@@ -1,6 +1,7 @@
 import json
 import random
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -27,7 +28,8 @@ from ksubmax import (
     verify_monotone,
 )
 
-from helpers import coverage_text, hex_mask
+from helpers import coverage_text, hex_mask, reference_is_sum_exact
+from test_exactness import dyadics
 
 GRID = 64  # generators only emit multiples of 1/64
 
@@ -138,47 +140,61 @@ def weights_and_masks(draw):
 @example(([i / GRID for i in range(GRID + 1)], (1 << (GRID + 1)) - 1))
 def test_weight_equals_the_sequential_sum(case):
     """Both sides of the per-call choice (bit planes for many points, the
-    point loop for few or for weights failing the 2^53 test) return the
-    ascending-order float sum bit for bit.  The first example's exact sum,
-    1 + 2^-51, differs from the sequential 1.0."""
+    point loop for few) return the ascending-order float sum bit for bit.
+    Weights that are not sum-exact, where partial sums would round, are
+    refused, and only those: the first example's exact sum, 1 + 2^-51,
+    differs from the sequential 1.0."""
     weights, points = case
-    f = CoverageFunction(weights, [[[]]])
+    try:
+        f = CoverageFunction(weights, [[[]]])
+    except ValueError as err:
+        assert "sum-exact" in str(err)
+        assert not reference_is_sum_exact(weights, sum(map(Fraction, weights)))
+        return
     assert f._weight(points).hex() == sequential_weight(weights, points).hex()
 
 
 def test_weight_planes_exist_for_grid_weights():
     f = CoverageFunction([i / GRID for i in range(GRID + 1)], [[[]]])
     assert [b for b, _ in f._planes] == list(range(7))
-    assert CoverageFunction([1.0] + [2.0 ** -53] * 4, [[[]]])._planes is None
+    with pytest.raises(ValueError, match="sum-exact"):
+        CoverageFunction([1.0] + [2.0 ** -53] * 4, [[[]]])
+
+
+# the largest magnitude the rule accepts: 2^52 - 1 units of 2^971
+LARGEST = 2.0 ** 1023 - 2.0 ** 971
 
 
 class TestOverflow:
-    """A value, or a sum of two values, that overflows a float is refused;
-    each accepted case sits just inside the rule."""
+    """A magnitude whose double overflows a float is refused; each accepted
+    case sits just inside the rule."""
 
     def test_modular(self):
         with pytest.raises(ValueError, match="overflows a float"):
             ModularFunction([[1.7e308], [1.7e308]])
         with pytest.raises(ValueError, match="overflows a float"):
-            ModularFunction([[-8e307, 9e307]])  # 2 * -8e307 fits, 2 * 9e307 does not
+            ModularFunction([[-2.0 ** 1021, 2.0 ** 1023]])
         with pytest.raises(ValueError, match="overflows a float"):
-            ModularFunction([[-1e308], [-1e308]])
-        f = ModularFunction([[4e307, -4e307], [4e307, 4e307]])
-        assert f.evaluate(Assignment((1, 1), 2)) == 8e307
+            ModularFunction([[-2.0 ** 1022], [-2.0 ** 1022]])
+        f = ModularFunction([[2.0 ** 1021, -2.0 ** 1021], [2.0 ** 1021, 2.0 ** 1021]])
+        assert f.evaluate(Assignment((1, 1), 2)) == 2.0 ** 1022
+        assert ModularFunction([[LARGEST - 2.0 ** 1021], [2.0 ** 1021]]).n == 2
 
     def test_coverage(self):
         with pytest.raises(ValueError, match="overflows a float"):
             CoverageFunction([1.7e308, 1.7e308], [[[0]], [[1]]])
-        # a point no set covers adds to no value
-        f = CoverageFunction([8e307, 1.7e308], [[[0]]])
-        assert f.evaluate(Assignment((1,), 1)) == 8e307
+        # every weight counts, covered or not
+        with pytest.raises(ValueError, match="overflows a float"):
+            CoverageFunction([2.0 ** 1022, 2.0 ** 1022], [[[0]]])
+        f = CoverageFunction([2.0 ** 1021, 2.0 ** 1021], [[[0], [0, 1]]])
+        assert f.evaluate(Assignment((2,), 2)) == 2.0 ** 1022
 
     def test_explicit(self):
         with pytest.raises(ValueError, match="overflows a float"):
             ExplicitTableFunction(3, 1, [0.0] + [1.7e308] * 6 + [1.75e308])
         with pytest.raises(ValueError, match="overflows a float"):
-            ExplicitTableFunction(1, 1, [0.0, -1e308])
-        assert ExplicitTableFunction(1, 1, [0.0, -8e307]).values == (0.0, -8e307)
+            ExplicitTableFunction(1, 1, [0.0, -2.0 ** 1023])
+        assert ExplicitTableFunction(1, 1, [0.0, -LARGEST]).values == (0.0, -LARGEST)
 
 
 class TestExplicitTableFunction:
@@ -642,34 +658,34 @@ json_values = st.recursive(
                                                                 max_size=3),
     max_leaves=10,
 )
-floats = st.floats(-1e300, 1e300)
-
-
 @st.composite
 def drawn_specs(draw):
-    """Valid instances with values drawn anywhere, not only on the 1/64 grid."""
+    """Valid instances with values drawn from one window of 30 binades
+    anywhere in the float range, not only on the 1/64 grid."""
     n, k = draw(st.integers(1, 4)), draw(st.integers(1, 3))
     family = draw(st.sampled_from(["modular", "coverage", "explicit"]))
+    value = dyadics(draw(st.integers(-1074, 900)))
     if family == "modular":
         table = []
         for _ in range(n):
-            row = draw(st.lists(st.floats(0, 1e300), min_size=k, max_size=k))
+            row = draw(st.lists(value, min_size=k, max_size=k))
             if k >= 2 and draw(st.booleans()):
                 # one negative entry no larger than the rest keeps every
                 # pairwise sum nonnegative
-                row[0] = -draw(st.floats(0, min(row[1:])))
+                row[0] = -draw(st.sampled_from([0.0, min(row[1:])]))
             table.append(row)
         f = ModularFunction(table)
     elif family == "coverage":
         universe = draw(st.integers(1, 5))
-        weights = draw(st.lists(st.floats(0, 1e300), min_size=universe, max_size=universe))
+        weights = draw(st.lists(value, min_size=universe, max_size=universe))
         members = st.lists(st.integers(0, universe - 1), max_size=universe)
         sets = draw(st.lists(st.lists(members, min_size=k, max_size=k), min_size=n, max_size=n))
         f = CoverageFunction(weights, sets)
     else:
         n = min(n, 3)
         size = (k + 1) ** n
-        f = ExplicitTableFunction(n, k, [0.0] + draw(st.lists(floats, min_size=size - 1,
+        signed = st.builds(lambda v, negative: -v if negative else v, value, st.booleans())
+        f = ExplicitTableFunction(n, k, [0.0] + draw(st.lists(signed, min_size=size - 1,
                                                               max_size=size - 1)))
     kind = draw(st.sampled_from(["uniform", "partition", "explicit"]))
     if kind == "uniform":

@@ -6,6 +6,7 @@ checked, on exhaustive and sampled runs alike.
 """
 
 import random
+import time
 from itertools import islice
 
 import pytest
@@ -211,8 +212,8 @@ def test_one_pass_draw_consumes_like_randrange(k):
 @pytest.mark.parametrize("budget", range(1, 9))
 def test_sampled_orthant_counts_only_tests_made(seed, budget):
     # k = 1: each test evaluates p, p + (e, 1), q and q + (e, 1), and no
-    # pairwise test runs; a draw with every element placed tests nothing.
-    # Budgets below 3^2 sample.
+    # pairwise test runs; e is drawn first and left unplaced in q, so every
+    # draw makes a test.  Budgets below 3^2 sample.
     f = CountingWrapper(ModularFunction([[1.0], [0.5]]))
     v = verify_orthant_pairwise(f, budget, seed)
     assert (v.holds, v.exhaustive, v.checked) == (True, False, budget)
@@ -221,9 +222,23 @@ def test_sampled_orthant_counts_only_tests_made(seed, budget):
 
 @pytest.mark.parametrize("seed", [0, 5])
 def test_sampled_orthant_holds_only_after_a_test(seed):
-    # these seeds first draw q = (1,), which has no unplaced element; the
-    # verdict used to say holds with checked=1 after zero tests
+    # these seeds once drew q = (1,), which has no unplaced element, and the
+    # verdict said holds with checked=1 after zero tests; q now leaves its
+    # drawn element unplaced
     f = CountingWrapper(ModularFunction([[1.0]]))
     v = verify_orthant_pairwise(f, 1, seed)
     assert (v.holds, v.exhaustive, v.checked) == (True, False, 1)
     assert f.raw_calls == 4
+
+
+def test_sampled_orthant_draws_are_bounded():
+    """With n = 1 a uniform q is unplaced with chance 1/(k+1), so drawing q
+    until it had an unplaced element took about k+1 draws per test: over a
+    second here at k = 1000.  Each test now makes a fixed number of draws
+    and five evaluations (the pairwise test adds one)."""
+    f = CountingWrapper(ModularFunction([[1.0] * 1000]))
+    started = time.perf_counter()
+    v = verify_orthant_pairwise(f, 1000, 0)
+    assert time.perf_counter() - started < 0.5
+    assert (v.holds, v.exhaustive, v.checked) == (True, False, 1000)
+    assert f.raw_calls == 5 * 1000
