@@ -263,7 +263,6 @@ def verify_orthant_pairwise(
 
     rng = random.Random(seed)
     labels, value = _label_draws(rng, k), _label_value(f)
-    others = [[x for x in range(1, k + 1) if x != i] for i in range(k + 1)]
     for checked in range(1, pair_budget + 1):
         e = rng.randrange(n)
         q = tuple(islice(labels, e)) + (0,) + tuple(islice(labels, n - 1 - e))
@@ -277,7 +276,8 @@ def verify_orthant_pairwise(
                                    Assignment._trusted(q, k), e, i),
                            exhaustive=False, checked=checked)
         if k >= 2:
-            j = rng.choice(others[i])
+            j = rng.randrange(1, k)  # the draw of rng.choice over the positions but i
+            j += j >= i
             gj = value(q[:e] + (j,) + q[e + 1:]) - fq
             if gq + gj < 0:
                 return Verdict(False, ("pairwise", Assignment._trusted(q, k), e, i, j),
