@@ -35,8 +35,10 @@ def _typed(values: Iterable, types: frozenset) -> bool:
 
 
 def _sum_exact(rows: tuple[tuple, ...], where: str, rule: str,
-               magnitudes: Callable[[tuple], Iterable[float]]) -> tuple[tuple[float, ...], ...]:
-    """``rows`` with every value a float, refused unless the values are sum-exact.
+               magnitudes: Callable[[tuple], Iterable[float]],
+               ) -> tuple[tuple[tuple[float, ...], ...], int]:
+    """``rows`` with every value a float, and the unit exponent ``S``;
+    refused unless the values are sum-exact.
 
     This is the exactness rule of every function family.  Values are
     *sum-exact* when each is a multiple of one unit ``2^-S`` and twice the
@@ -53,12 +55,11 @@ def _sum_exact(rows: tuple[tuple, ...], where: str, rule: str,
     (ValueError) and returns the terms of the magnitude.  The work is
     C-level passes: a type pass (two when some value is not a float), a
     float copy unless every value is a float already, and one pass that
-    scales each value by ``2^S`` and asks whether it is a whole number,
-    which fails for NaN and infinities too.  Where ``2^S`` overflows, or
-    ``S < 0`` and a small value could underflow to 0, the pass takes the
-    remainder by the unit instead, which is exact.  Only a refused input
-    is walked again, by :func:`_refuse`, to name the first bad value; a
-    value that is not finite is named before the family's checks speak.
+    takes each value's remainder by the unit, which is exact (and NaN for
+    NaN and infinities).  Only a refused input is walked again, by
+    :func:`_refuse`, to name the first bad value; a value that is not
+    finite is named before the family's checks speak.  ``S`` is returned
+    so a family can count its values in whole units.
     """
     entries = itertools.chain.from_iterable
     floats = rows
@@ -82,14 +83,10 @@ def _sum_exact(rows: tuple[tuple, ...], where: str, rule: str,
         _refuse(rows, where, rule)
         raise ValueError(f"not sum-exact: twice the magnitude {magnitude} overflows a float")
     exponent = min(52 - math.frexp(magnitude)[1], 1074)
-    if 0 <= exponent <= 1023:  # x * 2^S is exact, and whole iff x is a multiple of 2^-S
-        units = map(operator.mul, entries(floats), itertools.repeat(2.0 ** exponent))
-        exact = all(map(float.is_integer, units))
-    else:  # 2^S overflows, or x * 2^S may underflow; the remainder is exact
-        exact = not any(map(operator.mod, entries(floats), itertools.repeat(2.0 ** -exponent)))
-    if not exact or floats != rows:  # an int may round
+    if any(map(operator.mod, entries(floats), itertools.repeat(2.0 ** -exponent))) or (
+            floats != rows):  # an int may round
         _refuse(rows, where, rule, exponent, magnitude)
-    return floats
+    return floats, exponent
 
 
 def _refuse(rows: tuple[tuple, ...], where: str, rule: str,

@@ -146,8 +146,8 @@ class ModularFunction(KSubFunction):
     """
 
     def __init__(self, table: Sequence[Sequence[float]]):
-        self.table = _sum_exact(tuple(map(tuple, table)), "table row {0}",
-                                "table entries must be numbers", _row_magnitudes)
+        self.table, _ = _sum_exact(tuple(map(tuple, table)), "table row {0}",
+                                   "table entries must be numbers", _row_magnitudes)
         super().__init__(len(self.table), len(self.table[0]))
 
     @property
@@ -201,7 +201,7 @@ class CoverageFunction(KSubFunction):
 
     Weighing a set of points costs the smaller of its size and the number
     of weight bit planes in Python-level steps.  Every weight is a dyadic
-    rational ``c_u / 2^S`` (``S`` the largest denominator exponent), and
+    rational ``c_u / 2^S`` (``2^-S`` the unit of the exactness rule), and
     the weights are sum-exact (see :func:`ksubmax.core._sum_exact`) at
     the magnitude ``sum(weights)``, so ``sum(c_u) < 2^52`` and every
     partial sum of any subset is an exact float.  The sum in ascending
@@ -229,8 +229,8 @@ class CoverageFunction(KSubFunction):
         weights: Sequence[float],
         sets: Sequence[Sequence[Iterable[int] | str]],
     ):
-        (self.weights,) = _sum_exact((tuple(weights),), "weights[{1}]",
-                                     "weights must be numbers", _nonnegative)
+        (self.weights,), exponent = _sum_exact((tuple(weights),), "weights[{1}]",
+                                               "weights must be numbers", _nonnegative)
         universe = len(self.weights)
         masks = []
         for e, per_position in enumerate(_rows(sets, "sets")):
@@ -243,7 +243,7 @@ class CoverageFunction(KSubFunction):
         if k < 1 or any(len(row) != k for row in self._masks):
             raise ValueError("every element needs one cover set per position")
         super().__init__(len(self._masks), k)
-        self._planes, self._unit = _weight_planes(self.weights)
+        self._planes, self._unit = _weight_planes(self.weights, exponent)
 
     @functools.cached_property
     def sets(self) -> tuple[tuple[frozenset[int], ...], ...]:
@@ -317,26 +317,23 @@ def _nonnegative(rows: tuple[tuple[float, ...]]) -> tuple[float, ...]:
     return rows[0]
 
 
-def _weight_planes(weights: tuple[float, ...]):
-    """Bit planes of the weights' numerators over their common denominator.
+def _weight_planes(weights: tuple[float, ...], exponent: int):
+    """Bit planes of the weights counted in units of ``2^-exponent``, the
+    unit :func:`ksubmax.core._sum_exact` chose for them.
 
     Returns ``(planes, unit)``: ``planes`` lists ``(b, plane_b)`` for every
-    nonempty plane and ``unit`` is ``2^-S``, so a set of points weighs
-    ``sum(popcount(points & plane_b) << b) * unit``.
+    nonempty plane, at most 52, and ``unit`` is ``2^-exponent``, so a set
+    of points weighs ``sum(popcount(points & plane_b) << b) * unit``.
     """
-    ratios = list(map(float.as_integer_ratio, weights))
-    denominators = list(map(operator.itemgetter(1), ratios))
-    scale = max(denominators, default=1)  # every denominator is a power of two
-    nums = list(map(operator.mul, map(operator.itemgetter(0), ratios),
-                    map(scale.__floordiv__, denominators)))
+    nums = list(map(int, map(math.ldexp, weights, itertools.repeat(exponent))))
+    either = functools.reduce(operator.or_, nums, 0)
     planes = []
-    for b in range(max(nums, default=0).bit_length()):
-        bits = map(operator.and_, map(operator.rshift, nums, itertools.repeat(b)),
-                   itertools.repeat(1))
-        plane = _bitmask(bytes(bits))
-        if plane:
-            planes.append((b, plane))
-    return tuple(planes), 2.0 ** -(scale.bit_length() - 1)
+    for b in range(either.bit_length()):
+        if either >> b & 1:
+            bits = map(operator.and_, map(operator.rshift, nums, itertools.repeat(b)),
+                       itertools.repeat(1))
+            planes.append((b, _bitmask(bytes(bits))))
+    return tuple(planes), 2.0 ** -exponent
 
 
 class _ModularGainState(GainState):
@@ -428,8 +425,8 @@ class ExplicitTableFunction(KSubFunction):
         if n >= len(values).bit_length() or len(values) != (k + 1) ** n:
             raise ValueError(f"value table has {len(values)} entries, expected (k+1)^n "
                              f"for n={n}, k={k}")
-        (self.values,) = _sum_exact((values,), "values[{1}]", "values must be numbers",
-                                    lambda rows: (max(max(rows[0]), -min(rows[0])),))
+        (self.values,), _ = _sum_exact((values,), "values[{1}]", "values must be numbers",
+                                       lambda rows: (max(max(rows[0]), -min(rows[0])),))
         if self.values[0] != 0.0:
             raise ValueError(f"value at the empty assignment must be 0, got {self.values[0]}")
         self._steps = _code_steps(n, k)

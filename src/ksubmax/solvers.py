@@ -69,9 +69,13 @@ def _check_inputs(f: KSubFunction, m: Matroid) -> None:
 
 
 def _check_epsilon(epsilon) -> None:
-    """Refuse with ValueError an epsilon that is not an int or float in (0, 1)."""
+    """Refuse with ValueError an epsilon that is not an int or float in (0, 1),
+    or one so small that ``1 - epsilon`` rounds to 1 (at most ``2^-54``)."""
     if type(epsilon) not in NUMBERS or not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie strictly between 0 and 1, got {epsilon!r}")
+    if 1.0 - epsilon == 1.0:
+        raise ValueError(f"epsilon must be large enough that 1 - epsilon is below 1, "
+                         f"got {epsilon!r}")
 
 
 def predicted_round_bound(epsilon: float, r: int) -> int:
@@ -118,9 +122,11 @@ def threshold_decreasing_solve(
     ``order_seed`` is given) and accepts an element when its best
     single-position gain meets the threshold.  The loop stops when the
     threshold reaches (1 - eps) * eps * d / (2r), no candidate is left, or
-    the support reaches the rank r; also when rounding keeps the threshold
-    from shrinking, as it does for subnormal thresholds (sum-exact values
-    may all be subnormal) and for an eps whose 1 - eps rounds to 1.
+    the support reaches the rank r.  Where rounding would hold the
+    threshold still, as it can for a subnormal threshold (sum-exact values
+    may all be subnormal), it drops by one unit of ``2^-1074`` instead;
+    every gain is a whole number of those units there, so a gain below the
+    old threshold is below the new one too.
 
     The walk is lazy.  Each element keeps ``bound[e]``, the last best gain
     computed for it (seeded by the opening singleton scan).  By orthant
@@ -200,8 +206,8 @@ def threshold_decreasing_solve(
     best = state._best  # every element the run walks is an open int in range(n)
     can_add = indep._can_add
     stop = (1 - epsilon) * epsilon * d / (2 * r)
-    w, previous = d, math.inf
-    while stop < w < previous and candidates and len(support) < r:
+    w = d
+    while w > stop and candidates and len(support) < r:
         added = 0
         survivors = []
         for e in candidates:
@@ -222,7 +228,9 @@ def threshold_decreasing_solve(
                 survivors.append(e)
         candidates = survivors
         rounds.append((w, added))
-        w, previous = w * (1 - epsilon), w
+        # rounding may hold a subnormal bar still; it then drops one unit
+        # instead, and the gains, whole units there, clear it as they would
+        w = min(w * (1 - epsilon), math.nextafter(w, 0.0))
     return _report(f, state, counters, rounds, start)
 
 

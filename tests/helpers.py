@@ -8,6 +8,8 @@ import time
 from fractions import Fraction
 from typing import Optional
 
+from hypothesis import strategies as st
+
 from ksubmax import (Assignment, CapExceededError, GainState, InstanceSpec, KSubFunction,
                      Matroid, OracleCounters, UniformMatroid, enumerate_assignments, join,
                      marginal_gain, meet, serialize_instance)
@@ -104,8 +106,9 @@ def eager_threshold_solve(
     visit whether or not its gain can meet the bar, and the loop runs until
     the bar reaches its stop value or no candidate is left.  This is the
     loop ``threshold_decreasing_solve`` shipped before it became lazy, kept
-    unchanged so the lazy solver can be checked against it: same
-    assignment and value, and no more EO, IO or rounds.
+    so the lazy solver can be checked against it: same assignment and
+    value, and no more EO, IO or rounds.  Its bar falls as the lazy one's
+    does, dropping one unit where rounding would hold a subnormal bar still.
 
     Oracle accounting: n*k EO for the opening single-element scan plus k
     EO per feasible candidate visit; n IO for the rank scan plus one IO per
@@ -172,7 +175,7 @@ def eager_threshold_solve(
                 survivors.append(e)
         candidates = survivors
         rounds.append((w, added))
-        w *= 1 - epsilon
+        w = min(w * (1 - epsilon), math.nextafter(w, 0.0))
     return report()
 
 
@@ -393,8 +396,20 @@ def reference_sum_exact(rows, where, rule, magnitudes):
     if not magnitude < 2.0 ** 1023:
         first_bad()
         raise ValueError(f"not sum-exact: twice the magnitude {magnitude} overflows a float")
-    first_bad(min(52 - math.frexp(magnitude)[1], 1074), magnitude)
-    return floats
+    exponent = min(52 - math.frexp(magnitude)[1], 1074)
+    first_bad(exponent, magnitude)
+    return floats, exponent
+
+
+def dyadics(base: int, bits: int = 15):
+    """Values ``c * 2^(base + s)`` with ``0 <= c < 2^bits`` and ``0 <= s <= 30``:
+    every one a multiple of ``2^base``, spread over 30 binades."""
+    return st.builds(lambda c, s: math.ldexp(c, base + s),
+                     st.integers(0, 2 ** bits - 1), st.integers(0, 30))
+
+
+# unit exponents for ``dyadics`` windows, from the smallest subnormal up
+BASES = st.integers(-1074, 920)
 
 
 def reference_is_sum_exact(values, magnitude) -> bool:
@@ -458,8 +473,8 @@ class ReferenceModularFunction(ModularFunction):
     """``ModularFunction`` with its per-entry constructor."""
 
     def __init__(self, table):
-        rows = reference_sum_exact([list(row) for row in table], "table row {0}",
-                                   "table entries must be numbers", reference_row_magnitudes)
+        rows, _ = reference_sum_exact([list(row) for row in table], "table row {0}",
+                                      "table entries must be numbers", reference_row_magnitudes)
         KSubFunction.__init__(self, len(rows), len(rows[0]))
         self.table = rows
 
@@ -493,7 +508,7 @@ class ReferenceCoverageFunction(CoverageFunction):
                 raise ValueError("universe weights must be nonnegative")
             return rows[0]
 
-        (self.weights,) = reference_sum_exact([list(weights)], "weights[{1}]",
+        (self.weights,), exponent = reference_sum_exact([list(weights)], "weights[{1}]",
                                               "weights must be numbers", nonnegative)
         universe = len(self.weights)
         norm = []
@@ -535,7 +550,7 @@ class ReferenceCoverageFunction(CoverageFunction):
         self._masks = tuple(
             tuple(sum(1 << u for u in fs) for fs in row) for row in self.sets
         )
-        self._planes, self._unit = reference_weight_planes(self.weights)
+        self._planes, self._unit = reference_weight_planes(self.weights, exponent)
 
 
 def reference_mask_points(text, universe, e, i):
@@ -553,17 +568,16 @@ def reference_mask_points(text, universe, e, i):
     return frozenset(u for u in range(top + 1) if mask >> u & 1)
 
 
-def reference_weight_planes(weights):
+def reference_weight_planes(weights, exponent):
     """The weight bit planes and unit, one Python step per point and plane."""
-    ratios = [w.as_integer_ratio() for w in weights]
-    shift = max((d.bit_length() - 1 for _, d in ratios), default=0)
-    nums = [c << (shift - d.bit_length() + 1) for c, d in ratios]
+    nums = [Fraction(w) * 2 ** exponent for w in weights]
+    assert all(c.denominator == 1 for c in nums)
     planes = []
-    for b in range(max(nums, default=0).bit_length()):
-        plane = sum(1 << u for u, c in enumerate(nums) if c >> b & 1)
+    for b in range(int(max(nums, default=0)).bit_length()):
+        plane = sum(1 << u for u, c in enumerate(nums) if int(c) >> b & 1)
         if plane:
             planes.append((b, plane))
-    return tuple(planes), 2.0 ** -shift
+    return tuple(planes), 2.0 ** -exponent
 
 
 class ReferenceExplicitTableFunction(ExplicitTableFunction):
@@ -577,8 +591,8 @@ class ReferenceExplicitTableFunction(ExplicitTableFunction):
                 f"value table has {len(values)} entries, expected (k+1)^n "
                 f"for n={n}, k={k}"
             )
-        (self.values,) = reference_sum_exact([values], "values[{1}]", "values must be numbers",
-                                             lambda rows: [max(abs(v) for v in rows[0])])
+        (self.values,), _ = reference_sum_exact([values], "values[{1}]", "values must be numbers",
+                                                lambda rows: [max(abs(v) for v in rows[0])])
         if self.values[0] != 0.0:
             raise ValueError(
                 f"value at the empty assignment must be 0, got {self.values[0]}"

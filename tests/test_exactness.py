@@ -41,20 +41,12 @@ from ksubmax import (
 )
 from ksubmax.cli import main
 
-from helpers import CountingWrapper, modular_opt, reference_is_sum_exact
+from helpers import BASES, CountingWrapper, dyadics, modular_opt, reference_is_sum_exact
 from test_gain_state import feasibility_instances, ratio_instances, same_run
 
 DECIMAL_TABLE = [[0.1], [0.2], [0.3]]
 
 
-def dyadics(base: int, bits: int = 15):
-    """Values ``c * 2^(base + s)`` with ``0 <= c < 2^bits`` and ``0 <= s <= 30``:
-    every one a multiple of ``2^base``, spread over 30 binades."""
-    return st.builds(lambda c, s: math.ldexp(c, base + s),
-                     st.integers(0, 2 ** bits - 1), st.integers(0, 30))
-
-
-BASES = st.integers(-1074, 920)
 # what a hand-written file may hold besides one window of dyadics
 LOOSE = st.one_of(
     st.floats(min_value=0.0, allow_infinity=False),
@@ -148,16 +140,28 @@ def test_subnormal_and_zero_tables_are_accepted():
         assert verify_k_submodular(zero).holds and verify_orthant_pairwise(zero).holds
 
 
-def test_threshold_ends_when_a_subnormal_bar_stops_shrinking():
+def test_a_stalled_subnormal_bar_drops_one_unit():
     """An all-subnormal table is sum-exact.  Its bar falls from 6 units of
     2^-1074 to 5, and 0.9 times 5 units rounds back to 5, above the stop
-    value (which rounds to 0) and above the two gains left: the loop used
-    to run that round forever."""
+    value (which rounds to 0): the bar then drops one unit a round, and
+    the gains, whole units, are taken as soon as they clear it.  The loop
+    used to run the round at 5 units forever."""
     unit = 5e-324
     f = ModularFunction([[6 * unit], [unit], [2 * unit]])
     run = threshold_decreasing_solve(f, UniformMatroid(3, 3), 0.1)
-    assert run.rounds == [(6 * unit, 1), (5 * unit, 0)]
-    assert run.value == 6 * unit
+    assert run.rounds == [(6 * unit, 1), (5 * unit, 0), (4 * unit, 0), (3 * unit, 0),
+                          (2 * unit, 1), (unit, 1)]
+    assert run.value == 9 * unit
+
+
+def test_a_stalled_subnormal_bar_keeps_the_ratio():
+    """The bar stalls at 49 units of 2^-1074, far above the stop value
+    (about 0.03 units, which rounds to 0); a run that ended there took
+    60 of the 540 units."""
+    unit = 5e-324
+    f = ModularFunction([[60 * unit]] + [[48 * unit]] * 10)
+    run = threshold_decreasing_solve(f, UniformMatroid(11, 11), 0.01)
+    assert run.value == 540 * unit == modular_opt(f, UniformMatroid(11, 11))
 
 
 def test_decimal_table_is_refused_with_its_unit_and_magnitude():
@@ -244,6 +248,18 @@ def test_greedy_meets_the_closed_form_opt_on_the_criteria_grids():
                 assert greedy_solve(f, m).value == modular_opt(f, m)
                 runs += 1
     assert runs > 900
+
+
+@settings(max_examples=300, deadline=None)
+@given(accepted_instances(max_n=5), st.sampled_from([0.01, 0.1, 0.3]))
+def test_threshold_meets_its_ratio_on_accepted_values(case, epsilon):
+    """``(1/2 - eps) * OPT`` when monotone and ``(1/3 - eps) * OPT``
+    otherwise, compared in exact rationals, at every unit the rule allows."""
+    f, m = case
+    opt = Fraction(brute_force_solve(f, m).value)
+    monotone = isinstance(f, CoverageFunction) or f.monotone
+    ratio = Fraction(1, 2 if monotone else 3) - Fraction(epsilon)
+    assert Fraction(threshold_decreasing_solve(f, m, epsilon).value) >= ratio * opt
 
 
 def write_instance(tmp_path, function, n, k):

@@ -11,6 +11,7 @@ the acceptance-criteria grids and on random instances.
 from hypothesis import given, settings, strategies as st
 
 from ksubmax import (
+    ModularFunction,
     gen_coverage,
     gen_explicit_matroid,
     gen_modular,
@@ -19,7 +20,7 @@ from ksubmax import (
     UniformMatroid,
 )
 
-from helpers import eager_threshold_solve
+from helpers import eager_threshold_solve, modular_opt
 from test_gain_state import feasibility_instances, ratio_instances
 
 
@@ -51,6 +52,19 @@ def test_lazy_equals_eager_on_criteria_grids():
                     runs += 1
     assert runs == 2 * (1000 + 3 * 450)
     assert saved_eo > 0
+
+
+def test_lazy_equals_eager_where_a_subnormal_bar_stalls():
+    """Rounding holds these bars still at a few units of 2^-1074, where both
+    loops drop them one unit a round."""
+    unit = 5e-324
+    for f, m, epsilon in (
+        (ModularFunction([[6 * unit], [unit], [2 * unit]]), UniformMatroid(3, 3), 0.1),
+        (ModularFunction([[60 * unit]] + [[48 * unit]] * 10), UniformMatroid(11, 11), 0.01),
+    ):
+        lazy, _ = assert_lazy_matches_eager(f, m, epsilon)
+        bars = [w for w, _ in lazy.rounds]
+        assert bars == sorted(set(bars), reverse=True) and lazy.value == modular_opt(f, m)
 
 
 @st.composite

@@ -263,6 +263,18 @@ class TestRoundBound:
         with pytest.raises(ValueError):
             predicted_round_bound(0.5, 0)
 
+    def test_refuses_an_epsilon_whose_complement_rounds_to_one(self):
+        """``1 - eps`` is 1.0 for every eps up to ``2^-54``: the bar would
+        never fall and the bound would divide by ``log(1) = 0``."""
+        message = "epsilon must be large enough that 1 - epsilon is below 1"
+        f, m = ModularFunction([[4.0], [1.0], [2.0]]), UniformMatroid(3, 2)
+        for tiny in (2.0 ** -54, 1e-20, 5e-324):
+            with pytest.raises(ValueError, match=message):
+                predicted_round_bound(tiny, 2)
+            with pytest.raises(ValueError, match=message):
+                threshold_decreasing_solve(f, m, tiny)
+        assert predicted_round_bound(2.0 ** -53, 2) > 2 ** 56
+
     def test_grows_with_rank_and_precision(self):
         assert predicted_round_bound(0.2, 4) <= predicted_round_bound(0.2, 16)
         assert predicted_round_bound(0.3, 8) <= predicted_round_bound(0.1, 8)
