@@ -322,18 +322,22 @@ def _weight_planes(weights: tuple[float, ...], exponent: int):
     unit :func:`ksubmax.core._sum_exact` chose for them.
 
     Returns ``(planes, unit)``: ``planes`` lists ``(b, plane_b)`` for every
-    nonempty plane, at most 52, and ``unit`` is ``2^-exponent``, so a set
-    of points weighs ``sum(popcount(points & plane_b) << b) * unit``.
+    nonempty plane, at most 52, and ``unit`` is ``2^-exponent`` times
+    ``2^low`` for the lowest nonempty plane ``low``, so a set of points
+    weighs ``sum(popcount(points & plane_b) << b) * unit``.  Counting from
+    that plane keeps the sums small ints, which the weighing loop adds
+    faster (weights on the 1/64 grid need bits 0 to 6).
     """
     nums = list(map(int, map(math.ldexp, weights, itertools.repeat(exponent))))
     either = functools.reduce(operator.or_, nums, 0)
+    low = max((either & -either).bit_length() - 1, 0)
     planes = []
-    for b in range(either.bit_length()):
+    for b in range(low, either.bit_length()):
         if either >> b & 1:
             bits = map(operator.and_, map(operator.rshift, nums, itertools.repeat(b)),
                        itertools.repeat(1))
-            planes.append((b, _bitmask(bytes(bits))))
-    return tuple(planes), 2.0 ** -exponent
+            planes.append((b - low, _bitmask(bytes(bits))))
+    return tuple(planes), 2.0 ** (low - exponent)
 
 
 class _ModularGainState(GainState):

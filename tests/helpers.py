@@ -572,12 +572,16 @@ def reference_weight_planes(weights, exponent):
     """The weight bit planes and unit, one Python step per point and plane."""
     nums = [Fraction(w) * 2 ** exponent for w in weights]
     assert all(c.denominator == 1 for c in nums)
+    nums = [int(c) for c in nums]
+    low = 0  # count from the lowest nonempty plane
+    while any(nums) and not any(c >> low & 1 for c in nums):
+        low += 1
     planes = []
-    for b in range(int(max(nums, default=0)).bit_length()):
-        plane = sum(1 << u for u, c in enumerate(nums) if int(c) >> b & 1)
+    for b in range(low, max(nums, default=0).bit_length()):
+        plane = sum(1 << u for u, c in enumerate(nums) if c >> b & 1)
         if plane:
-            planes.append((b, plane))
-    return tuple(planes), 2.0 ** -exponent
+            planes.append((b - low, plane))
+    return tuple(planes), 2.0 ** (low - exponent)
 
 
 class ReferenceExplicitTableFunction(ExplicitTableFunction):

@@ -154,16 +154,6 @@ def test_a_stalled_subnormal_bar_drops_one_unit():
     assert run.value == 9 * unit
 
 
-def test_a_stalled_subnormal_bar_keeps_the_ratio():
-    """The bar stalls at 49 units of 2^-1074, far above the stop value
-    (about 0.03 units, which rounds to 0); a run that ended there took
-    60 of the 540 units."""
-    unit = 5e-324
-    f = ModularFunction([[60 * unit]] + [[48 * unit]] * 10)
-    run = threshold_decreasing_solve(f, UniformMatroid(11, 11), 0.01)
-    assert run.value == 540 * unit == modular_opt(f, UniformMatroid(11, 11))
-
-
 def test_decimal_table_is_refused_with_its_unit_and_magnitude():
     """The table that used to get two ``fails`` verdicts and OPT
     0.6000000000000001."""
@@ -252,9 +242,14 @@ def test_greedy_meets_the_closed_form_opt_on_the_criteria_grids():
 
 @settings(max_examples=300, deadline=None)
 @given(accepted_instances(max_n=5), st.sampled_from([0.01, 0.1, 0.3]))
+@example((ModularFunction([[60 * 5e-324]] + [[48 * 5e-324]] * 10), UniformMatroid(11, 11)),
+         0.01)
 def test_threshold_meets_its_ratio_on_accepted_values(case, epsilon):
     """``(1/2 - eps) * OPT`` when monotone and ``(1/3 - eps) * OPT``
-    otherwise, compared in exact rationals, at every unit the rule allows."""
+    otherwise, compared in exact rationals, at every unit the rule allows.
+    In the example the bar stalls at 49 units of 2^-1074, far above the
+    stop value (about 0.03 units, which rounds to 0); a run that ended
+    there took 60 of the 540 units."""
     f, m = case
     opt = Fraction(brute_force_solve(f, m).value)
     monotone = isinstance(f, CoverageFunction) or f.monotone

@@ -54,7 +54,7 @@ def grid_function(family: str, n: int, k: int, seed: int) -> KSubFunction:
         # weights over 40 binades, with a plane at each end
         g = gen_coverage(n, k, 3 * n, 0.5, seed=seed)
         f = CoverageFunction([w * 2.0 ** 30 + 2.0 ** -10 for w in g.weights], g.sets)
-        assert f._planes[-1][0] - f._planes[0][0] >= 34
+        assert f._planes[0][0] == 0 and f._planes[-1][0] >= 34
         return f
     if family == "explicit":
         values = [(-1) ** i * i * 2.0 ** -(i % 40) for i in range((k + 1) ** n)]

@@ -155,8 +155,7 @@ def test_weight_equals_the_sequential_sum(case):
 
 def test_weight_planes_exist_for_grid_weights():
     f = CoverageFunction([i / GRID for i in range(GRID + 1)], [[[]]])
-    # i/64 counted in units of 2^-46, the rule's unit at the magnitude 32.5
-    assert [b for b, _ in f._planes] == list(range(40, 47)) and f._unit == 2.0 ** -46
+    assert [b for b, _ in f._planes] == list(range(7)) and f._unit == 2.0 ** -6
     with pytest.raises(ValueError, match="sum-exact"):
         CoverageFunction([1.0] + [2.0 ** -53] * 4, [[[]]])
 
