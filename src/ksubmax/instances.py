@@ -370,11 +370,19 @@ class _ModularGainState(GainState):
 
 
 class _CoverageGainState(GainState):
-    """Keeps the covered points as a bitmask; a gain weighs only new points."""
+    """Keeps the covered points as a bitmask; a gain weighs only new points.
+
+    Covered points only accumulate, so an element's best gain only
+    shrinks (Minoux 1978).  ``bound[e]`` is the last best gain
+    :meth:`_best_of` weighed for ``e`` (``inf`` before the first), an
+    upper bound on its current one, and :meth:`_best_of` weighs a row
+    only while its bound can still beat the best gain found.
+    """
 
     def __init__(self, f: CoverageFunction, counters: Optional[OracleCounters] = None):
         super().__init__(f, counters)
         self.covered = 0
+        self.bound = [math.inf] * f.n
 
     def _best(self, e: int) -> tuple[float, int]:
         self._charge_rows(1)
@@ -390,18 +398,30 @@ class _CoverageGainState(GainState):
         return [max(map(weight, map(free.__and__, masks[e]))) for e in elements]
 
     def _best_of(self, elements: Sequence[int]) -> Optional[tuple[int, int, float]]:
+        """The per-element loop's answer, weighing rows by descending bound.
+
+        The bounds are read once, before any weighing, so a repeated
+        element keeps the bound it had at the call; the stable sort keeps
+        list order among equal bounds.  The walk stops at the first bound
+        below the best gain found, or equal to it at a later list position:
+        no later row can then win.  Every listed element is still charged
+        its k EO calls, the loop's count.
+        """
         self._charge_rows(len(elements))
-        weight, masks, free = self.f._weight, self.f._masks, ~self.covered
-        best_gain = -math.inf
-        choice = None
-        for e in elements:
-            gains = [weight(mask & free) for mask in masks[e]]
-            gain = max(gains)
-            if gain > best_gain:
-                best_gain, choice, best_gains = gain, e, gains
-        if choice is None:
+        if not elements:
             return None
-        return choice, best_gains.index(best_gain) + 1, best_gain
+        weight, masks, free, bound = self.f._weight, self.f._masks, ~self.covered, self.bound
+        bounds = list(map(bound.__getitem__, elements))
+        best_gain, best_j = -math.inf, len(elements)
+        for j in sorted(range(len(elements)), key=bounds.__getitem__, reverse=True):
+            if bounds[j] < best_gain or (bounds[j] == best_gain and j > best_j):
+                break
+            e = elements[j]
+            gains = [weight(mask & free) for mask in masks[e]]
+            gain = bound[e] = max(gains)
+            if gain > best_gain or (gain == best_gain and j < best_j):
+                best_gain, best_j, best_gains = gain, j, gains
+        return elements[best_j], best_gains.index(best_gain) + 1, best_gain
 
     def place(self, e: int, i: int, gain: float) -> None:
         super().place(e, i, gain)

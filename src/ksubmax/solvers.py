@@ -238,39 +238,49 @@ def greedy_solve(f: KSubFunction, m: Matroid) -> SolveReport:
     """Baseline: repeatedly add the best feasible (element, position) pair.
 
     The run holds one independence state from ``m.independence_state`` and
-    one gain state from ``f.gain_state``, and keeps the elements outside
-    the support in an ascending list.  Each iteration makes two batched
-    calls on that list: :meth:`IndependenceState._feasible` tests every
-    element in it (one pass for the shipped matroid families), and
-    :meth:`GainState._best_of` prices every feasible one at all k
-    positions against the running gain state (exact on sum-exact values;
-    one pass for the shipped modular and coverage families) and
-    returns the first element with the strictly largest gain and its
-    lowest best position.  So it adds the argmax pair with ties going to
-    the lowest element, then the lowest position.  The run stops after the
-    first iteration that finds no feasible element, hence after at most
-    rank-many additions.
+    one gain state from ``f.gain_state``, and keeps a candidate list: the
+    elements outside the support not yet found infeasible, ascending.
+    Each iteration makes two batched calls on that list:
+    :meth:`IndependenceState._feasible` tests every candidate (one pass for
+    the shipped matroid families) and the list keeps the feasible ones, and
+    :meth:`GainState._best_of` prices them at all k positions against the
+    running gain state (exact on sum-exact values; one pass for the shipped
+    modular and coverage families) and returns the first element with the
+    strictly largest gain and its lowest best position.  So it adds the
+    argmax pair with ties going to the lowest element, then the lowest
+    position.  The run stops after the first iteration that finds no
+    feasible element, hence after at most rank-many additions.
+
+    Dropping an infeasible candidate for good is sound on a matroid: if
+    ``S + e`` is dependent, so is every superset, and the support only
+    grows (the threshold solver drops its candidates the same way).  The
+    run therefore adds exactly the pairs that rebuilding the feasible set
+    with :func:`feasible_extensions` every iteration adds.
 
     Exact oracle accounting, charged per element by the batched calls just
     as the per-element loop charges it: every iteration, the last one
-    included, costs one IO call per element outside the support and k EO
-    calls per feasible one.  These equal the counts of rebuilding the
-    feasible set with :func:`feasible_extensions` every iteration.
+    included, costs one IO call per candidate and k EO calls per feasible
+    one.  The EO count equals that of rebuilding the feasible set every
+    iteration; the IO count is that rebuild's less its re-tests of
+    elements an earlier iteration found infeasible, and equals it on a
+    uniform matroid, where nothing is infeasible before the last
+    iteration.
     """
     _check_inputs(f, m)
     start = time.perf_counter()
     counters = OracleCounters()
     state = f.gain_state(counters)
     indep = m.independence_state(counters)
-    outside = list(range(f.n))  # ascending; every element is an open int in range(n)
+    candidates = list(range(f.n))  # ascending; every element is an open int in range(n)
     while True:
-        choice = state._best_of(indep._feasible(outside))
+        candidates = indep._feasible(candidates)
+        choice = state._best_of(candidates)
         if choice is None:
             break
         e, i, gain = choice
         state.place(e, i, gain)
         indep.add(e)
-        outside.remove(e)
+        candidates.remove(e)
     return _report(f, state, counters, [], start)
 
 

@@ -7,6 +7,7 @@ import random
 import time
 from fractions import Fraction
 from typing import Optional
+from unittest import mock
 
 from hypothesis import strategies as st
 
@@ -189,7 +190,8 @@ def reference_greedy_solve(f: KSubFunction, m: Matroid) -> SolveReport:
     then lowest position on ties; it stops when no feasible element is
     left.  This is the loop ``greedy_solve`` shipped before it kept one
     independence state for the whole run, kept unchanged so the solver can
-    be checked against it: same assignment, value and counts.
+    be checked against it: same assignment, value and EO calls, and IO
+    calls less the re-tests that :func:`reference_greedy_retests` counts.
     """
     _check_inputs(f, m)
     start = time.perf_counter()
@@ -220,6 +222,47 @@ def reference_greedy_solve(f: KSubFunction, m: Matroid) -> SolveReport:
         rounds=[],
         elapsed=time.perf_counter() - start,
     )
+
+
+def reference_greedy_retests(f: KSubFunction, m: Matroid) -> tuple[SolveReport, int]:
+    """``reference_greedy_solve(f, m)`` and its re-tests: the IO calls it
+    spends on elements that an earlier iteration found infeasible.
+
+    Each iteration tests every element outside the support, so an element
+    found infeasible, which never joins the support, is tested again by
+    every later iteration; the re-tests are counted by recording each
+    iteration's ``feasible_extensions`` call.  On a uniform matroid (or a
+    ``ReferenceMatroid`` of one) nothing is infeasible before the last
+    iteration, so there are none there; that is asserted here.
+    """
+    extensions = feasible_extensions
+    infeasible: set[int] = set()
+    retests = 0
+
+    def recording(m_, support, counters=None):
+        nonlocal retests
+        feasible = extensions(m_, support, counters)
+        outside = set(range(m_.ground_size)) - set(support)
+        retests += len(infeasible & outside)
+        infeasible.update(outside - feasible)
+        return feasible
+
+    with mock.patch.dict(globals(), feasible_extensions=recording):
+        report = reference_greedy_solve(f, m)
+    if isinstance(getattr(m, "inner", m), UniformMatroid):
+        assert retests == 0
+    return report, retests
+
+
+def same_greedy_run(fast: SolveReport, ref: SolveReport, retests: int) -> None:
+    """A greedy run against the reference run ``ref`` with its ``retests``:
+    the same assignment, value, rounds and EO calls, and ``ref``'s IO calls
+    less the re-tests."""
+    assert fast.assignment == ref.assignment
+    assert fast.value == ref.value
+    assert fast.rounds == ref.rounds
+    assert fast.counters == OracleCounters(eo_calls=ref.counters.eo_calls,
+                                           io_calls=ref.counters.io_calls - retests)
 
 
 def reference_brute_force_solve(

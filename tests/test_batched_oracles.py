@@ -10,8 +10,12 @@ same EO/IO charged, and the same state left behind.  This holds for the
 modular and coverage gain states, the uniform, partition and explicit
 independence states, and the defaults (``CountingWrapper``, explicit
 tables and ``ReferenceMatroid``), on the acceptance-criteria grids and in
-Hypothesis properties.  The solvers built on them must still equal their
-reference loops.
+Hypothesis properties.  The coverage state carries an upper bound per
+element from one ``_best_of`` to the next, so a property also walks one
+state through many placements and checks each ``_best_of`` against the
+loop on a fresh default state.  The solvers built on them must still
+equal their reference loops (greedy less the reference's re-tests of
+elements already found infeasible).
 """
 
 import math
@@ -37,9 +41,10 @@ from ksubmax import (
 from ksubmax.instances import ExplicitTableFunction
 from ksubmax.matroids import greedy_basis
 
-from helpers import CountingWrapper, ReferenceMatroid, reference_gain, reference_greedy_solve
+from helpers import (CountingWrapper, ReferenceMatroid, reference_gain, reference_greedy_retests,
+                     same_greedy_run)
 from test_best_gain import modular_rows
-from test_gain_state import feasibility_instances, ratio_instances, same_run
+from test_gain_state import feasibility_instances, ratio_instances
 from test_independence_state import matroids
 from test_lazy_threshold import assert_lazy_matches_eager
 
@@ -93,9 +98,10 @@ def same_choice(got, want):
 # Twin states
 # ---------------------------------------------------------------------------
 
-def gain_state_at(f, placements):
-    """A fresh gain state on new counters, after ``placements``."""
-    state = f.gain_state(OracleCounters())
+def gain_state_at(f, placements, default=False):
+    """A fresh gain state on new counters, after ``placements``; the family's
+    state, or the default ``GainState`` if ``default``."""
+    state = GainState(f, OracleCounters()) if default else f.gain_state(OracleCounters())
     for e, i in placements:
         state.place(e, i, reference_gain(state, e, i))
     state.counters.eo_calls = 0
@@ -199,6 +205,50 @@ def test_gain_batches_equal_their_loops(case):
 
 
 @st.composite
+def coverage_walks(draw):
+    """A coverage function with many tied gains, and a walk placing every
+    element in turn: before each placement, a list of open elements (any
+    order, repeats allowed) for ``_best_of`` and the probes that follow it,
+    each an element for ``_best`` or a list for ``_bests``."""
+    n, k, universe = draw(st.integers(1, 6)), draw(st.integers(1, 3)), draw(st.integers(1, 6))
+    weights = draw(st.lists(st.sampled_from((0.0, 0.5, 1.0, 2.0)),
+                            min_size=universe, max_size=universe))
+    points = st.lists(st.integers(0, universe - 1), max_size=universe)
+    f = CoverageFunction(weights, [[draw(points) for _ in range(k)] for _ in range(n)])
+    steps, open_ = [], list(range(n))
+    for e in draw(st.permutations(range(n))):
+        some = st.sampled_from(open_)
+        elements = draw(st.lists(some, max_size=2 * n))
+        probes = draw(st.lists(st.one_of(some, st.lists(some, max_size=n)), max_size=2))
+        steps.append((elements, probes, (e, draw(st.integers(1, k)))))
+        open_.remove(e)
+    return f, steps
+
+
+@settings(max_examples=300, deadline=None)
+@given(coverage_walks())
+@example((CoverageFunction([1.0, 2.0, 1.0], [[[1]], [[0]], [[1, 2]]]),
+          [([1, 1, 0], [], (2, 1)), ([1, 1, 0], [], (0, 1)), ([1], [], (1, 1))]))
+def test_coverage_best_of_carries_its_bounds(case):
+    """One coverage state carried along the walk, its bounds stale after each
+    placement, picks what the loop picks on a fresh default state at the
+    same assignment, and charges the loop's EO calls."""
+    f, steps = case
+    state = f.gain_state(OracleCounters())
+    placements = []
+    for elements, probes, (e, i) in steps:
+        before = state.counters.eo_calls
+        same_choice(state._best_of(elements),
+                    loop_best_of(gain_state_at(f, placements, default=True), elements))
+        assert state.counters.eo_calls - before == f.k * len(elements)
+        for probe in probes:
+            state._bests(probe) if isinstance(probe, list) else state._best(probe)
+        state.place(e, i, reference_gain(state, e, i))
+        placements.append((e, i))
+    assert state._best_of([]) is None
+
+
+@st.composite
 def independence_cases(draw):
     """A matroid, an independent support, a list of ground-set elements to
     test (the support's included) and an order of distinct elements
@@ -287,16 +337,19 @@ def test_empty_ground_set(m):
 
 def walk_greedy(f, m):
     """Greedy step by step on twin states, batched calls on one and the
-    per-element loops on the other; returns the batched gain state."""
+    per-element loops on the other, the candidate list shrinking to the
+    feasible elements as in ``greedy_solve``; returns the batched gain state
+    and the counters."""
     batched_counters, loop_counters = OracleCounters(), OracleCounters()
     gains = f.gain_state(batched_counters), f.gain_state(loop_counters)
     indeps = m.independence_state(batched_counters), m.independence_state(loop_counters)
-    outside = list(range(f.n))
+    candidates = list(range(f.n))
     while True:
-        feasible = indeps[0]._feasible(outside)
-        assert feasible == loop_feasible(indeps[1], outside)
-        choice = gains[0]._best_of(feasible)
-        same_choice(choice, loop_best_of(gains[1], feasible))
+        feasible = indeps[0]._feasible(candidates)
+        assert feasible == loop_feasible(indeps[1], candidates)
+        candidates = feasible
+        choice = gains[0]._best_of(candidates)
+        same_choice(choice, loop_best_of(gains[1], candidates))
         assert batched_counters == loop_counters
         if choice is None:
             break
@@ -304,10 +357,10 @@ def walk_greedy(f, m):
         for state, indep in zip(gains, indeps):
             state.place(e, i, gain)
             indep.add(e)
-        outside.remove(e)
+        candidates.remove(e)
         assert gain_snapshot(gains[0])[:4] == gain_snapshot(gains[1])[:4]
         assert independence_snapshot(indeps[0]) == independence_snapshot(indeps[1])
-    return gains[0]
+    return gains[0], batched_counters
 
 
 def test_batches_equal_loops_on_criteria_grids():
@@ -320,12 +373,14 @@ def test_batches_equal_loops_on_criteria_grids():
             n = f.n
             single = f.gain_state()._bests(range(n))
             by_value = sorted(range(n), key=lambda e: (-single[e], e))
-            reference = reference_greedy_solve(f, m)
+            reference, retests = reference_greedy_retests(f, m)
             for f_, m_ in ((f, m), (CountingWrapper(f), ReferenceMatroid(m))):
                 assert_gain_batches_match(f_, [], list(range(n)))
                 assert_independence_batches_match(m_, [], list(range(n)), by_value)
-                assert walk_greedy(f_, m_).assignment == reference.assignment
-                same_run(greedy_solve(f_, m_), reference)
+                report = greedy_solve(f_, m_)
+                same_greedy_run(report, reference, retests)
+                state, counters = walk_greedy(f_, m_)
+                assert (state.assignment, counters) == (report.assignment, report.counters)
                 runs += 1
     assert runs == 2 * (1000 + 450)
 
@@ -334,8 +389,8 @@ def test_batches_equal_loops_on_criteria_grids():
 @given(functions(), st.data())
 def test_solvers_equal_their_reference_loops(f, data):
     """On every function family, the default states included, greedy equals
-    the loop that rebuilds the feasible set every iteration, and threshold
-    equals the eager loop."""
+    the loop that rebuilds the feasible set every iteration, less that
+    loop's re-tests, and threshold equals the eager loop."""
     seed = data.draw(st.integers(0, 10_000))
     m = data.draw(st.sampled_from((
         UniformMatroid(f.n, seed % (f.n + 1)),
@@ -344,7 +399,7 @@ def test_solvers_equal_their_reference_loops(f, data):
     )))
     if data.draw(st.booleans()):
         m = ReferenceMatroid(m)
-    same_run(greedy_solve(f, m), reference_greedy_solve(f, m))
+    same_greedy_run(greedy_solve(f, m), *reference_greedy_retests(f, m))
     epsilon = data.draw(st.sampled_from((0.1, 0.3, 0.5)))
     assert_lazy_matches_eager(f, m, epsilon, data.draw(st.one_of(st.none(), st.integers(0, 99))))
 

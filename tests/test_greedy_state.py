@@ -1,12 +1,16 @@
 """The greedy solver on one running independence state against the reference loop.
 
 ``greedy_solve`` holds one ``m.independence_state`` for the whole run and
-tests each element outside the support with one ``can_add`` per
-iteration.  The reference loop (``helpers.reference_greedy_solve``)
-rebuilds the feasible set with ``feasible_extensions`` every iteration.
-Both must give the same assignment, value and EO/IO counts on the
-acceptance-criteria grids and on random instances, on the shipped matroid
-families and on ``ReferenceMatroid`` (the ``is_independent`` path).
+tests each candidate (an element outside the support not yet found
+infeasible) once per iteration.  The reference loop
+(``helpers.reference_greedy_solve``) rebuilds the feasible set with
+``feasible_extensions`` every iteration, so it re-tests the elements an
+earlier iteration found infeasible.  Both must give the same assignment,
+value and EO calls, and greedy's IO calls must be the reference's less
+those re-tests (none on a uniform matroid), on the acceptance-criteria
+grids and on random instances, on the shipped matroid families and on
+``ReferenceMatroid`` (the ``is_independent`` path).  A hand-worked
+partition instance pins the counts.
 
 A guard also requires that the solvers never fall back to
 ``Matroid.is_independent`` (time linear in the support per test) or
@@ -26,6 +30,9 @@ from ksubmax import (
     GainState,
     IndependenceState,
     Matroid,
+    ModularFunction,
+    OracleCounters,
+    PartitionMatroid,
     UniformMatroid,
     gen_coverage,
     gen_explicit_matroid,
@@ -39,18 +46,21 @@ from ksubmax import (
 from ksubmax.instances import _CoverageGainState, _ModularGainState
 from ksubmax.matroids import greedy_basis
 
-from helpers import CountingWrapper, ReferenceMatroid, reference_greedy_solve
+from helpers import (CountingWrapper, ReferenceMatroid, reference_greedy_retests,
+                     reference_greedy_solve, same_greedy_run)
 from test_gain_state import feasibility_instances, ratio_instances, same_run
 from test_lazy_threshold import instances
 
 
 def assert_greedy_matches_reference(f, m):
-    """Greedy on ``m`` and on its reference wrapper, and the reference loop
-    on ``m``, all equal the reference loop on the wrapper."""
+    """Greedy on ``m`` and on its reference wrapper match the reference loop
+    on the wrapper less its re-tests, and the reference loop on ``m``
+    equals it."""
     ref = ReferenceMatroid(m)
-    expected = reference_greedy_solve(f, ref)
-    for got in (greedy_solve(f, m), greedy_solve(f, ref), reference_greedy_solve(f, m)):
-        same_run(got, expected)
+    expected, retests = reference_greedy_retests(f, ref)
+    same_run(reference_greedy_solve(f, m), expected)
+    for got in (greedy_solve(f, m), greedy_solve(f, ref)):
+        same_greedy_run(got, expected, retests)
     return expected
 
 
@@ -71,6 +81,36 @@ def test_greedy_equals_reference_on_criteria_grids():
 def test_greedy_equals_reference_property(instance):
     f, m = instance
     assert_greedy_matches_reference(f, m)
+
+
+def test_greedy_counts_on_a_hand_worked_partition():
+    """Block {0, 1} takes one element, block {2} one.  Iteration 1 tests and
+    prices all three and adds 0; iteration 2 tests 1 and 2, finds 1
+    infeasible, prices 2 and adds it; iteration 3 has no candidate left.
+    So 3 + 2 IO and 3 + 1 EO; the reference tests element 1 a third time."""
+    f = ModularFunction([[5.0], [4.0], [1.0]])
+    m = PartitionMatroid(3, [[0, 1], [2]], [1, 1])
+    report = greedy_solve(f, m)
+    assert report.assignment.labels == (1, 0, 1)
+    assert (report.value, report.counters) == (6.0, OracleCounters(eo_calls=4, io_calls=5))
+    expected, retests = reference_greedy_retests(f, m)
+    assert (expected.counters.io_calls, retests) == (6, 1)
+
+
+def test_coverage_greedy_weighs_fewer_rows_than_it_charges():
+    """The coverage state's bounds let most rows go unweighed: on the
+    benchmark's n=100 coverage shape, greedy makes fewer than half the
+    weighings the loop makes (one per EO call charged), at the loop's EO
+    count."""
+    f = gen_coverage(100, 3, 200, 0.25, seed=0)
+    m = UniformMatroid(100, 25)
+    calls = []
+    weight = f._weight
+    f._weight = lambda points: calls.append(points) or weight(points)
+    report = greedy_solve(f, m)
+    weighed = len(calls) - 1  # the report's audit evaluation weighs once
+    assert report.counters.eo_calls == reference_greedy_solve(f, m).counters.eo_calls
+    assert 0 < 2 * weighed < report.counters.eo_calls
 
 
 def _counted(calls, name, method):
