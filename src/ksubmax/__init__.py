@@ -20,6 +20,7 @@ from .core import (
     marginal_gain,
     meet,
     precedes,
+    uniform_draws,
 )
 from .instances import (
     CoverageFunction,
@@ -100,6 +101,7 @@ __all__ = [
     "rank",
     "serialize_instance",
     "threshold_decreasing_solve",
+    "uniform_draws",
     "verify_k_submodular",
     "verify_monotone",
     "verify_orthant_pairwise",

@@ -14,8 +14,10 @@ import collections
 import itertools
 import math
 import operator
+import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 
@@ -145,6 +147,19 @@ def _check_seed(seed) -> None:
     included) with TypeError; ``random.Random`` would take either."""
     if type(seed) is not int:
         raise TypeError(f"seed must be an integer, got {seed!r}")
+
+
+def uniform_draws(rng: random.Random, bound: int) -> Iterator[int]:
+    """Integers drawn uniformly from ``range(bound)``, lazily, for ``bound >= 1``.
+
+    Each is a ``getrandbits(bound.bit_length())`` draw, redrawn while it is
+    ``bound`` or more: the rejection loop of ``rng.randrange(bound)``, so
+    every item taken consumes ``rng`` exactly as one ``randrange(bound)``
+    call does (and ``lo +`` it is ``rng.randint(lo, lo + bound - 1)``).
+    Take items with ``islice``; other draws from ``rng`` may come between
+    two takes.  The draws run in C, with no Python frame per item.
+    """
+    return filter(bound.__gt__, iter(partial(rng.getrandbits, bound.bit_length()), None))
 
 
 @dataclass
@@ -316,37 +331,68 @@ class KSubFunction(ABC):
             counters.eo_calls += 1
         return self._value(a)
 
-    def _support_values(self, support: tuple[int, ...]) -> list[float]:
-        """Values of all ``k^len(support)`` labellings of ``support``; no counting.
+    def _support_root(self) -> tuple[list, list]:
+        """The block of the empty support: its one labelling, keyed 0 (code
+        0, or no point covered), and the value of the empty assignment."""
+        return [0], [self._value(Assignment._trusted((0,) * self.n, self.k))]
 
-        ``support`` is an ascending tuple of elements.  The list follows
-        ``itertools.product(range(1, k + 1), repeat=len(support))``: entry
-        ``j`` labels ``support[t]`` with base-k digit ``t`` of ``j`` (most
-        significant first) plus one, and leaves every other element
-        unplaced.  Each entry is bit for bit what ``_value`` gives for that
-        labelling.  This default calls ``_value`` once per labelling, at
-        the assignments of :func:`_support_codes`, and is the reference
-        path; function families override it with one pass that shares the
-        work of common prefixes.
+    def _support_step(self, block: tuple[list, list], e: int) -> tuple[list, list]:
+        """The block of ``S + (e,)`` from the block of ``S``; no counting.
+
+        A *block* lists the ``k^|S|`` labellings of an ascending support
+        ``S`` as a pair ``(keys, values)``: ``values[j]`` is bit for bit
+        what ``_value`` gives for labelling ``j``, and ``keys`` is whatever
+        a family needs to step on (assignment codes here).  ``e`` must lie
+        past ``S``'s last element.  Child ``j * k + i - 1`` is parent ``j``
+        with ``e`` at ``i``, so the labellings follow
+        ``itertools.product(range(1, k + 1), repeat=len(S))``: labelling
+        ``j`` puts ``S[t]`` at base-k digit ``t`` of ``j`` (most
+        significant first) plus one.
+
+        This default keys the labellings by their codes and reads one
+        ``_value`` per child, at the assignment its code decodes to; it is
+        the reference path.  The shipped families override it with one
+        pass: modular and coverage children add to their parent's value,
+        explicit-table children look their codes up.
         """
         n, k = self.n, self.k
-        return [self._value(_decode(code, n, k)) for code in _support_codes(support, k)]
+        codes = _child_codes(block[0], e, k)
+        return codes, [self._value(_decode(code, n, k)) for code in codes]
+
+    def _support_values(self, support: tuple[int, ...]) -> list[float]:
+        """Values of all ``k^len(support)`` labellings of ascending ``support``,
+        in the order of :meth:`_support_step`; no counting.
+
+        The fold of :meth:`_support_step` from :meth:`_support_root`, one
+        step per element.  Brute force and :meth:`_code_values` walk
+        supports depth first instead and step each child from its parent's
+        block, one step per support.
+        """
+        block = self._support_root()
+        for e in support:
+            block = self._support_step(block, e)
+        return block[1]
 
     def _code_values(self) -> Sequence[float]:
         """``_value`` at every assignment, listed by its code (see
         :func:`_code_steps`); no counting.
 
-        Fills the list with one :meth:`_support_values` pass per support,
-        walking the ``2^n`` supports as ascending tuples, so every entry is
-        bit for bit ``_value`` of its assignment.  Explicit tables return
-        their own value list.
+        Walks the ``2^n`` supports depth first as ascending tuples, stepping
+        each child's block and codes from its parent's with one
+        :meth:`_support_step` and one :func:`_child_codes`, so every entry
+        is bit for bit ``_value`` of its assignment.  It holds the blocks
+        on the path, at most ``2 * k^n`` labellings for ``k >= 2``.
+        Explicit tables return their own value list.
         """
-        n, k = self.n, self.k
+        n, k, step = self.n, self.k, self._support_step
         values = [0.0] * (k + 1) ** n
-        for size in range(n + 1):
-            for support in itertools.combinations(range(n), size):
-                collections.deque(map(values.__setitem__, _support_codes(support, k),
-                                      self._support_values(support)), maxlen=0)
+
+        def fill(codes: list[int], block: tuple[list, list], first: int) -> None:
+            collections.deque(map(values.__setitem__, codes, block[1]), maxlen=0)
+            for e in range(first, n):
+                fill(_child_codes(codes, e, k), step(block, e), e + 1)
+
+        fill([0], self._support_root(), 0)
         return values
 
     def zero(self) -> Assignment:
@@ -513,17 +559,13 @@ def _code_steps(n: int, k: int) -> list[int]:
     return [(k + 1) ** e for e in range(n)]
 
 
-def _support_codes(support: tuple[int, ...], k: int) -> list[int]:
-    """Codes of the ``k^len(support)`` labellings of ascending ``support``,
-    in the order of :meth:`KSubFunction._support_values`; prefix sums of
-    the code steps, one list per element."""
-    base = k + 1
-    codes = [0]
-    for e in support:
-        step = base**e
-        steps = range(step, base * step, step)  # labels 1..k of e
-        codes = [c + s for c in codes for s in steps]
-    return codes
+def _child_codes(codes: list[int], e: int, k: int) -> list[int]:
+    """The codes of a support's labellings extended by ``e``, past its last
+    element, in the order of :meth:`KSubFunction._support_step`: each code
+    followed by its ``k`` children, ``e`` at labels ``1..k``."""
+    step = (k + 1) ** e
+    steps = range(step, (k + 1) * step, step)
+    return [c + s for c in codes for s in steps]
 
 
 def _decode(code: int, n: int, k: int) -> Assignment:

@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from .core import (INTS, NUMBERS, Assignment, GainState, KSubFunction, OracleCounters,
-                   _check_ground_size, _check_k, _check_seed, _code_steps, _sum_exact,
-                   _support_codes, _typed)
+                   _check_ground_size, _check_k, _check_seed, _child_codes, _code_steps,
+                   _sum_exact, _typed, uniform_draws)
 from .matroids import ExplicitMatroid, Matroid, PartitionMatroid, UniformMatroid, _check_ints
 
 VALUE_GRID = 64  # generated values are integers divided by this
@@ -161,13 +161,11 @@ class ModularFunction(KSubFunction):
                 total += self.table[e][lab - 1]
         return total
 
-    def _support_values(self, support: tuple[int, ...]) -> list[float]:
-        # prefix sums from 0.0 in ascending element order, as _value adds
-        values = [0.0]
-        for e in support:
-            row = self.table[e]
-            values = [v + t for v in values for t in row]
-        return values
+    def _support_step(self, block: tuple[list, list], e: int) -> tuple[None, list]:
+        # the block is the values alone: each adds e's entry to its prefix
+        # sum, in ascending element order as _value adds
+        row = self.table[e]
+        return None, [v + t for v in block[1] for t in row]
 
     def gain_state(self, counters: Optional[OracleCounters] = None) -> GainState:
         return _ModularGainState(self, counters)
@@ -261,13 +259,14 @@ class CoverageFunction(KSubFunction):
                 covered |= self._masks[e][lab - 1]
         return self._weight(covered)
 
-    def _support_values(self, support: tuple[int, ...]) -> list[float]:
-        # prefix ORs of the cover masks, then one weighing per labelling
-        covered = [0]
-        for e in support:
-            row = self._masks[e]
-            covered = [c | mask for c in covered for mask in row]
-        return list(map(self._weight, covered))
+    def _support_step(self, block: tuple[list, list], e: int) -> tuple[list, list]:
+        # keyed by the covered points; a child weighs only the points e
+        # newly covers, exact on sum-exact weights
+        covered, values = block
+        row, weight = self._masks[e], self._weight
+        return ([c | mask for c in covered for mask in row],
+                [v + weight(mask & free)
+                 for free, v in zip(map(operator.invert, covered), values) for mask in row])
 
     def _weight(self, points: int) -> float:
         """Total weight of the universe points in bitmask ``points``.
@@ -464,8 +463,9 @@ class ExplicitTableFunction(KSubFunction):
     def _value(self, a: Assignment) -> float:
         return self.values[sum(map(operator.mul, a.labels, self._steps))]
 
-    def _support_values(self, support: tuple[int, ...]) -> list[float]:
-        return list(map(self.values.__getitem__, _support_codes(support, self.k)))
+    def _support_step(self, block: tuple[list, list], e: int) -> tuple[list, list]:
+        codes = _child_codes(block[0], e, self.k)
+        return codes, list(map(self.values.__getitem__, codes))
 
     def _code_values(self) -> Sequence[float]:
         return self.values
@@ -545,8 +545,10 @@ def gen_modular(
     draw from the full range and rejection-sample each row until its
     pairwise entry sums are nonnegative, so negative marginals occur while
     k-submodularity is preserved.  The value range is checked once per
-    call, each row is ``k`` calls to ``randint`` on the grid, and only a
-    row that can hold a negative pairwise sum is sorted and tested.
+    call, each row takes ``k`` grid integers from one
+    :func:`ksubmax.core.uniform_draws` stream (the draws of ``k``
+    ``randint`` calls), and only a row that can hold a negative pairwise
+    sum is sorted and tested.
     ``monotone`` must be a bool and ``value_range`` a pair of ints or
     floats (a bool is neither); anything else is refused with TypeError
     before any draw.
@@ -567,14 +569,15 @@ def gen_modular(
         raise ValueError(f"impossible value range for monotone={monotone}: ({lo}, {hi})")
     if not monotone and k >= 2 and 2 * hi < 0:
         raise ValueError("pairwise sums cannot be nonnegative with an all-negative range")
-    randint = _rng(seed).randint
+    rng = _rng(seed)
     lo64, hi64 = _grid_range(lo, hi)
-    positions = range(k)
+    draws = map(lo64.__add__, uniform_draws(rng, hi64 - lo64 + 1))  # randint(lo64, hi64)
+    grid = itertools.repeat(VALUE_GRID)
     tested = k >= 2 and lo64 < 0  # else no pairwise sum can be negative
     table = []
     for _ in range(n):
         for _ in range(10_000):
-            row = [randint(lo64, hi64) / VALUE_GRID for _ in positions]
+            row = list(map(operator.truediv, itertools.islice(draws, k), grid))
             if not tested:
                 break
             ordered = sorted(row)
@@ -630,8 +633,9 @@ def gen_partition_matroid(n: int, seed: int = 0, max_blocks: int = 4) -> Partiti
     rng = _rng(seed)
     n_blocks = rng.randint(1, max_blocks)
     blocks: list[list[int]] = [[] for _ in range(n_blocks)]
-    for e in range(n):
-        blocks[rng.randrange(n_blocks)].append(e)
+    # element e's block is the e-th draw, as n randrange(n_blocks) calls give
+    for e, j in enumerate(itertools.islice(uniform_draws(rng, n_blocks), n)):
+        blocks[j].append(e)
     blocks = [b for b in blocks if b]
     caps = [rng.randint(0, len(b)) for b in blocks]
     return PartitionMatroid(n, blocks, caps)

@@ -189,7 +189,7 @@ def threshold_decreasing_solve(
     if max(single) <= 0.0:
         return _report(f, state, counters, rounds, start)
 
-    by_value = sorted(range(n), key=lambda e: (-single[e], e))
+    by_value = sorted(range(n), key=single.__getitem__, reverse=True)  # stable: ties ascend
     basis = m.independence_state(counters)._extend(by_value)  # the rank scan
     if not basis or single[basis[0]] <= 0.0:
         return _report(f, state, counters, rounds, start)
@@ -295,14 +295,15 @@ def brute_force_solve(
     each once: a support ``S`` is extended by each element ``e`` past its
     last one with one uncounted ``m._independent(S + (e,))``, so only sets
     whose every prefix is independent are visited (every independent set,
-    for a matroid).  Each support is priced in one pass,
-    ``f._support_values(S)``, which gives the values of its ``k^|S|``
-    labellings (one family-specific pass for the shipped families); its
-    best labelling is the first maximum in that list.  A leaf is kept as
-    its support and its index ``j`` in that list, and decoded only to break
-    a tie and to report the winner: ``S[t]`` takes base-k digit ``t`` of
-    ``j`` (most significant first) plus one, the order of
-    ``_support_values``.
+    for a matroid).  Each support's block, the values of its ``k^|S|``
+    labellings and what its family steps on, is built from its parent's
+    by one ``f._support_step(block, e)`` (one family-specific pass for the
+    shipped families: a modular child adds ``e``'s entry, a coverage child
+    weighs only the points ``e`` newly covers); its best labelling is the
+    first maximum of the values.  A leaf is kept as its support and its
+    index ``j`` in that list, and decoded only to break a tie and to
+    report the winner: ``S[t]`` takes base-k digit ``t`` of ``j`` (most
+    significant first) plus one, the order of ``_support_step``.
 
     Tie rule: the reported assignment has the largest value, then the
     largest support, then the lexicographically smallest label tuple
@@ -313,10 +314,11 @@ def brute_force_solve(
     matroid rank whenever the objective is monotone).
 
     Cost: one independence test per (independent support, later element)
-    pair and one ``_support_values`` pass per independent support.
-    Memory: one support's value list at a time, at most ``k^|S| <= cap``
-    entries, released before the next support.  Oracle calls are not
-    counted, so ``counters`` is None.
+    pair and one ``_support_step`` per independent support.  Memory: the
+    blocks on the depth-first path, from the empty support's to the
+    current one's, at most ``2 * k^|S|`` labellings for ``k >= 2`` (and
+    ``|S| + 1`` for ``k = 1``), with ``k^|S| <= cap``.  Oracle calls are
+    not counted, so ``counters`` is None.
     """
     _check_inputs(f, m)
     _check_ints((cap,), "cap must be an integer")
@@ -328,7 +330,7 @@ def brute_force_solve(
             f"(k+1)^n = {total} assignments exceed the brute-force cap {cap}"
         )
     independent = m._independent
-    support_values = f._support_values
+    step = f._support_step
     best_value = -math.inf
     best_size = -1
     best = ((), 0)  # the best leaf: its support and its index in the support's values
@@ -341,22 +343,21 @@ def brute_force_solve(
             out[e] = digit + 1
         return tuple(out)
 
-    def visit(support: tuple[int, ...]) -> None:
+    def visit(support: tuple[int, ...], block: tuple[list, list]) -> None:
         nonlocal best_value, best_size, best
-        values = support_values(support)
+        values = block[1]
         v = max(values)
         size = len(support)
         if v > best_value or (v == best_value and size >= best_size):
             leaf = (support, values.index(v))
             if v > best_value or size > best_size or labels(*leaf) < labels(*best):
                 best_value, best_size, best = v, size, leaf
-        del values  # hold one support's list at a time, not one per depth
         for e in range(support[-1] + 1 if support else 0, n):
             extended = support + (e,)
             if independent(frozenset(extended)):
-                visit(extended)
+                visit(extended, step(block, e))
 
-    visit(())
+    visit((), f._support_root())
     return SolveReport(
         assignment=Assignment(labels(*best), k),
         value=best_value,

@@ -13,15 +13,15 @@ budget below one check is refused with ValueError, so no verdict rests on
 zero checks.  Every exhaustive check first reads f at each of the (k+1)^n
 assignments from ``f._code_values()``, the list indexed by the code
 sum(labels[e] * (k+1)**e) of :func:`ksubmax.core._code_steps` (an explicit
-table's own value list; one ``_support_values`` pass per support for the
-other families), so it makes no ``evaluate`` call.  The orthant and
-monotonicity checks walk that list, reaching a restriction or a neighbour
-of an assignment by integer steps on its code.
+table's own value list; one ``_support_step`` per support, walked depth
+first, for the other families), so it makes no ``evaluate`` call.  The
+orthant and monotonicity checks walk that list, reaching a restriction or
+a neighbour of an assignment by integer steps on its code.
 
 Sampled checks take each assignment's labels, uniform on {0,...,k}, in
 one C-level pass from a stream of rejection-sampled ``getrandbits`` draws
-(:func:`_label_draws`), and draw a random restriction of q in the
-iteration order of q's support as a frozenset
+(:func:`ksubmax.core.uniform_draws`), and draw a random restriction of q
+in the iteration order of q's support as a frozenset
 (:func:`_random_restriction`), so they consume the seeded generator as
 the per-assignment loops in ``tests/helpers.py`` do.  They work on label
 tuples and read each value with one uncounted ``f._value`` call, making
@@ -40,7 +40,7 @@ from itertools import chain, combinations, compress, islice, product, repeat
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .core import (Assignment, KSubFunction, _check_seed, _code_steps, _decode,
-                   enumerate_assignments, join, meet, precedes)
+                   enumerate_assignments, join, meet, precedes, uniform_draws)
 
 DEFAULT_PAIR_BUDGET = 1_000_000
 
@@ -105,14 +105,6 @@ def _first(flags: Iterable) -> int:
     return next(t for t, flag in enumerate(flags) if flag)
 
 
-def _label_draws(rng: random.Random, k: int) -> Iterator[int]:
-    """Labels drawn uniformly from {0,...,k}, lazily: getrandbits with
-    rejection, so n of them taken with ``islice`` consume ``rng`` exactly as
-    n calls of randrange(k+1) do, and other draws from ``rng`` may come
-    between two takes."""
-    return filter((k + 1).__gt__, iter(partial(rng.getrandbits, (k + 1).bit_length()), None))
-
-
 def _random_restriction(rng: random.Random, q: tuple[int, ...]) -> tuple[int, ...]:
     """q's labels with each placed element kept on ``rng.random() < 0.5``.
 
@@ -174,7 +166,7 @@ def verify_k_submodular(
                 return Verdict(False, (p, q), exhaustive=True, checked=checked)
         return Verdict(True, None, exhaustive=True, checked=checked)
 
-    labels, value = _label_draws(random.Random(seed), k), _label_value(f)
+    labels, value = uniform_draws(random.Random(seed), k + 1), _label_value(f)
     joins, meets = _lattice_tables(k)
     for checked in range(1, pair_budget + 1):
         p = tuple(islice(labels, n))
@@ -262,7 +254,7 @@ def verify_orthant_pairwise(
         return Verdict(True, None, exhaustive=True, checked=checked)
 
     rng = random.Random(seed)
-    labels, value = _label_draws(rng, k), _label_value(f)
+    labels, value = uniform_draws(rng, k + 1), _label_value(f)
     for checked in range(1, pair_budget + 1):
         e = rng.randrange(n)
         q = tuple(islice(labels, e)) + (0,) + tuple(islice(labels, n - 1 - e))
@@ -312,7 +304,7 @@ def verify_monotone(
         return Verdict(True, None, exhaustive=True, checked=checked)
 
     rng = random.Random(seed)
-    labels, value = _label_draws(rng, k), _label_value(f)
+    labels, value = uniform_draws(rng, k + 1), _label_value(f)
     for checked in range(1, pair_budget + 1):
         q = tuple(islice(labels, n))
         p = _random_restriction(rng, q)

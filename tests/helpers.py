@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from ksubmax import (Assignment, CapExceededError, GainState, InstanceSpec, KSubFunction,
                      Matroid, OracleCounters, UniformMatroid, enumerate_assignments, join,
                      marginal_gain, meet, serialize_instance)
-from ksubmax.core import _check_open
+from ksubmax.core import _check_open, _decode
 from ksubmax.instances import (
     VALUE_GRID,
     CoverageFunction,
@@ -24,7 +24,7 @@ from ksubmax.instances import (
     _ModularGainState,
     _rng,
 )
-from ksubmax.matroids import _set_of, feasible_extensions, greedy_basis
+from ksubmax.matroids import PartitionMatroid, _set_of, feasible_extensions, greedy_basis
 from ksubmax.verify import Verdict, _check_sampling, _lattice_pairs, _ordered_pairs_count
 from ksubmax.solvers import DEFAULT_BRUTE_CAP, SolveReport, _check_inputs
 
@@ -321,6 +321,62 @@ def reference_brute_force_solve(
     )
 
 
+def support_codes(support: tuple[int, ...], k: int) -> list[int]:
+    """Codes of the ``k^len(support)`` labellings of ascending ``support``, in
+    the order of ``KSubFunction._support_step``; prefix sums of the code
+    steps from the empty prefix, as ``ksubmax.core`` listed them before it
+    stepped codes from a parent's with ``_child_codes``."""
+    base = k + 1
+    codes = [0]
+    for e in support:
+        step = base**e
+        steps = range(step, base * step, step)  # labels 1..k of e
+        codes = [c + s for c in codes for s in steps]
+    return codes
+
+
+def reference_support_values(f: KSubFunction, support: tuple[int, ...]) -> list[float]:
+    """Values of all labellings of ``support``, each built from the empty prefix.
+
+    These are the per-family ``_support_values`` passes brute force made
+    before each support's block was stepped from its parent's, kept
+    unchanged: prefix sums from 0.0 for modular tables, prefix ORs of the
+    cover masks and one whole weighing per labelling for coverage, lookups
+    for explicit tables, and one ``_value`` per decoded labelling
+    otherwise.  Families are told apart by their type's ``_support_step``,
+    so a subclass that keeps the default step takes the default path.
+    """
+    step = type(f)._support_step
+    if step is ModularFunction._support_step:
+        values = [0.0]
+        for e in support:
+            row = f.table[e]
+            values = [v + t for v in values for t in row]
+        return values
+    if step is CoverageFunction._support_step:
+        covered = [0]
+        for e in support:
+            row = f._masks[e]
+            covered = [c | mask for c in covered for mask in row]
+        return list(map(f._weight, covered))
+    codes = support_codes(support, f.k)
+    if step is ExplicitTableFunction._support_step:
+        return list(map(f.values.__getitem__, codes))
+    return [f._value(_decode(code, f.n, f.k)) for code in codes]
+
+
+def reference_code_values(f: KSubFunction) -> list[float]:
+    """``KSubFunction._code_values`` as it was filled before the walk stepped
+    blocks: one :func:`reference_support_values` pass per support, walking
+    the ``2^n`` supports by size, each written at its codes."""
+    values = [0.0] * (f.k + 1) ** f.n
+    for size in range(f.n + 1):
+        for support in itertools.combinations(range(f.n), size):
+            for code, v in zip(support_codes(support, f.k), reference_support_values(f, support)):
+                values[code] = v
+    return values
+
+
 # ---------------------------------------------------------------------------
 # Reference instance builders: the loops the set-up ran before it tabulated
 # by supports and drew modular rows without per-row checks, kept unchanged
@@ -369,6 +425,22 @@ def reference_gen_modular(n, k, value_range=(-2.0, 4.0), monotone=True, seed=0):
         else:
             raise ValueError(f"could not sample a valid row for range ({lo}, {hi})")
     return ModularFunction(table)
+
+
+def reference_gen_partition_matroid(n, seed=0, max_blocks=4):
+    """``gen_partition_matroid`` with one ``randrange`` call per element."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    if max_blocks < 1:
+        raise ValueError(f"max_blocks must be at least 1, got {max_blocks}")
+    rng = _rng(seed)
+    n_blocks = rng.randint(1, max_blocks)
+    blocks = [[] for _ in range(n_blocks)]
+    for e in range(n):
+        blocks[rng.randrange(n_blocks)].append(e)
+    blocks = [b for b in blocks if b]
+    caps = [rng.randint(0, len(b)) for b in blocks]
+    return PartitionMatroid(n, blocks, caps)
 
 
 def reference_gen_coverage(n, k, universe_size, density, seed=0):

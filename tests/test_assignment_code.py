@@ -2,8 +2,10 @@
 indexed by it.
 
 ``ksubmax.core`` states the code once: ``_code_steps`` gives the steps,
-``_support_codes`` the codes of a support's labellings and ``_decode`` the
-inverse, and ``KSubFunction._code_values`` lists ``_value`` at every code.
+``_child_codes`` steps a support's labelling codes to a child's and
+``_decode`` is the inverse, and ``KSubFunction._code_values`` lists
+``_value`` at every code.  ``helpers.support_codes`` lists a support's
+codes from the empty prefix.
 Explicit table files, ``tabulate``, brute force and the exhaustive
 verifiers all index values through these.  The code is written out here a
 second time, by Horner's rule, so that a caller stepping the other way
@@ -17,12 +19,13 @@ import json
 import pytest
 
 from helpers import (CountingWrapper, reference_brute_force_solve, reference_verify_k_submodular,
-                     reference_verify_monotone, reference_verify_orthant_pairwise)
+                     reference_verify_monotone, reference_verify_orthant_pairwise,
+                     support_codes)
 from ksubmax import (Assignment, ExplicitTableFunction, KSubFunction, UniformMatroid,
                      brute_force_solve, enumerate_assignments, gen_coverage, gen_modular,
                      parse_instance, verify_k_submodular, verify_monotone,
                      verify_orthant_pairwise)
-from ksubmax.core import _code_steps, _decode, _support_codes
+from ksubmax.core import _code_steps, _decode
 from ksubmax.verify import Verdict
 
 SHAPES = [(n, k) for n in range(5) for k in (1, 2, 3)]
@@ -43,7 +46,7 @@ def bits(v):
 class LabelCode(KSubFunction):
     """A user function returning ints: the Horner code of its argument,
     so every assignment has its own value.  It keeps the default
-    ``_support_values``, which calls ``_value`` in product order."""
+    ``_support_step``, which calls ``_value`` in product order."""
 
     def _value(self, a: Assignment) -> int:
         return code(a.labels, self.k)
@@ -94,7 +97,7 @@ def test_support_codes_decode_to_the_labellings_priced(n, k):
     for f in functions(n, k):
         for size in range(n + 1):
             for support in itertools.combinations(range(n), size):
-                codes = _support_codes(support, k)
+                codes = support_codes(support, k)
                 values = f._support_values(support)
                 labellings = list(itertools.product(range(1, k + 1), repeat=size))
                 assert len(codes) == len(values) == len(labellings)

@@ -1,14 +1,15 @@
 """Brute force by supports against the label-vector walk it replaced.
 
 ``brute_force_solve`` visits each independent support once and prices all
-its labellings with one ``_support_values`` pass.  The gate requires the
+its labellings with one ``_support_step`` from its parent's block.  The gate requires the
 same assignment, ``repr(value)`` and ``max_opt_support_size`` as
 ``helpers.reference_brute_force_solve`` on the criterion-1 grid, on random
 instances of every family (non-k-submodular tables with ties and ``-0.0``
-included) under every matroid family, and on user-defined subclasses,
-which take the default ``_support_values``.  Each family's override must
-give what ``_value`` gives, bit for bit, on sum-exact values spread over
-many binades.
+included) under every matroid family and a user-defined independence
+family, and on user-defined subclasses, which take the default
+``_support_step``.  Each family's step, folded by ``_support_values``,
+must give what ``_value`` gives, bit for bit, on sum-exact values spread
+over many binades.
 """
 
 import itertools
@@ -58,11 +59,13 @@ def test_equals_reference_on_criterion_1_grid():
 
 
 def _matroid(draw, n, seed):
-    kind = draw(st.sampled_from(("uniform", "partition", "explicit")))
+    kind = draw(st.sampled_from(("uniform", "partition", "explicit", "even")))
     if kind == "uniform":
         return UniformMatroid(n, draw(st.integers(0, n)))
     if kind == "partition":
         return gen_partition_matroid(n, seed=seed)
+    if kind == "even":
+        return EvenSizeMatroid(n, draw(st.integers(0, n)))
     return gen_explicit_matroid(n, seed=seed)
 
 
@@ -123,7 +126,7 @@ def test_equals_reference_on_user_subclasses(seed):
     matroids = (ReferenceMatroid(gen_partition_matroid(n, seed=seed)),
                 EvenSizeMatroid(n, 1 + seed % n))
     for f in functions:
-        assert type(f)._support_values is KSubFunction._support_values
+        assert type(f)._support_step is KSubFunction._support_step
         for m in matroids:
             assert_same_optimum(f, m)
 

@@ -1,27 +1,33 @@
 """The instance builders against the loops they replaced.
 
-``ExplicitTableFunction.tabulate`` fills its table one support at a time
-through ``_support_values``; ``tests/helpers.reference_tabulate`` calls
-``f.evaluate`` once per assignment.  Tables are compared entry by entry
+``ExplicitTableFunction.tabulate`` fills its table by walking supports
+depth first, one ``_support_step`` per support;
+``tests/helpers.reference_tabulate`` calls ``f.evaluate`` once per
+assignment.  Tables are compared entry by entry
 with ``float.hex``, so ``-0.0`` and ``0.0`` count as different.
 
-``gen_modular`` checks its value range once per call and tests a row's
-pairwise sums only where they can be negative;
-``tests/helpers.reference_gen_modular`` does both on every row.  The
-random stream must not move: the same seed gives the same table, and the
-same refused input the same error.
+``gen_modular`` checks its value range once per call, tests a row's
+pairwise sums only where they can be negative and takes its grid integers
+from one ``uniform_draws`` stream; ``tests/helpers.reference_gen_modular``
+checks and tests every row and calls ``randint`` per entry.
+``gen_partition_matroid`` takes its block draws from the same kind of
+stream, ``tests/helpers.reference_gen_partition_matroid`` from
+``randrange``.  The random stream must not move: the same seed gives the
+same instance, and the same refused input the same error.
 """
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ksubmax import (CoverageFunction, ExplicitTableFunction, KSubFunction, ModularFunction,
-                     gen_coverage, gen_modular)
+                     gen_coverage, gen_modular, gen_partition_matroid)
+from ksubmax.instances import VALUE_GRID
 
 from helpers import (CountingWrapper, dyadics, reference_gen_coverage, reference_gen_modular,
-                     reference_tabulate)
+                     reference_gen_partition_matroid, reference_tabulate)
 
 
 def hexes(f: ExplicitTableFunction) -> list[str]:
@@ -34,7 +40,7 @@ def assert_same_table(f: KSubFunction) -> None:
 
 class SquareOfSum(KSubFunction):
     """Not modular, off the 1/64 grid, ``-0.0`` at the empty assignment; it
-    keeps the default ``_support_values``, which calls ``_value``."""
+    keeps the default ``_support_step``, which calls ``_value``."""
 
     def _value(self, a):
         total = sum(lab * (e + 1) for e, lab in enumerate(a.labels))
@@ -161,3 +167,27 @@ def test_gen_modular_refuses_as_reference(args):
 def test_gen_coverage_stream_is_pinned(n, k, universe, density, seed):
     assert (outcome(lambda: gen_coverage(n, k, universe, density, seed))
             == outcome(lambda: reference_gen_coverage(n, k, universe, density, seed)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 4), st.integers(-300, 300),
+       st.one_of(st.integers(0, 400), st.integers(0, 2 ** 40)), st.booleans(),
+       st.integers(0, 2 ** 64), st.integers(1, 6))
+def test_generators_draw_as_their_randint_references(n, k, lo64, width, monotone, seed,
+                                                     max_blocks):
+    """Grid ranges of every width from one point up, monotone or not; a
+    non-monotone range with negative entries rejects rows."""
+    args = (n, k, (lo64 / VALUE_GRID, (lo64 + width) / VALUE_GRID), monotone, seed)
+    assert outcome(lambda: gen_modular(*args)) == outcome(lambda: reference_gen_modular(*args))
+    m = gen_partition_matroid(n, seed, max_blocks)
+    ref = reference_gen_partition_matroid(n, seed, max_blocks)
+    assert (m.blocks, m.capacities) == (ref.blocks, ref.capacities)
+
+
+def test_a_rejected_row_is_redrawn_from_the_stream():
+    rng = random.Random(0)
+    first = [rng.randint(-256, 64) / VALUE_GRID for _ in range(3)]
+    assert sorted(first)[0] + sorted(first)[1] < 0  # seed 0's first row is rejected
+    args = (4, 3, (-4.0, 1.0), False, 0)
+    assert gen_modular(*args).table[0] != tuple(first)
+    assert outcome(lambda: gen_modular(*args)) == outcome(lambda: reference_gen_modular(*args))

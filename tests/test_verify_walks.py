@@ -30,7 +30,8 @@ from ksubmax import (
     verify_monotone,
     verify_orthant_pairwise,
 )
-from ksubmax.verify import _label_draws, _lattice_pairs, _ordered_pairs_count
+from ksubmax.core import uniform_draws
+from ksubmax.verify import _lattice_pairs, _ordered_pairs_count
 
 VERIFIERS = (
     (verify_k_submodular, reference_verify_k_submodular),
@@ -189,7 +190,7 @@ def test_sampled_draws_match_the_reference_past_eight_elements(case):
 def test_supports_past_eight_elements_iterate_out_of_order():
     """The property above reaches supports whose frozenset order is not
     ascending, the order in which restrictions draw."""
-    labels = _label_draws(random.Random(0), 1)
+    labels = uniform_draws(random.Random(0), 2)
     supports = [Assignment(tuple(islice(labels, 10)), 1).support() for _ in range(50)]
     assert any(list(s) != sorted(s) for s in supports)
 
@@ -200,7 +201,7 @@ def test_one_pass_draw_consumes_like_randrange(k):
     for n in range(13):
         for seed in range(200):
             ours, theirs = random.Random(seed), random.Random(seed)
-            labels = _label_draws(ours, k)
+            labels = uniform_draws(ours, k + 1)
             assert tuple(islice(labels, n)) == reference_random_assignment(theirs, n, k).labels
             assert ours.getstate() == theirs.getstate()
             assert ours.random() == theirs.random()
