@@ -15,6 +15,7 @@ import itertools
 import math
 import operator
 import random
+import struct
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import partial
@@ -157,9 +158,52 @@ def uniform_draws(rng: random.Random, bound: int) -> Iterator[int]:
     every item taken consumes ``rng`` exactly as one ``randrange(bound)``
     call does (and ``lo +`` it is ``rng.randint(lo, lo + bound - 1)``).
     Take items with ``islice``; other draws from ``rng`` may come between
-    two takes.  The draws run in C, with no Python frame per item.
+    two takes.  The draws run in C, with no Python frame per item.  A
+    ``bound`` that is not an ``int`` (a bool included) is refused with
+    TypeError, and one below 1, whose stream would never yield, with
+    ValueError, both at the call.
     """
+    if type(bound) is not int:
+        raise TypeError(f"bound must be an int, got {bound!r}")
+    if bound < 1:
+        raise ValueError(f"bound must be at least 1, got {bound}")
     return filter(bound.__gt__, iter(partial(rng.getrandbits, bound.bit_length()), None))
+
+
+_WORD_PAIR = struct.Struct("<II")  # the two words of one random() draw
+
+
+def _bernoulli_flags(rng: random.Random, p: float, count: int) -> bytearray:
+    """``count`` flags, 1 where ``rng.random() < p`` and 0 elsewhere, for
+    ``p`` in ``[0, 1]``, drawn in bulk.
+
+    The contract: this consumes ``rng`` exactly as ``count`` ``random()``
+    calls do, and for a plain ``random.Random`` flag ``j`` equals, bit for
+    bit, ``random() < p`` at the ``j``-th of those calls.  CPython's
+    ``random()`` reads two consecutive 32-bit Mersenne Twister words ``a``
+    and ``b`` and returns ``N * 2^-53`` with ``N = (a >> 5) * 2^26 +
+    (b >> 6)``; ``getrandbits(64 * count)`` returns the same ``2 * count``
+    words, the first drawn least significant.  As ``p * 2^53`` is an exact
+    double, ``random() < p`` holds exactly when ``N < T`` with ``T =
+    ceil(p * 2^53)``, and so when ``a < C = (T >> 26) << 5``, or ``a >> 5
+    == T >> 26`` and ``b >> 6`` is below the rest of ``T``.  One
+    ``bytes.translate`` of the top bytes of the ``a`` words settles every
+    draw whose top byte differs from ``C``'s (``T >> 45``); the about one
+    in 256 that tie are settled from ``a`` and ``b`` in full.  It holds the
+    ``8 * count`` bytes of the words.
+    """
+    threshold = math.ceil(p * 2.0 ** 53)
+    top = threshold >> 45
+    raw = rng.getrandbits(64 * count).to_bytes(8 * count, "little")
+    # raw[3::8] is the top byte of each draw's word a: 1 below C's top
+    # byte, 0 above it, 2 (undecided) equal to it
+    flags = bytearray(raw[3::8].translate((b"\x01" * top + b"\x02" + b"\x00" * 255)[:256]))
+    j = flags.find(2)
+    while j >= 0:
+        a, b = _WORD_PAIR.unpack_from(raw, 8 * j)
+        flags[j] = (a >> 5 << 26 | b >> 6) < threshold
+        j = flags.find(2, j + 1)
+    return flags
 
 
 @dataclass

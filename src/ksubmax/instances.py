@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from .core import (INTS, NUMBERS, Assignment, GainState, KSubFunction, OracleCounters,
-                   _check_ground_size, _check_k, _check_seed, _child_codes, _code_steps,
-                   _sum_exact, _typed, uniform_draws)
+                   _bernoulli_flags, _check_ground_size, _check_k, _check_seed,
+                   _child_codes, _code_steps, _sum_exact, _typed, uniform_draws)
 from .matroids import ExplicitMatroid, Matroid, PartitionMatroid, UniformMatroid, _check_ints
 
 VALUE_GRID = 64  # generated values are integers divided by this
@@ -601,6 +601,16 @@ def gen_coverage(
     Weights are uniform on the 1/64 grid in [0, 1]; each universe point
     joins each (element, position) cover set independently with the given
     density.  density == 0 yields the all-zero function.
+
+    The draw contract: ``random.Random(seed)`` gives the ``universe_size``
+    weights as ``randint(0, 64)`` draws divided by 64, taken from one
+    :func:`ksubmax.core.uniform_draws` stream, and then one ``random()``
+    per (element, position, point), in that order, the point joining the
+    set when the draw is below ``density``.  The memberships are drawn in
+    bulk, one element's ``k * universe_size`` draws at a time, by
+    :func:`ksubmax.core._bernoulli_flags`, which gives bit for bit the
+    flags of those ``random()`` calls; each cover set reaches
+    :class:`CoverageFunction` as a hex bitmask string.
     """
     _check_ground_size(n)
     _check_k(k)
@@ -612,13 +622,14 @@ def gen_coverage(
     if not 0.0 <= density <= 1.0:
         raise ValueError(f"density must lie in [0, 1], got {density}")
     rng = _rng(seed)
-    weights = [rng.randint(0, VALUE_GRID) / VALUE_GRID for _ in range(universe_size)]
-    draw = rng.random
-    universe = range(universe_size)
-    sets = [
-        [[u for u in universe if draw() < density] for _ in range(k)]
-        for _ in range(n)
-    ]
+    weights = list(map(operator.truediv,  # randint(0, VALUE_GRID) each
+                       itertools.islice(uniform_draws(rng, VALUE_GRID + 1), universe_size),
+                       itertools.repeat(VALUE_GRID)))
+    starts = range(0, k * universe_size, universe_size)
+    sets = []
+    for _ in range(n):
+        flags = _bernoulli_flags(rng, density, k * universe_size)
+        sets.append([format(_bitmask(flags[s:s + universe_size]), "x") for s in starts])
     return CoverageFunction(weights, sets)
 
 

@@ -444,7 +444,8 @@ def reference_gen_partition_matroid(n, seed=0, max_blocks=4):
 
 
 def reference_gen_coverage(n, k, universe_size, density, seed=0):
-    """``gen_coverage`` with its weights drawn by ``_reference_grid_values``."""
+    """``gen_coverage`` with its weights drawn by ``_reference_grid_values``
+    and one ``random()`` call per (element, position, point)."""
     if n < 1 or k < 1 or universe_size < 1:
         raise ValueError("n, k and universe_size must be at least 1")
     if not 0.0 <= density <= 1.0:

@@ -4,6 +4,8 @@ import json
 import os
 import subprocess
 import sys
+import time
+import tracemalloc
 import types
 
 import pytest
@@ -221,6 +223,28 @@ class TestVerify:
         assert main(["verify", str(path), "--sample", "200"]) == 0
         out = capsys.readouterr().out
         assert "sampled" in out
+
+    def test_sampled_lattice_work_does_not_grow_with_k_squared(self, tmp_path, capsys):
+        """The sampled lattice check used to build two (k+1) x (k+1) label
+        tables before its first draw, 10^8 entries each at k = 10^4.  Join
+        and meet are now label arithmetic on the pair."""
+        k = 10 ** 4
+        spec = InstanceSpec(n=1, k=k, function=ModularFunction([[1.0] * k]),
+                            matroid=UniformMatroid(1, 1))
+        path = tmp_path / "wide_k.json"
+        path.write_text(serialize_instance(spec))
+        tracemalloc.start()
+        try:
+            started = time.perf_counter()
+            code = main(["verify", str(path), "--sample", "3"])
+            elapsed = time.perf_counter() - started
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert elapsed < 2.0 and peak < 20 * 2 ** 20, (elapsed, peak)
+        out = capsys.readouterr().out
+        assert "k-submodularity (lattice inequality): holds [sampled, 3 checks]" in out
 
     @pytest.mark.parametrize("size", ["0", "-5"])
     def test_sample_below_one_exits_2(self, tmp_path, capsys, size):

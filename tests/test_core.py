@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,6 +11,7 @@ from ksubmax import (
     marginal_gain,
     meet,
     precedes,
+    uniform_draws,
 )
 from ksubmax.instances import ModularFunction, gen_modular
 
@@ -210,3 +213,19 @@ def test_enumerate_assignments_complete():
 
 def test_enumerate_assignments_trivial_ground_set():
     assert [a.labels for a in enumerate_assignments(0, 2)] == [()]
+
+
+@pytest.mark.parametrize("bound, error", [
+    (0, ValueError), (-1, ValueError), (-(2 ** 70), ValueError),
+    (True, TypeError), (False, TypeError), (2.0, TypeError), (0.5, TypeError),
+    ("3", TypeError), (None, TypeError),
+])
+def test_uniform_draws_refuses_a_bound_at_the_call(bound, error):
+    """Below 1 the first take never returned: ``getrandbits(0)`` is always
+    0, and no draw is below the bound.  A bool was taken as an int and a
+    float failed with AttributeError.  Each is refused before any draw."""
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(error, match="^bound must be"):
+        uniform_draws(rng, bound)
+    assert rng.getstate() == state

@@ -12,18 +12,24 @@ from one ``uniform_draws`` stream; ``tests/helpers.reference_gen_modular``
 checks and tests every row and calls ``randint`` per entry.
 ``gen_partition_matroid`` takes its block draws from the same kind of
 stream, ``tests/helpers.reference_gen_partition_matroid`` from
-``randrange``.  The random stream must not move: the same seed gives the
-same instance, and the same refused input the same error.
+``randrange``.  ``gen_coverage`` draws each element's memberships in bulk,
+through ``core._bernoulli_flags``; ``tests/helpers.reference_gen_coverage``
+makes one ``random()`` call per membership.  The random stream must not
+move: the same seed gives the same instance, and the same refused input
+the same error.
 """
 
+import hashlib
 import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ksubmax import (CoverageFunction, ExplicitTableFunction, KSubFunction, ModularFunction,
-                     gen_coverage, gen_modular, gen_partition_matroid)
+from ksubmax import (CoverageFunction, ExplicitTableFunction, InstanceSpec, KSubFunction,
+                     ModularFunction, UniformMatroid, gen_coverage, gen_modular,
+                     gen_partition_matroid, serialize_instance)
+from ksubmax.core import _bernoulli_flags
 from ksubmax.instances import VALUE_GRID
 
 from helpers import (CountingWrapper, dyadics, reference_gen_coverage, reference_gen_modular,
@@ -167,6 +173,67 @@ def test_gen_modular_refuses_as_reference(args):
 def test_gen_coverage_stream_is_pinned(n, k, universe, density, seed):
     assert (outcome(lambda: gen_coverage(n, k, universe, density, seed))
             == outcome(lambda: reference_gen_coverage(n, k, universe, density, seed)))
+
+
+# int 0 and 1, the densities one step inside either end, values with
+# fractional p * 2^53, and j/256, whose bound has a top byte of j and
+# nothing below it, so every tie settles out
+DENSITIES = [0, 1, 0.0, 1.0, 1 - 2 ** -53, 5e-324, 0.4, 1 / 3, 0.123, 0.25, 0.5, 0.99]
+TIED_DENSITIES = [j / 256 for j in range(257)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 3), st.integers(1, 70),
+       st.one_of(st.sampled_from(DENSITIES), st.sampled_from(TIED_DENSITIES),
+                 st.floats(0.0, 1.0)),
+       st.integers(0, 2 ** 64))
+def test_gen_coverage_draws_as_its_per_draw_reference(n, k, universe, density, seed):
+    assert (outcome(lambda: gen_coverage(n, k, universe, density, seed))
+            == outcome(lambda: reference_gen_coverage(n, k, universe, density, seed)))
+
+
+@pytest.mark.parametrize("p", DENSITIES + TIED_DENSITIES[::15])
+def test_bulk_flags_are_the_random_calls(p):
+    """The contract of ``_bernoulli_flags``: the flags of ``random() < p``,
+    with the generator left as those calls leave it."""
+    for seed in range(3):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for count in (1, 5, 2000):
+            assert _bernoulli_flags(ours, p, count) == bytes(
+                theirs.random() < p for _ in range(count))
+            assert ours.getstate() == theirs.getstate()
+
+
+def test_bulk_flags_at_a_drawn_value():
+    """Densities at a draw and one step either side of it: the top bytes
+    tie, so only the full comparison settles them.  Below 0.5 the step up
+    makes ``p * 2^53`` fractional, where only its ceiling keeps the draw."""
+    fractional = 0
+    for seed in range(200):
+        x = random.Random(seed).random()
+        for p in (math.nextafter(x, 0.0), x, math.nextafter(x, 1.0)):
+            assert _bernoulli_flags(random.Random(seed), p, 1) == bytes([x < p])
+            fractional += not (p * 2.0 ** 53).is_integer()
+    assert fractional >= 50
+
+
+# SHA-256 of serialize_instance, captured when every membership was its
+# own random() call
+SERIALIZED = [
+    ((100, 3, 200, 0.25, 0), "eae6328bf19ac23941f07ebb38ee3b637f0e831bbd7304fb4d8692b84d2075f6"),
+    ((6, 2, 12, 0.25, 1), "f0d777ab485bc59b7704066cda1bcdaf3b5876fc55d83d04071ad97af44735d5"),
+    ((5, 3, 9, 0.4, 2), "21b05d224294152fbd88a2dde181e8ed412cf4c49c0beecf67984625819c8bba"),
+    ((7, 1, 13, 1 / 3, 3), "bf46cffae83c427a20eac6561a956ea67b76649f3aaa59cbda37e191927456c0"),
+    ((3, 2, 5, 1, 4), "80d8549d03385d5398b67ec919e2fc0fe5a11f022f5f15c687cbbe89881c2115"),
+    ((4, 3, 21, 0.5, 5), "ef773c6d19ed4c549481402f81e71207fb208aaefae3fe4371edd500b038ba6b"),
+]
+
+
+@pytest.mark.parametrize("args, digest", SERIALIZED)
+def test_gen_coverage_serializes_as_before(args, digest):
+    n = args[0]
+    spec = InstanceSpec(n, args[1], gen_coverage(*args), UniformMatroid(n, max(1, n // 4)))
+    assert hashlib.sha256(serialize_instance(spec).encode()).hexdigest() == digest
 
 
 @settings(max_examples=300, deadline=None)
