@@ -10,7 +10,6 @@ asserted exactly in tests.
 
 from __future__ import annotations
 
-import collections
 import itertools
 import math
 import operator
@@ -381,14 +380,18 @@ class KSubFunction(ABC):
         return [0], [self._value(Assignment._trusted((0,) * self.n, self.k))]
 
     def _support_step(self, block: tuple[list, list], e: int) -> tuple[list, list]:
-        """The block of ``S + (e,)`` from the block of ``S``; no counting.
+        """The children of a block's labellings with ``e`` placed; no counting.
 
-        A *block* lists the ``k^|S|`` labellings of an ascending support
-        ``S`` as a pair ``(keys, values)``: ``values[j]`` is bit for bit
-        what ``_value`` gives for labelling ``j``, and ``keys`` is whatever
-        a family needs to step on (assignment codes here).  ``e`` must lie
-        past ``S``'s last element.  Child ``j * k + i - 1`` is parent ``j``
-        with ``e`` at ``i``, so the labellings follow
+        A *block* lists labellings of the elements before ``e`` as a pair
+        ``(keys, values)``: ``values[j]`` is bit for bit what ``_value``
+        gives for labelling ``j``, and ``keys`` is whatever a family needs
+        to step on (assignment codes here; ``None`` for modular tables,
+        which step on values alone, and a ``None`` key list stays
+        ``None``).  Brute force steps the ``k^|S|`` labellings of one
+        ascending support ``S``; :meth:`_code_values` steps every
+        labelling of the elements before ``e``, unplaced ones included.
+        Child ``j * k + i - 1`` is labelling ``j`` with ``e`` at ``i``, so
+        the children of a support's block follow
         ``itertools.product(range(1, k + 1), repeat=len(S))``: labelling
         ``j`` puts ``S[t]`` at base-k digit ``t`` of ``j`` (most
         significant first) plus one.
@@ -403,40 +406,30 @@ class KSubFunction(ABC):
         codes = _child_codes(block[0], e, k)
         return codes, [self._value(_decode(code, n, k)) for code in codes]
 
-    def _support_values(self, support: tuple[int, ...]) -> list[float]:
-        """Values of all ``k^len(support)`` labellings of ascending ``support``,
-        in the order of :meth:`_support_step`; no counting.
-
-        The fold of :meth:`_support_step` from :meth:`_support_root`, one
-        step per element.  Brute force and :meth:`_code_values` walk
-        supports depth first instead and step each child from its parent's
-        block, one step per support.
-        """
-        block = self._support_root()
-        for e in support:
-            block = self._support_step(block, e)
-        return block[1]
-
     def _code_values(self) -> Sequence[float]:
         """``_value`` at every assignment, listed by its code (see
         :func:`_code_steps`); no counting.
 
-        Walks the ``2^n`` supports depth first as ascending tuples, stepping
-        each child's block and codes from its parent's with one
-        :meth:`_support_step` and one :func:`_child_codes`, so every entry
-        is bit for bit ``_value`` of its assignment.  It holds the blocks
-        on the path, at most ``2 * k^n`` labellings for ``k >= 2``.
+        Makes ``n`` :meth:`_support_step` calls, one per element.  Before
+        the step of ``e`` the list holds the ``(k+1)^e`` labellings of the
+        elements before ``e`` in code order; the step prices their
+        ``k * (k+1)^e`` children, and appending them label-major (the
+        children ``child[i - 1::k]`` with ``e`` at ``i``, for ``i = 1..k``)
+        lists codes ``i * (k+1)^e + j`` in order.  So every entry is bit
+        for bit ``_value`` of its assignment.  Memory is the value list and
+        one key list, both extended in place, plus one step's children.
         Explicit tables return their own value list.
         """
-        n, k, step = self.n, self.k, self._support_step
-        values = [0.0] * (k + 1) ** n
-
-        def fill(codes: list[int], block: tuple[list, list], first: int) -> None:
-            collections.deque(map(values.__setitem__, codes, block[1]), maxlen=0)
-            for e in range(first, n):
-                fill(_child_codes(codes, e, k), step(block, e), e + 1)
-
-        fill([0], self._support_root(), 0)
+        k, step = self.k, self._support_step
+        keys, values = self._support_root()
+        for e in range(self.n):
+            child_keys, child_values = step((keys, values), e)
+            if child_keys is None:  # modular tables step on values alone
+                keys = None
+            for i in range(k):
+                values += child_values[i::k]
+                if keys is not None:
+                    keys += child_keys[i::k]
         return values
 
     def zero(self) -> Assignment:

@@ -657,7 +657,15 @@ def gen_explicit_matroid(n: int, seed: int = 0) -> ExplicitMatroid:
 
     Ground-set elements are edges; a subset is independent iff it is
     acyclic.  Self-loops (always dependent singletons) occur naturally.
-    Limited to n <= 10 since the family is materialized from all subsets.
+    The forests are grown, not tested: each one extends a smaller forest
+    by a later edge that joins two of its components, and its component
+    labels are the parent's with one component relabelled, so each forest
+    is reached once, from itself less its last edge.  Limited to
+    ``n <= 10``: the family can hold all ``2^n`` subsets (when the edges
+    form a forest), and ``ExplicitMatroid`` validates augmentation on
+    every pair of listed sets of adjacent sizes, ``C(2n, n + 1)`` pairs
+    for all subsets, so each further element multiplies that work about
+    fourfold.
     """
     _check_ground_size(n)
     if not 1 <= n <= 10:
@@ -665,28 +673,19 @@ def gen_explicit_matroid(n: int, seed: int = 0) -> ExplicitMatroid:
     rng = _rng(seed)
     n_vertices = rng.randint(2, n + 1)
     edges = [(rng.randrange(n_vertices), rng.randrange(n_vertices)) for _ in range(n)]
-
-    def acyclic(mask: int) -> bool:
-        parent = list(range(n_vertices))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        rest = mask
-        while rest:
-            low = rest & -rest
-            u, v = edges[low.bit_length() - 1]
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                return False
-            parent[ru] = rv
-            rest ^= low
-        return True
-
-    family = [mask for mask in range(1 << n) if acyclic(mask)]
+    labels = [bytes((v,)) for v in range(n_vertices)]
+    family = []
+    # (forest mask, first edge it may grow by, each vertex's component label)
+    stack = [(0, 0, bytes(range(n_vertices)))]
+    while stack:
+        mask, first, components = stack.pop()
+        family.append(mask)
+        for e in range(first, n):
+            u, v = edges[e]
+            a, b = components[u], components[v]
+            if a != b:
+                stack.append((mask | 1 << e, e + 1, components.replace(labels[a], labels[b])))
+    family.sort()
     return ExplicitMatroid(n, family)
 
 

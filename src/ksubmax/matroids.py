@@ -326,7 +326,7 @@ class ExplicitMatroid(Matroid):
         for mask in self.family:
             if mask >> ground_size:
                 raise ValueError(f"bitmask {mask} uses elements outside 0..{ground_size - 1}")
-        violation, _ = _axiom_violation(sorted(self.family), self.family)
+        violation, _ = _axiom_violation(sorted(self.family))
         if violation is not None:
             axiom, *masks = violation
             raise ValueError("family violates " + {
@@ -479,21 +479,26 @@ def check_basis_exchange(m: Matroid, a: Iterable[int], b: Iterable[int], e: int)
     return False
 
 
-def _axiom_violation(
-    masks: list[int], family: set[int] | frozenset[int], pair_budget: Optional[int] = None
-):
+def _axiom_violation(masks: list[int], pair_budget: Optional[int] = None):
     """First violation of the axioms in a family of bitmasks, and the checks made.
 
-    ``masks`` lists the family ascending; ``family`` answers membership.
-    Axiom (a) comes first: if the empty set is not listed, the violation
-    is ``("axiom-a",)`` after 1 check.  Otherwise the checks count those of
+    ``masks`` lists the family ascending, each set once.  Axiom (a) comes
+    first: if the empty set is not listed, the violation is
+    ``("axiom-a",)`` after 1 check.  Otherwise the checks count those of
     axiom (b), one per set and element, lowest first, then those of axiom
     (c), one per set of size s against one of size s + 1.  The violation
     is then None, ``("axiom-b", mask, mask_without_one)`` or ``("axiom-c",
     small, big)``.  With more than ``pair_budget`` pairs, (c) is left
     untested and the checks are None.
+
+    While it checks (b), each listed set gets its extension mask: the
+    elements whose addition gives a listed set.  A small set can be
+    augmented from a big one exactly when the two masks meet, so (c) is
+    one C-level pass per small set over the bigs; the pairs are walked
+    only to name the first big that fails and count its checks.
     """
-    if 0 not in family:
+    extensions = dict.fromkeys(masks, 0)
+    if 0 not in extensions:
         return ("axiom-a",), 1
     checks = 0
     for mask in masks:
@@ -501,8 +506,10 @@ def _axiom_violation(
         while rest:
             low = rest & -rest
             checks += 1
-            if (mask ^ low) not in family:
-                return ("axiom-b", mask, mask ^ low), checks
+            sub = mask ^ low
+            if sub not in extensions:
+                return ("axiom-b", mask, sub), checks
+            extensions[sub] |= low
             rest ^= low
     by_size: dict[int, list[int]] = {}
     for mask in masks:
@@ -512,17 +519,13 @@ def _axiom_violation(
     ):
         return None, None
     for s in sorted(by_size):
+        bigs = by_size.get(s + 1, [])
         for small in by_size[s]:
-            for big in by_size.get(s + 1, ()):
-                checks += 1
-                extra = big & ~small
-                while extra:
-                    low = extra & -extra
-                    if (small | low) in family:
-                        break
-                    extra ^= low
-                else:
-                    return ("axiom-c", small, big), checks
+            meets = extensions[small].__and__
+            if not all(map(meets, bigs)):
+                t = next(t for t, big in enumerate(bigs) if not meets(big))
+                return ("axiom-c", small, bigs[t]), checks + t + 1
+            checks += len(bigs)
     return None, checks
 
 
@@ -559,8 +562,7 @@ def check_matroid_axioms(
     independent = m.is_independent
     if 2**n <= budget:
         independents = [mask for mask in range(1 << n) if m._independent(_set_of(mask))]
-        family = set(independents)
-        violation, checks = _axiom_violation(independents, family, budget)
+        violation, checks = _axiom_violation(independents, budget)
         if violation == ("axiom-a",):
             return Verdict(False, violation, exhaustive=True, checked=checks)
         if checks is not None:
@@ -568,7 +570,7 @@ def check_matroid_axioms(
                 violation = (violation[0], _set_of(violation[1]), _set_of(violation[2]))
             return Verdict(violation is None, violation, exhaustive=True,
                            checked=(1 << n) + checks)
-        independent = partial(_listed, family)
+        independent = partial(_listed, set(independents))
 
     rng = random.Random(seed)
     if not independent(frozenset()):

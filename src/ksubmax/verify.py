@@ -10,13 +10,16 @@ on every input; tests exploit this as a cross-check.
 Enumeration is capped: verdicts obtained by sampling instead of exhaustive
 enumeration are flagged as such, never silently treated as exhaustive.  A
 budget below one check is refused with ValueError, so no verdict rests on
-zero checks.  Every exhaustive check first reads f at each of the (k+1)^n
-assignments from ``f._code_values()``, the list indexed by the code
-sum(labels[e] * (k+1)**e) of :func:`ksubmax.core._code_steps` (an explicit
-table's own value list; one ``_support_step`` per support, walked depth
-first, for the other families), so it makes no ``evaluate`` call.  The
-orthant and monotonicity checks walk that list, reaching a restriction or
-a neighbour of an assignment by integer steps on its code.
+zero checks.  The budget bounds the work, however large ``k`` is: every
+verifier's time and memory are ``O(budget * poly(n))`` (times ``log k``
+where the pairwise test sorts rows of ``k`` gains), plus the (k+1)^n value
+list where it is exhaustive.  Every exhaustive check first reads f at each
+of the (k+1)^n assignments from ``f._code_values()``, the list indexed by
+the code sum(labels[e] * (k+1)**e) of :func:`ksubmax.core._code_steps` (an
+explicit table's own value list; one ``_support_step`` per element for the
+other families), so it makes no ``evaluate`` call.  The orthant and
+monotonicity checks walk that list, reaching a restriction or a neighbour
+of an assignment by integer steps on its code.
 
 Sampled checks take each assignment's labels, uniform on {0,...,k}, in
 one C-level pass from a stream of rejection-sampled ``getrandbits`` draws
@@ -32,11 +35,12 @@ counterexample.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 import random
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, combinations, compress, islice, product, repeat
+from itertools import chain, combinations, compress, islice, product, repeat, starmap
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .core import (Assignment, KSubFunction, _check_seed, _code_steps, _decode,
@@ -117,6 +121,33 @@ def _random_restriction(rng: random.Random, q: tuple[int, ...]) -> tuple[int, ..
         if not rng.random() < 0.5:
             labels[e] = 0
     return tuple(labels)
+
+
+def _pairwise(gains: list[float], rows: list[slice],
+              positions: range) -> Optional[tuple[int, int, int]]:
+    """The first ``(t, i, j)``, ``t`` ascending and then ``i < j`` in
+    ``combinations(positions, 2)`` order, whose gains
+    ``gains[rows[t]][i - 1] + gains[rows[t]][j - 1]`` sum below 0; None if
+    no pair does.
+
+    A row has such a pair exactly when its two smallest gains do, since a
+    float sum never falls as a term grows; so each row costs one C-level
+    sort, and only a row whose two smallest sum below 0 is scanned for
+    its first pair.  A NaN gain is in no such pair but defeats the sort,
+    so gains with a NaN scan every row.
+    """
+    if any(map(math.isnan, gains)):
+        candidates = range(len(rows))
+    else:
+        lows = map(operator.itemgetter(0, 1), map(sorted, map(gains.__getitem__, rows)))
+        candidates = compress(range(len(rows)), map(operator.lt, starmap(operator.add, lows),
+                                                    repeat(0)))
+    for t in candidates:
+        row = gains[rows[t]]
+        for i, j in combinations(positions, 2):
+            if row[i - 1] + row[j - 1] < 0:
+                return t, i, j
+    return None
 
 
 def _label_value(f: KSubFunction):
@@ -201,6 +232,9 @@ def verify_orthant_pairwise(
     add nothing to it.  Orthant violations are reported before pairwise
     ones, each in the order of a walk over q in label order, its kept
     subsets by size and then lexicographically, then (e, i) ascending.
+    The pairwise test sorts each unplaced element's row of k gains once
+    per q (see :func:`_pairwise`), so it costs ``O(n * k log k)`` per q
+    and holds no list of the ``k(k-1)/2`` position pairs.
     The sampled check draws an element e, then q's labels on the other
     n - 1 elements (e is left unplaced), a random restriction p and a
     position i, so every test makes a fixed number of draws; ``checked``
@@ -212,10 +246,7 @@ def verify_orthant_pairwise(
         values = f._code_values()
         code_steps = _code_steps(n, k)
         positions = range(1, k + 1)
-        pairs = list(combinations(positions, 2))
-        # index of gain (e, i) in a row is t*k + i - 1, e the t-th unplaced element
-        firsts = [t * k + i - 1 for t in range(n) for i, _ in pairs]
-        seconds = [t * k + j - 1 for t in range(n) for _, j in pairs]
+        rows = [slice(t * k, t * k + k) for t in range(n)]  # gains of the t-th unplaced
         pairwise = None
         checked = 0
         for cq, kept, outside in _walk(n, k):
@@ -224,16 +255,11 @@ def verify_orthant_pairwise(
                 continue
             steps = [i * code_steps[e] for e in outside for i in positions]
             gq = _gains(values, cq, steps)
-            if pairwise is None and pairs:
-                width = len(outside) * len(pairs)
-                sums = map(operator.add, map(gq.__getitem__, firsts[:width]),
-                           map(gq.__getitem__, seconds[:width]))
-                hits = list(map(operator.lt, sums, repeat(0)))
-                if any(hits):
-                    t = _first(hits)
-                    i, j = pairs[t % len(pairs)]
-                    pairwise = ("pairwise", _decode(cq, n, k),
-                                outside[t // len(pairs)], i, j)
+            if pairwise is None and k >= 2:
+                hit = _pairwise(gq, rows[:len(outside)], positions)
+                if hit is not None:
+                    t, i, j = hit
+                    pairwise = ("pairwise", _decode(cq, n, k), outside[t], i, j)
             for checked, cp in enumerate(kept, checked + 1):
                 if any(map(operator.lt, map(operator.sub, map(values.__getitem__,
                                                               map(cp.__add__, steps)),

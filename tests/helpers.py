@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import operator
 import random
 import time
 from fractions import Fraction
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from ksubmax import (Assignment, CapExceededError, GainState, InstanceSpec, KSubFunction,
                      Matroid, OracleCounters, UniformMatroid, enumerate_assignments, join,
                      marginal_gain, meet, serialize_instance)
-from ksubmax.core import _check_open, _decode
+from ksubmax.core import _check_open, _code_steps, _decode
 from ksubmax.instances import (
     VALUE_GRID,
     CoverageFunction,
@@ -24,8 +25,10 @@ from ksubmax.instances import (
     _ModularGainState,
     _rng,
 )
-from ksubmax.matroids import PartitionMatroid, _set_of, feasible_extensions, greedy_basis
-from ksubmax.verify import Verdict, _check_sampling, _lattice_pairs, _ordered_pairs_count
+from ksubmax.matroids import (ExplicitMatroid, PartitionMatroid, _set_of, feasible_extensions,
+                               greedy_basis)
+from ksubmax.verify import (Verdict, _check_sampling, _first, _gains, _lattice_pairs,
+                            _ordered_pairs_count, _walk)
 from ksubmax.solvers import DEFAULT_BRUTE_CAP, SolveReport, _check_inputs
 
 
@@ -333,6 +336,22 @@ def support_codes(support: tuple[int, ...], k: int) -> list[int]:
         steps = range(step, base * step, step)  # labels 1..k of e
         codes = [c + s for c in codes for s in steps]
     return codes
+
+
+def step_fold(f: KSubFunction, support: tuple[int, ...]) -> list[float]:
+    """Values of all ``k^len(support)`` labellings of ascending ``support``,
+    in the order of ``KSubFunction._support_step``; no counting.
+
+    The fold of ``f._support_step`` from ``f._support_root()``, one step
+    per element of the support, as ``KSubFunction._support_values`` gave
+    them before it moved here: brute force steps each support from its
+    parent's block and ``_code_values`` steps every labelling by element,
+    so no code in the package folds a support from the empty one.
+    """
+    block = f._support_root()
+    for e in support:
+        block = f._support_step(block, e)
+    return block[1]
 
 
 def reference_support_values(f: KSubFunction, support: tuple[int, ...]) -> list[float]:
@@ -734,7 +753,7 @@ def reference_check_matroid_axioms(m: Matroid, budget: int = 1_000_000, seed: in
         independents = [mask for mask in range(1 << n) if m.is_independent(_set_of(mask))]
         if not m.is_independent(frozenset()):
             return Verdict(False, ("axiom-a",), exhaustive=True, checked=1)
-        violation, checks = _reference_axiom_violation(independents, set(independents), budget)
+        violation, checks = reference_axiom_violation(independents, set(independents), budget)
         if checks is not None:
             if violation is not None:
                 violation = (violation[0], _set_of(violation[1]), _set_of(violation[2]))
@@ -762,8 +781,14 @@ def reference_check_matroid_axioms(m: Matroid, budget: int = 1_000_000, seed: in
     return Verdict(True, None, exhaustive=False, checked=checked)
 
 
-def _reference_axiom_violation(masks, family, pair_budget):
-    """Axiom (b), then (c), as the reference checker tested them."""
+def reference_axiom_violation(masks, family, pair_budget=None):
+    """``matroids._axiom_violation`` before it recorded extension masks:
+    axiom (a), then (b) by membership tests, then (c) by walking every pair
+    of sets of adjacent sizes and testing each element of the big set;
+    ``family`` answers membership.  Kept unchanged so that the shipped
+    check can be required to give the same violations and check counts."""
+    if 0 not in family:
+        return ("axiom-a",), 1
     checks = 0
     for mask in masks:
         rest = mask
@@ -776,7 +801,9 @@ def _reference_axiom_violation(masks, family, pair_budget):
     by_size: dict[int, list[int]] = {}
     for mask in masks:
         by_size.setdefault(mask.bit_count(), []).append(mask)
-    if pair_budget < sum(len(by_size[s]) * len(by_size.get(s + 1, ())) for s in by_size):
+    if pair_budget is not None and pair_budget < sum(
+        len(by_size[s]) * len(by_size.get(s + 1, ())) for s in by_size
+    ):
         return None, None
     for s in sorted(by_size):
         for small in by_size[s]:
@@ -791,6 +818,40 @@ def _reference_axiom_violation(masks, family, pair_budget):
                 else:
                     return ("axiom-c", small, big), checks
     return None, checks
+
+
+def reference_gen_explicit_matroid(n: int, seed: int = 0) -> ExplicitMatroid:
+    """``gen_explicit_matroid`` before it grew forests: the same multigraph
+    draws, then a fresh union-find on each of the ``2^n`` edge subsets,
+    keeping the acyclic ones in ascending order."""
+    if not 1 <= n <= 10:
+        raise ValueError("explicit matroid generation supports 1 <= n <= 10")
+    rng = _rng(seed)
+    n_vertices = rng.randint(2, n + 1)
+    edges = [(rng.randrange(n_vertices), rng.randrange(n_vertices)) for _ in range(n)]
+
+    def acyclic(mask: int) -> bool:
+        parent = list(range(n_vertices))
+
+        def find(x: int) -> int:
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        rest = mask
+        while rest:
+            low = rest & -rest
+            u, v = edges[low.bit_length() - 1]
+            ru, rv = find(u), find(v)
+            if ru == rv:
+                return False
+            parent[ru] = rv
+            rest ^= low
+        return True
+
+    family = [mask for mask in range(1 << n) if acyclic(mask)]
+    return ExplicitMatroid(n, family)
 
 
 def reference_random_assignment(rng: random.Random, n: int, k: int) -> Assignment:
@@ -894,6 +955,49 @@ def reference_verify_orthant_pairwise(f: KSubFunction, pair_budget: int = 1_000_
                 return Verdict(False, ("pairwise", q, e, i, j),
                                exhaustive=False, checked=checked)
     return Verdict(True, None, exhaustive=False, checked=pair_budget)
+
+
+def pair_list_orthant_pairwise(f: KSubFunction) -> Verdict:
+    """The exhaustive branch of ``verify_orthant_pairwise`` before its
+    pairwise test sorted each row: index lists ``firsts`` and ``seconds``
+    of ``n * k(k-1)/2`` entries name every pair of gains, and each q sums
+    all its pairs.  Its pairwise test is kept unchanged as the reference
+    for the verdict, witness and ``checked`` count; its lists grow as
+    ``k^2``."""
+    n, k = f.n, f.k
+    values = f._code_values()
+    code_steps = _code_steps(n, k)
+    positions = range(1, k + 1)
+    pairs = list(itertools.combinations(positions, 2))
+    # index of gain (e, i) in a row is t*k + i - 1, e the t-th unplaced element
+    firsts = [t * k + i - 1 for t in range(n) for i, _ in pairs]
+    seconds = [t * k + j - 1 for t in range(n) for _, j in pairs]
+    pairwise = None
+    checked = 0
+    for cq, kept, outside in _walk(n, k):
+        if not outside:  # nothing to test against a full q
+            checked += len(kept)
+            continue
+        steps = [i * code_steps[e] for e in outside for i in positions]
+        gq = _gains(values, cq, steps)
+        if pairwise is None and pairs:
+            width = len(outside) * len(pairs)
+            sums = map(operator.add, map(gq.__getitem__, firsts[:width]),
+                       map(gq.__getitem__, seconds[:width]))
+            hits = list(map(operator.lt, sums, itertools.repeat(0)))
+            if any(hits):
+                t = _first(hits)
+                i, j = pairs[t % len(pairs)]
+                pairwise = ("pairwise", _decode(cq, n, k), outside[t // len(pairs)], i, j)
+        for checked, cp in enumerate(kept, checked + 1):
+            if any(map(operator.lt, _gains(values, cp, steps), gq)):
+                t = _first(map(operator.lt, _gains(values, cp, steps), gq))
+                return Verdict(False, ("orthant", _decode(cp, n, k), _decode(cq, n, k),
+                                       outside[t // k], t % k + 1),
+                               exhaustive=True, checked=checked)
+    if pairwise is not None:
+        return Verdict(False, pairwise, exhaustive=True, checked=checked)
+    return Verdict(True, None, exhaustive=True, checked=checked)
 
 
 def reference_verify_monotone(f: KSubFunction, pair_budget: int = 1_000_000,

@@ -20,7 +20,7 @@ import pytest
 
 from helpers import (CountingWrapper, reference_brute_force_solve, reference_verify_k_submodular,
                      reference_verify_monotone, reference_verify_orthant_pairwise,
-                     support_codes)
+                     step_fold, support_codes)
 from ksubmax import (Assignment, ExplicitTableFunction, KSubFunction, UniformMatroid,
                      brute_force_solve, enumerate_assignments, gen_coverage, gen_modular,
                      parse_instance, verify_k_submodular, verify_monotone,
@@ -98,7 +98,7 @@ def test_support_codes_decode_to_the_labellings_priced(n, k):
         for size in range(n + 1):
             for support in itertools.combinations(range(n), size):
                 codes = support_codes(support, k)
-                values = f._support_values(support)
+                values = step_fold(f, support)
                 labellings = list(itertools.product(range(1, k + 1), repeat=size))
                 assert len(codes) == len(values) == len(labellings)
                 for c, v, positions in zip(codes, values, labellings):

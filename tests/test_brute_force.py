@@ -7,7 +7,7 @@ same assignment, ``repr(value)`` and ``max_opt_support_size`` as
 instances of every family (non-k-submodular tables with ties and ``-0.0``
 included) under every matroid family and a user-defined independence
 family, and on user-defined subclasses, which take the default
-``_support_step``.  Each family's step, folded by ``_support_values``,
+``_support_step``.  Each family's step, folded by ``helpers.step_fold``,
 must give what ``_value`` gives, bit for bit, on sum-exact values spread
 over many binades.
 """
@@ -34,7 +34,7 @@ from ksubmax import (
 )
 from ksubmax.instances import CoverageFunction
 
-from helpers import CountingWrapper, ReferenceMatroid, reference_brute_force_solve
+from helpers import CountingWrapper, ReferenceMatroid, reference_brute_force_solve, step_fold
 from test_gain_state import feasibility_instances
 
 
@@ -168,7 +168,7 @@ def _all_supports(n):
 def assert_support_values_exact(f):
     k = f.k
     for support in _all_supports(f.n):
-        values = f._support_values(support)
+        values = step_fold(f, support)
         assert len(values) == k ** len(support)
         for value, positions in zip(values, itertools.product(range(1, k + 1),
                                                               repeat=len(support))):

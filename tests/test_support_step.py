@@ -1,8 +1,10 @@
 """Each family's support step against the from-scratch passes it replaced.
 
-Brute force and the ``_code_values`` fill walk supports depth first and
-build each child's block from its parent's with one ``_support_step``;
-``_support_values`` folds that step from the empty support.  The gate
+Brute force walks supports depth first and builds each child's block
+from its parent's with one ``_support_step``; the ``_code_values`` fill
+steps every labelling of the elements before ``e`` with one
+``_support_step`` per element ``e``; ``helpers.step_fold`` folds that
+step from the empty support.  The gate
 requires, bit for bit (``-0.0`` and ``0.0`` count as different):
 
 - the fold equals ``_value`` at every labelling, and
@@ -11,7 +13,9 @@ requires, bit for bit (``-0.0`` and ``0.0`` count as different):
   weights and with weights on the 1/64 grid, explicit tables and a user
   subclass on the default step;
 - ``_code_values`` equals ``helpers.reference_code_values``, the fill that
-  made one from-scratch pass per support;
+  made one from-scratch pass per support, for every family, the user
+  subclasses on the default step (``CountingWrapper`` and
+  ``SquareRootCoverage``, which define only ``_value``) included;
 - brute force equals ``helpers.reference_brute_force_solve``,
   ``max_opt_support_size`` included, under a user-defined independence
   family that is not a matroid too.
@@ -25,7 +29,7 @@ from hypothesis import given, settings, strategies as st
 
 from ksubmax import CoverageFunction, gen_coverage
 
-from helpers import reference_code_values, reference_support_values
+from helpers import reference_code_values, reference_support_values, step_fold
 from test_brute_force import (SquareRootCoverage, _all_supports, _bits, _matroid,
                               assert_same_optimum, assert_support_values_exact)
 from test_instance_build import drawn_functions
@@ -49,7 +53,7 @@ def functions():
 def assert_fold_exact(f):
     assert_support_values_exact(f)
     for support in _all_supports(f.n):
-        assert (list(map(_bits, f._support_values(support)))
+        assert (list(map(_bits, step_fold(f, support)))
                 == list(map(_bits, reference_support_values(f, support))))
 
 
@@ -93,5 +97,5 @@ def test_a_step_that_weighs_covered_points_again_fails():
     with pytest.raises(AssertionError):
         assert_fold_exact(f)
     # labellings (1, 1), (2, 1) and (2, 2) cover a point twice; (1, 2) does not
-    assert f._support_values((0, 1)) == [4.0, 3.0, 5.0, 4.0]
+    assert step_fold(f, (0, 1)) == [4.0, 3.0, 5.0, 4.0]
     assert reference_support_values(f, (0, 1)) == [3.0, 3.0, 3.0, 2.0]
