@@ -118,18 +118,23 @@ def _refuse(rows: tuple[tuple, ...], where: str, rule: str,
                                  f"{magnitude} stays below 2^53 units; values must be sum-exact")
 
 
+def _check_ints(values: tuple, rule: str) -> None:
+    """Refuse ``values`` with TypeError, after ``rule``, unless each is of type
+    ``int`` (a bool is not); the one integer rule of every input check."""
+    if not _typed(values, INTS):
+        raise TypeError(f"{rule}, got {next(v for v in values if type(v) is not int)!r}")
+
+
 def _check_ground_size(n) -> None:
     """Refuse a ground-set size unless an ``int`` (TypeError) of at least 0 (ValueError)."""
-    if type(n) is not int:
-        raise TypeError(f"ground_size must be an integer, got {n!r}")
+    _check_ints((n,), "ground_size must be an integer")
     if n < 0:
         raise ValueError(f"ground_size must be nonnegative, got {n}")
 
 
 def _check_k(k) -> None:
     """Refuse ``k`` unless an ``int`` (TypeError) of at least 1 (ValueError)."""
-    if type(k) is not int:
-        raise TypeError(f"k must be an int, got {k!r}")
+    _check_ints((k,), "k must be an int")
     if k < 1:
         raise ValueError(f"k must be a positive integer, got {k}")
 
@@ -145,8 +150,7 @@ def _check_element(e, n: int) -> None:
 def _check_seed(seed) -> None:
     """Refuse a random seed that is not of type ``int`` (a bool or a float
     included) with TypeError; ``random.Random`` would take either."""
-    if type(seed) is not int:
-        raise TypeError(f"seed must be an integer, got {seed!r}")
+    _check_ints((seed,), "seed must be an integer")
 
 
 def uniform_draws(rng: random.Random, bound: int) -> Iterator[int]:
@@ -162,8 +166,7 @@ def uniform_draws(rng: random.Random, bound: int) -> Iterator[int]:
     TypeError, and one below 1, whose stream would never yield, with
     ValueError, both at the call.
     """
-    if type(bound) is not int:
-        raise TypeError(f"bound must be an int, got {bound!r}")
+    _check_ints((bound,), "bound must be an int")
     if bound < 1:
         raise ValueError(f"bound must be at least 1, got {bound}")
     return filter(bound.__gt__, iter(partial(rng.getrandbits, bound.bit_length()), None))
@@ -259,7 +262,9 @@ class Assignment:
 
     @classmethod
     def zero(cls, n: int, k: int) -> "Assignment":
-        """The empty assignment on an n-element ground set."""
+        """The empty assignment on an n-element ground set; ``n`` is checked
+        as a ground-set size (see :func:`_check_ground_size`)."""
+        _check_ground_size(n)
         return cls((0,) * n, k)
 
     @property
@@ -494,9 +499,14 @@ class GainState:
     function; it is the reference path, and its batched calls are the
     per-element loops over :meth:`_best`.  Function families override
     :meth:`KSubFunction.gain_state` with states that price a row without
-    a full evaluation and a whole list in one pass.  The families' values
-    are sum-exact (see :func:`_sum_exact`), so the incremental gains are
-    exact and both paths give identical gains, values and solver runs.
+    a full evaluation, and a batched call only where one pass over the
+    list measured faster on a benchmark workload: both families'
+    :meth:`_best_of` (greedy's iterations) and the modular :meth:`_bests`
+    (the opening scan of the ``n = 800`` modular solves).  The coverage
+    opening scan, once per solve, runs this loop over its own
+    :meth:`_best`.  The families' values are sum-exact (see
+    :func:`_sum_exact`), so the incremental gains are exact and every path
+    gives identical gains, values and solver runs.
     """
 
     def __init__(self, f: KSubFunction, counters: Optional[OracleCounters] = None):
@@ -544,9 +554,9 @@ class GainState:
         """Each element's best gain, as :meth:`_best` gives it; k EO calls per
         element.  The elements must be unplaced ``int`` elements.
 
-        This default makes one :meth:`_best` call per element; overrides
-        count through :meth:`_charge_rows` and price the whole list in one
-        pass.
+        This default makes one :meth:`_best` call per element (the coverage
+        state's opening scan too); the modular override counts through
+        :meth:`_charge_rows` and prices the whole list in one pass.
         """
         best = self._best
         return [best(e)[0] for e in elements]
@@ -611,7 +621,12 @@ def _decode(code: int, n: int, k: int) -> Assignment:
 
 
 def enumerate_assignments(n: int, k: int) -> Iterator[Assignment]:
-    """All (k+1)^n assignments on an n-element ground set, in label order."""
+    """All (k+1)^n assignments on an n-element ground set, in label order.
+
+    ``n`` and ``k`` are checked as :class:`KSubFunction` checks them
+    (TypeError or ValueError) when the iteration starts.
+    """
+    _check_ground_size(n)
     _check_k(k)
     for labels in itertools.product(range(k + 1), repeat=n):
         yield Assignment._trusted(labels, k)

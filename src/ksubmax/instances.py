@@ -28,9 +28,9 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from .core import (INTS, NUMBERS, Assignment, GainState, KSubFunction, OracleCounters,
-                   _bernoulli_flags, _check_ground_size, _check_k, _check_seed,
+                   _bernoulli_flags, _check_ground_size, _check_ints, _check_k, _check_seed,
                    _child_codes, _code_steps, _sum_exact, _typed, uniform_draws)
-from .matroids import ExplicitMatroid, Matroid, PartitionMatroid, UniformMatroid, _check_ints
+from .matroids import ExplicitMatroid, Matroid, PartitionMatroid, UniformMatroid
 
 VALUE_GRID = 64  # generated values are integers divided by this
 
@@ -390,11 +390,6 @@ class _CoverageGainState(GainState):
         gains = [weight(mask & free) for mask in self.f._masks[e]]
         gain = max(gains)
         return gain, gains.index(gain) + 1
-
-    def _bests(self, elements: Sequence[int]) -> list[float]:
-        self._charge_rows(len(elements))
-        weight, masks, free = self.f._weight, self.f._masks, ~self.covered
-        return [max(map(weight, map(free.__and__, masks[e]))) for e in elements]
 
     def _best_of(self, elements: Sequence[int]) -> Optional[tuple[int, int, float]]:
         """The per-element loop's answer, weighing rows by descending bound.

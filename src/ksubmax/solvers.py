@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import (NUMBERS, Assignment, CapExceededError, GainState, KSubFunction,
-                   OracleCounters, _check_seed)
-from .matroids import Matroid, _check_ints
+                   OracleCounters, _check_ints, _check_seed)
+from .matroids import Matroid
 
 # The solvers call none of these, but perfbench's tracer patches each of
 # them by name in this module to time the layers; keep them importable here

@@ -26,10 +26,12 @@ one C-level pass from a stream of rejection-sampled ``getrandbits`` draws
 (:func:`ksubmax.core.uniform_draws`), and draw a random restriction of q
 in the iteration order of q's support as a frozenset
 (:func:`_random_restriction`), so they consume the seeded generator as
-the per-assignment loops in ``tests/helpers.py`` do.  They work on label
-tuples and read each value with one uncounted ``f._value`` call, making
-no ``evaluate`` call; an :class:`Assignment` is built only for a
-counterexample.
+the per-assignment loops in ``tests/helpers.py`` do.  They read each
+value with one uncounted ``f._value`` call, making no ``evaluate`` call.
+The lattice sampler wraps its two draws as assignments and takes their
+:func:`ksubmax.core.join` and :func:`ksubmax.core.meet`, as the
+exhaustive loop does.  The orthant and monotonicity samplers work on
+label tuples and build an :class:`Assignment` only for a counterexample.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from functools import partial
 from itertools import chain, combinations, compress, islice, product, repeat, starmap
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .core import (Assignment, KSubFunction, _check_seed, _code_steps, _decode,
+from .core import (Assignment, KSubFunction, _check_ints, _check_seed, _code_steps, _decode,
                    enumerate_assignments, join, meet, precedes, uniform_draws)
 
 DEFAULT_PAIR_BUDGET = 1_000_000
@@ -71,8 +73,7 @@ def _check_sampling(budget: int, seed: int, what: str = "sampling budget") -> No
     """Refuse a non-``int`` seed or budget (TypeError), and a budget below the
     one check a verdict needs; ``what`` names the budget in the message."""
     _check_seed(seed)
-    if type(budget) is not int:
-        raise TypeError(f"{what} must be an integer, got {budget!r}")
+    _check_ints((budget,), f"{what} must be an integer")
     if budget < 1:
         raise ValueError(f"{what} must be at least 1, got {budget}")
 
@@ -168,9 +169,9 @@ def verify_k_submodular(
     violating (p, q) as counterexample.  The exhaustive check keys the
     (k+1)^n values of ``f._code_values()`` by labels, then makes a join, a
     meet and four lookups per pair; ``checked`` counts pairs.  The sampled
-    check takes the join and meet of two label tuples by label arithmetic
-    in C-level passes, with no table over the ``k + 1`` labels, so its
-    work is ``O(n)`` per pair plus four ``_value`` calls, whatever ``k``.
+    check draws p and q as label tuples and makes the same join and meet
+    and four uncounted ``_value`` calls per pair, so its work is ``O(n)``
+    per pair plus those calls, whatever ``k``.
     """
     _check_sampling(pair_budget, seed)
     n, k = f.n, f.k
@@ -187,22 +188,12 @@ def verify_k_submodular(
                 return Verdict(False, (p, q), exhaustive=True, checked=checked)
         return Verdict(True, None, exhaustive=True, checked=checked)
 
-    labels, value = uniform_draws(random.Random(seed), k + 1), _label_value(f)
+    labels, value = uniform_draws(random.Random(seed), k + 1), f._value
     for checked in range(1, pair_budget + 1):
-        p = tuple(islice(labels, n))
-        q = tuple(islice(labels, n))
-        same = tuple(map(operator.eq, p, q))
-        # the meet keeps p's label where p and q agree; the join keeps p | q
-        # where they agree or one label is 0 (p | q is then the other one)
-        # and 0 where two placed labels conflict
-        met = tuple(map(operator.mul, p, same))
-        joined = tuple(map(operator.mul, map(operator.or_, p, q), map(
-            operator.or_, same, map(operator.not_, map(operator.mul, p, q)))))
-        lhs = value(p) + value(q)
-        rhs = value(joined) + value(met)
-        if lhs < rhs:
-            return Verdict(False, (Assignment._trusted(p, k), Assignment._trusted(q, k)),
-                           exhaustive=False, checked=checked)
+        p = Assignment._trusted(tuple(islice(labels, n)), k)
+        q = Assignment._trusted(tuple(islice(labels, n)), k)
+        if value(p) + value(q) < value(join(p, q)) + value(meet(p, q)):
+            return Verdict(False, (p, q), exhaustive=False, checked=checked)
     return Verdict(True, None, exhaustive=False, checked=pair_budget)
 
 

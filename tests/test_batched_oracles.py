@@ -38,8 +38,9 @@ from ksubmax import (
     greedy_solve,
     rank,
 )
-from ksubmax.instances import ExplicitTableFunction
-from ksubmax.matroids import greedy_basis
+from ksubmax.instances import _CoverageGainState, _ModularGainState, ExplicitTableFunction
+from ksubmax.matroids import (_ExplicitIndependenceState, _PartitionIndependenceState,
+                              _UniformIndependenceState, greedy_basis)
 
 from helpers import (CountingWrapper, ReferenceMatroid, reference_gain, reference_greedy_retests,
                      same_greedy_run)
@@ -281,29 +282,62 @@ def test_independence_batches_equal_their_loops(case):
 
 def test_default_states_run_the_loops():
     """The defaults are the per-element loops: they reach ``_best`` and
-    ``_can_add`` once per element, where the family overrides do not."""
+    ``_can_add`` once per element.  The family overrides do not, except
+    where a family keeps a default loop: the coverage state's ``_bests``
+    (threshold's opening scan) loops over its ``_best``, and the explicit
+    matroid state's ``_feasible`` and ``_extend`` loop over ``_can_add``."""
     f = gen_modular(4, 2, seed=3)
     m = gen_partition_matroid(4, seed=3)
     elements = [0, 1, 2, 3]
-    for g, per_element in ((CountingWrapper(f), True), (ExplicitTableFunction.tabulate(f), True),
-                           (f, False), (gen_coverage(4, 2, 8, 0.4, seed=3), False)):
+    for g, default, loops in ((CountingWrapper(f), True, 2),
+                              (ExplicitTableFunction.tabulate(f), True, 2), (f, False, 0),
+                              (gen_coverage(4, 2, 8, 0.4, seed=3), False, 1)):
         state = g.gain_state()
-        assert (type(state) is GainState) == per_element
+        assert (type(state) is GainState) == default
         calls = []
         best = state._best
         state._best = lambda e: calls.append(e) or best(e)
         state._bests(elements)
         state._best_of(elements)
-        assert calls == (elements * 2 if per_element else [])
-    for matroid, per_element in ((ReferenceMatroid(m), True), (m, False)):
+        assert calls == elements * loops
+    for matroid, default, loops in ((ReferenceMatroid(m), True, 2), (m, False, 0),
+                                    (gen_explicit_matroid(4, seed=3), False, 2)):
         state = matroid.independence_state()
-        assert (type(state) is IndependenceState) == per_element
+        assert (type(state) is IndependenceState) == default
         calls = []
         can_add = state._can_add
         state._can_add = lambda e: calls.append(e) or can_add(e)
         state._feasible(elements)
         state._extend(elements)
-        assert calls == (elements * 2 if per_element else [])
+        assert calls == elements * loops
+
+
+def test_shipped_states_define_only_the_batched_hooks_that_pay():
+    """Which batched hooks each shipped state class defines in its own
+    ``vars()``.  A family override stays where it measured faster than the
+    default loop on a benchmark workload: the modular and coverage
+    ``_best_of`` (greedy), the modular ``_bests`` (threshold's opening scan
+    at n = 800), and the uniform and partition ``_feasible`` and
+    ``_extend``.  The coverage opening scan (once per solve) and the
+    explicit matroid state (at most 16 elements) run the default loops, so
+    a copy of a loop that buys no speed cannot come back unnoticed."""
+    hooks = {"_best", "_bests", "_best_of", "_feasible", "_extend"}
+    defined = {
+        GainState: {"_best", "_bests", "_best_of"},
+        _ModularGainState: {"_best", "_bests", "_best_of"},
+        _CoverageGainState: {"_best", "_best_of"},
+        IndependenceState: {"_feasible", "_extend"},
+        _UniformIndependenceState: {"_feasible", "_extend"},
+        _PartitionIndependenceState: {"_feasible", "_extend"},
+        _ExplicitIndependenceState: set(),
+    }
+    shipped = {cls for base in (GainState, IndependenceState) for cls in base.__subclasses__()
+               if cls.__module__.startswith("ksubmax.")}
+    assert shipped == set(defined) - {GainState, IndependenceState}
+    for cls, expected in defined.items():
+        assert hooks & vars(cls).keys() == expected, cls.__name__
+    methods = {name for name, v in vars(_ExplicitIndependenceState).items() if callable(v)}
+    assert methods == {"__init__", "_fits", "add"}
 
 
 @pytest.mark.parametrize("f", [

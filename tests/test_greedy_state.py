@@ -17,8 +17,10 @@ A guard also requires that the solvers never fall back to
 ``Assignment.assign`` (an n-tuple copy per placement) on the shipped
 function and matroid families.  A second guard requires that greedy, and
 the rank scan (``greedy_basis``, ``rank``), make only batched oracle calls
-there: they never reach the per-element ``GainState._best`` or
-``IndependenceState._can_add``, which raise in that test.
+there: they never reach the per-element ``_best`` of any gain state, or
+the ``_can_add`` of the uniform and partition states, which raise in that
+test.  Explicit matroids (at most 16 elements) test through the default
+per-element loops of ``IndependenceState``, so their ``_can_add`` runs.
 """
 
 from hypothesis import given, settings
@@ -28,7 +30,6 @@ import pytest
 from ksubmax import (
     Assignment,
     GainState,
-    IndependenceState,
     Matroid,
     ModularFunction,
     OracleCounters,
@@ -44,7 +45,8 @@ from ksubmax import (
     threshold_decreasing_solve,
 )
 from ksubmax.instances import _CoverageGainState, _ModularGainState
-from ksubmax.matroids import greedy_basis
+from ksubmax.matroids import (_PartitionIndependenceState, _UniformIndependenceState,
+                              greedy_basis)
 
 from helpers import (CountingWrapper, ReferenceMatroid, reference_greedy_retests,
                      reference_greedy_solve, same_greedy_run)
@@ -169,7 +171,8 @@ def _refuse(name):
 
 def test_greedy_and_rank_scan_make_only_batched_calls(monkeypatch):
     for owner, name in ((GainState, "_best"), (_ModularGainState, "_best"),
-                        (_CoverageGainState, "_best"), (IndependenceState, "_can_add")):
+                        (_CoverageGainState, "_best"), (_UniformIndependenceState, "_can_add"),
+                        (_PartitionIndependenceState, "_can_add")):
         monkeypatch.setattr(owner, name, _refuse(f"{owner.__name__}.{name}"))
     runs = 0
     for f, m in _guard_instances():
@@ -185,11 +188,15 @@ def test_greedy_and_rank_scan_make_only_batched_calls(monkeypatch):
         runs += 1
     assert runs == 3 * 3 * 3 * 3
 
-    # the guard is live: threshold's round visits, and the default states,
-    # still take the per-element path
+    # the guard is live: threshold's round visits test one element at a
+    # time on each guarded matroid state, and the default gain state
+    # prices one element at a time
     f, m = gen_modular(5, 2, seed=1), gen_partition_matroid(5, seed=1)
-    for run in (lambda: threshold_decreasing_solve(f, m, 0.1),
-                lambda: greedy_solve(CountingWrapper(f), m),
-                lambda: greedy_solve(f, ReferenceMatroid(m))):
-        with pytest.raises(PerElementCall):
+    for run, refused in (
+            (lambda: threshold_decreasing_solve(f, m, 0.1), "_PartitionIndependenceState"),
+            (lambda: threshold_decreasing_solve(f, UniformMatroid(5, 2), 0.1),
+             "_UniformIndependenceState"),
+            (lambda: greedy_solve(CountingWrapper(f), m), "GainState")):
+        with pytest.raises(PerElementCall) as refusal:
             run()
+        assert refusal.value.args[0].split(".")[0] == refused

@@ -212,7 +212,8 @@ def test_every_seed_refuses_bad_types(name, bad):
 
 def tally_typed(monkeypatch):
     """Count each ``_typed`` call the parser's module and ``core`` make, by
-    its types and values; the matroid's own checks run in ``matroids``."""
+    its types and values.  The integer rule, ``core._check_ints``, makes its
+    one-value passes there too, for the matroid's checks as well."""
     calls = collections.Counter()
     typed = core._typed
 
@@ -226,11 +227,17 @@ def tally_typed(monkeypatch):
     return calls
 
 
+# The integer rule's one-value passes in parsing these files: the ground
+# size of the function and of the matroid, k, and the uniform budget
+SCALAR_PASSES = collections.Counter({(core.INTS, (12,)): 2, (core.INTS, (3,)): 1,
+                                     (core.INTS, (1,)): 1})
+
+
 def test_parse_type_checks_each_cover_set_once(monkeypatch):
     """Parsing a valid coverage file whose cover sets are point lists makes
     one type pass over each cover set and one over the weights, all
-    through the shared helper.  The tally covers the parser's module and
-    ``core``; the matroid's own checks run in ``matroids``."""
+    through the shared helper, besides the one-value passes of the
+    integer rule."""
     f = gen_coverage(12, 3, 24, 0.3, seed=4)
     text = coverage_text(f, sorted)
     calls = tally_typed(monkeypatch)
@@ -238,13 +245,14 @@ def test_parse_type_checks_each_cover_set_once(monkeypatch):
     assert parse_instance(text).function == f
     cover_sets = collections.Counter(
         (core.INTS, tuple(points)) for row in doc["sets"] for points in row)
-    assert calls == cover_sets + collections.Counter({(core.FLOATS, tuple(doc["weights"])): 1})
+    assert calls == cover_sets + collections.Counter(
+        {(core.FLOATS, tuple(doc["weights"])): 1}) + SCALAR_PASSES
 
 
 def test_parse_makes_no_type_pass_over_mask_cover_sets(monkeypatch):
     """Cover sets written as hex bitmasks, the form ``serialize_instance``
-    writes, are read without a type pass over points: the one pass is over
-    the weights."""
+    writes, are read without a type pass over points: the one pass over a
+    list is over the weights."""
     f = gen_coverage(12, 3, 24, 0.3, seed=4)
     text = coverage_text(f, hex_mask)
     assert text == json.dumps(json.loads(serialize_instance(
@@ -252,7 +260,7 @@ def test_parse_makes_no_type_pass_over_mask_cover_sets(monkeypatch):
     calls = tally_typed(monkeypatch)
     doc = json.loads(text)["function"]["coverage"]
     assert parse_instance(text).function == f
-    assert calls == collections.Counter({(core.FLOATS, tuple(doc["weights"])): 1})
+    assert calls == collections.Counter({(core.FLOATS, tuple(doc["weights"])): 1}) + SCALAR_PASSES
 
 
 def test_parser_makes_no_type_test_of_its_own():
@@ -349,9 +357,11 @@ def test_k_rule(bad):
 
 @rule_cases([-1, True, 2.0, None, "2"])
 def test_ground_size_rule(bad):
-    """The matroid families and the functions share the rule.
-    ``PartitionMatroid(-1, [], [])`` used to fail with "blocks do not cover
-    the ground set; missing []"."""
+    """The matroid families, the functions and the assignment builders share
+    the rule.  ``PartitionMatroid(-1, [], [])`` used to fail with "blocks do
+    not cover the ground set; missing []"; ``Assignment.zero(-1, 2)`` used
+    to return an empty assignment, ``enumerate_assignments(True, 2)`` to
+    enumerate n = 1, and a float size to raise itertools' own error."""
     if type(bad) is int:
         expected = (ValueError, f"ground_size must be nonnegative, got {bad}")
     else:
@@ -360,7 +370,8 @@ def test_ground_size_rule(bad):
                  lambda: ExplicitMatroid(bad, [0]), lambda: ExplicitMatroid.from_sets(bad, [[]]),
                  lambda: ExplicitTableFunction(bad, 1, [0.0]),
                  lambda: gen_modular(bad, 2), lambda: gen_coverage(bad, 2, 4, 0.5),
-                 lambda: gen_partition_matroid(bad), lambda: gen_explicit_matroid(bad)):
+                 lambda: gen_partition_matroid(bad), lambda: gen_explicit_matroid(bad),
+                 lambda: Assignment.zero(bad, 2), lambda: list(enumerate_assignments(bad, 2))):
         assert refusal(call) == expected
 
 

@@ -1,5 +1,6 @@
 import itertools
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -91,6 +92,40 @@ class TestExplicit:
     def test_ground_set_size_limit(self):
         with pytest.raises(ValueError):
             ExplicitMatroid(17, [0])
+
+    @pytest.mark.parametrize("n, sets, message", [
+        (4, [[-1]], "element -1 outside ground set of size 4"),
+        (4, [[], [0], [10**8]], "element 100000000 outside ground set of size 4"),
+        (4, [[0, 4], [5]], "element 4 outside ground set of size 4"),
+        (10**8, [[10**8 - 1]], "explicit matroid supports 0 <= n <= 16, got 100000000"),
+    ])
+    def test_from_sets_checks_before_any_shift(self, n, sets, message):
+        """The ground size, then each element, is checked before a bitmask is
+        built.  ``-1`` used to fail with "negative shift count", and
+        ``10**8`` built a 10^8-bit mask (a 26.7 MB traced peak) and then
+        failed at the int-to-string digit limit."""
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                ExplicitMatroid.from_sets(n, sets)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    @pytest.mark.parametrize("family, element", [
+        ([0, 1, 16], 4),
+        ([0, -1], 4),
+        ([0, 1, 3 << 6, 1 << 4], 6),
+        ([0, 1 << 10**8], 10**8),
+    ])
+    def test_bitmask_outside_names_its_first_element(self, family, element):
+        """The first bitmask with a bit at or above the ground size is refused
+        by the element rule, naming its lowest such element; the refusal
+        used to print the mask, which fails past the int-to-string digit
+        limit."""
+        with pytest.raises(ValueError, match=f"^element {element} outside ground set of size 4$"):
+            ExplicitMatroid(4, family)
 
 
 class TestRankAndExtensions:
