@@ -3,10 +3,11 @@
 The threshold solver sweeps a decaying acceptance bar over the candidate
 pool and takes anything whose best-position gain clears it, skipping at
 no cost any candidate whose last computed gain is already below the bar;
-greedy re-prices every feasible candidate for the single best pair at every
-step, dropping for good the ones the matroid has ruled out.  Both land
-close to the optimum here, but their oracle bills differ, and on
-non-monotone objectives greedy can talk itself into negative gains.
+greedy takes the single best pair at every step, re-pricing only the
+candidates whose last computed gain could still be the best and dropping
+for good the ones the matroid has ruled out.  Both land close to the
+optimum here, but their oracle bills differ, and on non-monotone
+objectives greedy can talk itself into negative gains.
 """
 
 from ksubmax import (

@@ -10,6 +10,7 @@ asserted exactly in tests.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 import operator
@@ -287,7 +288,14 @@ class Assignment:
         return Assignment._trusted(labels[:e] + (i,) + labels[e + 1:], self.k)
 
     def restrict(self, keep: Iterable[int]) -> "Assignment":
-        """Copy with labels kept only on ``keep``; everything else unplaced."""
+        """Copy with labels kept only on ``keep``; everything else unplaced.
+
+        Each element of ``keep`` is checked as :func:`_check_element` checks
+        it (TypeError or ValueError), before anything is built.
+        """
+        keep = list(keep)
+        for e in keep:
+            _check_element(e, self.n)
         keep = set(keep)
         return Assignment._trusted(
             tuple(lab if e in keep else 0 for e, lab in enumerate(self.labels)),
@@ -491,20 +499,20 @@ class GainState:
     solvers price the elements they walk, all open by construction,
     through the unchecked :meth:`_best` and its batched forms:
     :meth:`_bests` (each element's best gain; threshold's opening scan)
-    and :meth:`_best_of` (the best element of a list; one greedy
-    iteration).  A batched call charges what its per-element loop charges,
-    k EO calls per element priced.
+    and the lazy greedy pair :meth:`_first_best` and :meth:`_next_best`
+    (greedy's opening and each iteration after a placement).  A batched
+    call charges what its per-element loop charges, k EO calls per row
+    priced.
 
     This default goes through ``f.evaluate`` and so works for every
-    function; it is the reference path, and its batched calls are the
-    per-element loops over :meth:`_best`.  Function families override
+    function; it is the reference path, and its batched calls are loops
+    over :meth:`_best`.  Function families override
     :meth:`KSubFunction.gain_state` with states that price a row without
-    a full evaluation, and a batched call only where one pass over the
-    list measured faster on a benchmark workload: both families'
-    :meth:`_best_of` (greedy's iterations) and the modular :meth:`_bests`
-    (the opening scan of the ``n = 800`` modular solves).  The coverage
-    opening scan, once per solve, runs this loop over its own
-    :meth:`_best`.  The families' values are sum-exact (see
+    a full evaluation, and a batched call only where one pass measured
+    faster on a benchmark workload: the modular :meth:`_bests` (the
+    opening scan of the ``n = 800`` modular solves) and the coverage
+    :meth:`_first_best` and :meth:`_next_best` (greedy on the coverage
+    solves).  The families' values are sum-exact (see
     :func:`_sum_exact`), so the incremental gains are exact and every path
     gives identical gains, values and solver runs.
     """
@@ -561,25 +569,63 @@ class GainState:
         best = self._best
         return [best(e)[0] for e in elements]
 
-    def _best_of(self, elements: Sequence[int]) -> Optional[tuple[int, int, float]]:
-        """The first element with the strictly largest best gain, as
-        ``(e, i, gain)`` with ``i`` its lowest best position; k EO calls per
-        element.  The elements must be unplaced ``int`` elements.
+    def _first_best(self, elements: Sequence[int]) -> Optional[tuple[int, int, float]]:
+        """Open a lazy greedy run: price each of ``elements`` (k EO calls each),
+        keep them as the run's candidates, and take out and return the best.
 
-        Returns None when no gain exceeds ``-inf`` (so when ``elements`` is
-        empty).  This default walks the list with one :meth:`_best` per
-        element and is the reference; overrides count through
-        :meth:`_charge_rows` and price the whole list in one pass.
+        The best is ``(e, i, gain)``: the largest best gain, the lowest
+        element on ties, ``i`` its lowest best position.  None when
+        ``elements``, distinct unplaced ``int`` elements, is empty.  Each
+        candidate keeps its gain as a bound for :meth:`_next_best`.  This
+        default keeps them in a heap of ``(-bound, e, i)`` entries; each
+        row is priced by one :meth:`_best` call.
         """
         best = self._best
-        best_gain = -math.inf
-        choice = None
+        heap = self._heap = []
         for e in elements:
             gain, i = best(e)
-            if gain > best_gain:
-                best_gain = gain
-                choice = (e, i, gain)
-        return choice
+            heap.append((-gain, e, i))
+        if not heap:
+            return None
+        heapq.heapify(heap)
+        key, e, i = heapq.heappop(heap)
+        return e, i, -key
+
+    def _next_best(self, can_add: Callable[[int], bool]) -> Optional[tuple[int, int, float]]:
+        """The best candidate after a placement, found lazily (Minoux 1978),
+        or None once no candidate is left; as :meth:`_first_best` returns it.
+
+        Call it after placing what the previous call returned.  Every
+        candidate's bound, the gain last priced for it, is then stale, but
+        it bounds the current gain: by orthant submodularity a gain only
+        shrinks as the assignment grows.  The loop takes the candidate with
+        the largest bound, the lowest element on ties.  The first time it
+        takes one in this call, it tests it with one ``can_add`` (1 IO
+        call), drops it for good if it does not fit (supersets of a
+        dependent set stay dependent), and otherwise prices it (k EO calls)
+        and puts it back with its gain as its bound.  The second time, the
+        gain is fresh and beats every other bound, so it is the candidate
+        the eager scan over every feasible candidate picks: it is taken out
+        and returned.  So each candidate is tested and priced at most once
+        per call, and only while its bound can still win.  For a function
+        that is not k-submodular, such as an unchecked
+        :class:`~ksubmax.instances.ExplicitTableFunction`, the bounds may
+        not hold and the pick may differ from the eager scan's.
+        """
+        heap, best = self._heap, self._best
+        visited = set()
+        while heap:
+            key, e, i = heap[0]
+            if e in visited:
+                heapq.heappop(heap)
+                return e, i, -key
+            visited.add(e)
+            if can_add(e):
+                gain, i = best(e)
+                heapq.heapreplace(heap, (-gain, e, i))
+            else:
+                heapq.heappop(heap)
+        return None
 
     def place(self, e: int, i: int, gain: float) -> None:
         """Put ``e`` into set ``i``; ``gain`` must be its priced gain, as
@@ -590,8 +636,9 @@ class GainState:
         self.value += gain
 
     def _charge_rows(self, count: int) -> None:
-        """For the family overrides of :meth:`_best`, :meth:`_bests` and
-        :meth:`_best_of`: count k EO calls for each of ``count`` elements."""
+        """For the family overrides of :meth:`_best`, :meth:`_bests`,
+        :meth:`_first_best` and :meth:`_next_best`: count k EO calls for each
+        of ``count`` rows priced."""
         if self.counters is not None:
             self.counters.eo_calls += self.f.k * count
 
@@ -621,12 +668,12 @@ def _decode(code: int, n: int, k: int) -> Assignment:
 
 
 def enumerate_assignments(n: int, k: int) -> Iterator[Assignment]:
-    """All (k+1)^n assignments on an n-element ground set, in label order.
+    """All (k+1)^n assignments on an n-element ground set, in label order,
+    as a lazy iterator.
 
     ``n`` and ``k`` are checked as :class:`KSubFunction` checks them
-    (TypeError or ValueError) when the iteration starts.
+    (TypeError or ValueError) at the call.
     """
     _check_ground_size(n)
     _check_k(k)
-    for labels in itertools.product(range(k + 1), repeat=n):
-        yield Assignment._trusted(labels, k)
+    return (Assignment._trusted(labels, k) for labels in itertools.product(range(k + 1), repeat=n))

@@ -25,7 +25,7 @@ import operator
 import random
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .core import (INTS, NUMBERS, Assignment, GainState, KSubFunction, OracleCounters,
                    _bernoulli_flags, _check_ground_size, _check_ints, _check_k, _check_seed,
@@ -344,6 +344,9 @@ class _ModularGainState(GainState):
 
     They never change, so each row's maximum and its first position are
     taken once per state, and every best gain after that is a lookup.
+    Lazy greedy still re-prices its candidates after each placement, as it
+    does for every function, but on a modular table the top candidate
+    keeps its gain, so it re-prices about one row per placement.
     """
 
     def __init__(self, f: ModularFunction, counters: Optional[OracleCounters] = None):
@@ -359,29 +362,23 @@ class _ModularGainState(GainState):
         self._charge_rows(len(elements))
         return list(map(self.row_best.__getitem__, elements))
 
-    def _best_of(self, elements: Sequence[int]) -> Optional[tuple[int, int, float]]:
-        gains = self._bests(elements)
-        if not gains:
-            return None
-        gain = max(gains)
-        e = elements[gains.index(gain)]
-        return e, self.row_pos[e], gain
-
 
 class _CoverageGainState(GainState):
     """Keeps the covered points as a bitmask; a gain weighs only new points.
 
-    Covered points only accumulate, so an element's best gain only
-    shrinks (Minoux 1978).  ``bound[e]`` is the last best gain
-    :meth:`_best_of` weighed for ``e`` (``inf`` before the first), an
-    upper bound on its current one, and :meth:`_best_of` weighs a row
-    only while its bound can still beat the best gain found.
+    Lazy greedy runs as a walk instead of the default heap loop.
+    ``bound[e]`` is the last best gain weighed for ``e``, and
+    ``candidates`` the run's candidates, ascending.  :meth:`_next_best`
+    walks them by descending bound (ascending element among equal
+    bounds), testing and weighing each, and stops at the first bound
+    below the best gain found, or equal to it at a larger element.  That
+    visits the rows the heap loop visits, in the same order, so it picks
+    the same candidate and charges the same IO and EO calls.
     """
 
     def __init__(self, f: CoverageFunction, counters: Optional[OracleCounters] = None):
         super().__init__(f, counters)
         self.covered = 0
-        self.bound = [math.inf] * f.n
 
     def _best(self, e: int) -> tuple[float, int]:
         self._charge_rows(1)
@@ -391,31 +388,44 @@ class _CoverageGainState(GainState):
         gain = max(gains)
         return gain, gains.index(gain) + 1
 
-    def _best_of(self, elements: Sequence[int]) -> Optional[tuple[int, int, float]]:
-        """The per-element loop's answer, weighing rows by descending bound.
-
-        The bounds are read once, before any weighing, so a repeated
-        element keeps the bound it had at the call; the stable sort keeps
-        list order among equal bounds.  The walk stops at the first bound
-        below the best gain found, or equal to it at a later list position:
-        no later row can then win.  Every listed element is still charged
-        its k EO calls, the loop's count.
-        """
+    def _first_best(self, elements: Sequence[int]) -> Optional[tuple[int, int, float]]:
         self._charge_rows(len(elements))
-        if not elements:
-            return None
-        weight, masks, free, bound = self.f._weight, self.f._masks, ~self.covered, self.bound
-        bounds = list(map(bound.__getitem__, elements))
-        best_gain, best_j = -math.inf, len(elements)
-        for j in sorted(range(len(elements)), key=bounds.__getitem__, reverse=True):
-            if bounds[j] < best_gain or (bounds[j] == best_gain and j > best_j):
-                break
-            e = elements[j]
+        weight, masks, free = self.f._weight, self.f._masks, ~self.covered
+        self.bound = bound = [0.0] * self.f.n
+        self.candidates = sorted(elements)
+        choice = None
+        for e in self.candidates:
             gains = [weight(mask & free) for mask in masks[e]]
             gain = bound[e] = max(gains)
-            if gain > best_gain or (gain == best_gain and j < best_j):
-                best_gain, best_j, best_gains = gain, j, gains
-        return elements[best_j], best_gains.index(best_gain) + 1, best_gain
+            if choice is None or gain > choice[2]:
+                choice = e, gains.index(gain) + 1, gain
+        if choice is not None:
+            self.candidates.remove(choice[0])
+        return choice
+
+    def _next_best(self, can_add: Callable[[int], bool]) -> Optional[tuple[int, int, float]]:
+        weight, masks, free, bound = self.f._weight, self.f._masks, ~self.covered, self.bound
+        candidates = self.candidates
+        best_gain, best_e, weighed, dropped = -math.inf, -1, 0, []
+        for e in sorted(candidates, key=bound.__getitem__, reverse=True):  # stable
+            b = bound[e]
+            if b < best_gain or (b == best_gain and e > best_e):
+                break
+            if not can_add(e):
+                dropped.append(e)
+                continue
+            weighed += 1
+            gains = [weight(mask & free) for mask in masks[e]]
+            gain = bound[e] = max(gains)
+            if gain > best_gain or (gain == best_gain and e < best_e):
+                best_gain, best_e, best_gains = gain, e, gains
+        self._charge_rows(weighed)
+        for e in dropped:
+            candidates.remove(e)
+        if best_e < 0:
+            return None
+        candidates.remove(best_e)
+        return best_e, best_gains.index(best_gain) + 1, best_gain
 
     def place(self, e: int, i: int, gain: float) -> None:
         super().place(e, i, gain)

@@ -8,8 +8,9 @@ Three routes to a solution:
   ones (1/3 - eps), and its value-oracle cost grows only logarithmically
   with the matroid rank.
 * :func:`greedy_solve` is the classic baseline: repeatedly add the best
-  feasible (element, position) pair.  Its oracle cost grows linearly with
-  the rank.
+  feasible (element, position) pair.  It runs lazily, so it re-prices only
+  the candidates that can still win; the eager loop's oracle cost, the
+  paper's bound, grows linearly with the rank.
 * :func:`brute_force_solve` enumerates every assignment with independent
   support and is the exact ground truth for desk-scale instances.
 
@@ -237,50 +238,48 @@ def threshold_decreasing_solve(
 def greedy_solve(f: KSubFunction, m: Matroid) -> SolveReport:
     """Baseline: repeatedly add the best feasible (element, position) pair.
 
-    The run holds one independence state from ``m.independence_state`` and
-    one gain state from ``f.gain_state``, and keeps a candidate list: the
-    elements outside the support not yet found infeasible, ascending.
-    Each iteration makes two batched calls on that list:
-    :meth:`IndependenceState._feasible` tests every candidate (one pass for
-    the shipped matroid families) and the list keeps the feasible ones, and
-    :meth:`GainState._best_of` prices them at all k positions against the
-    running gain state (exact on sum-exact values; one pass for the shipped
-    modular and coverage families) and returns the first element with the
-    strictly largest gain and its lowest best position.  So it adds the
-    argmax pair with ties going to the lowest element, then the lowest
-    position.  The run stops after the first iteration that finds no
-    feasible element, hence after at most rank-many additions.
+    A lazy greedy (Minoux 1978) that adds exactly the pairs the paper's
+    eager greedy adds: each iteration takes the argmax pair over every
+    feasible element, ties going to the lowest element, then the lowest
+    position, and the run stops after the first iteration that finds no
+    feasible element, hence after at most rank-many additions.  Negative
+    gains are added too.
 
-    Dropping an infeasible candidate for good is sound on a matroid: if
-    ``S + e`` is dependent, so is every superset, and the support only
-    grows (the threshold solver drops its candidates the same way).  The
-    run therefore adds exactly the pairs that rebuilding the feasible set
-    with :func:`feasible_extensions` every iteration adds.
+    The run holds one independence state from ``m.independence_state``
+    and one gain state from ``f.gain_state``.  The first iteration tests
+    every element with one batched :meth:`IndependenceState._feasible`
+    and prices the feasible ones with :meth:`GainState._first_best`,
+    which keeps each one's gain as a bound and returns the best.  After
+    each placement, :meth:`GainState._next_best` finds the next best
+    lazily: it tests and re-prices candidates only while their bound, the
+    gain last priced for them, can still beat the fresh gains it has
+    found.  By orthant submodularity every bound is at least the current
+    gain, so the result is exact for every k-submodular ``f``; an
+    unchecked :class:`ExplicitTableFunction` that is not k-submodular may
+    come out differently.  A candidate found infeasible is dropped for
+    good, which is sound on a matroid: if ``S + e`` is dependent, so is
+    every superset, and the support only grows.
 
-    Exact oracle accounting, charged per element by the batched calls just
-    as the per-element loop charges it: every iteration, the last one
-    included, costs one IO call per candidate and k EO calls per feasible
-    one.  The EO count equals that of rebuilding the feasible set every
-    iteration; the IO count is that rebuild's less its re-tests of
-    elements an earlier iteration found infeasible, and equals it on a
-    uniform matroid, where nothing is infeasible before the last
-    iteration.
+    Exact oracle accounting: n IO calls and k EO calls per feasible
+    element for the first iteration; after each placement, one IO call
+    per candidate :meth:`GainState._next_best` tests and k EO calls per
+    one it re-prices, about one of each per addition on a modular
+    objective, whose gains never change.  On a k-submodular ``f`` neither
+    count is above the eager loop's, whose ``O(r·n·k)`` EO bill is the
+    paper's bound.
     """
     _check_inputs(f, m)
     start = time.perf_counter()
     counters = OracleCounters()
     state = f.gain_state(counters)
     indep = m.independence_state(counters)
-    candidates = list(range(f.n))  # ascending; every element is an open int in range(n)
-    while True:
-        candidates = indep._feasible(candidates)
-        choice = state._best_of(candidates)
-        if choice is None:
-            break
+    can_add = indep._can_add  # every element the run walks is an open int in range(n)
+    choice = state._first_best(indep._feasible(range(f.n)))
+    while choice is not None:
         e, i, gain = choice
         state.place(e, i, gain)
         indep.add(e)
-        candidates.remove(e)
+        choice = state._next_best(can_add)
     return _report(f, state, counters, [], start)
 
 

