@@ -4,12 +4,13 @@ The paper's greedy baseline re-prices every feasible element at every
 addition, so it pays roughly rank * n * k evaluations; on this uniform
 matroid that is exactly k * (n + (n-1) + ... + (n-r+1)), the "eager eo"
 column.  The threshold solver's bill is an opening scan of every element
-plus one visit per candidate whose last computed gain can still meet the
-bar, over a number of decay rounds that depends on the rank only inside
-a logarithm, so raising the budget barely moves it.  The shipped greedy
+plus one evaluation per position it re-prices, and it re-prices only the
+positions whose last computed gain can still meet the bar, over a number
+of decay rounds that depends on the rank only inside a logarithm, so
+raising the budget barely moves it.  The shipped greedy
 is lazy: it re-prices only the candidates whose last computed gain could
 still be the best.  On this modular objective the gains never change,
-so it re-prices about one element per addition and its bill stays close
+so it re-prices about one position per addition and its bill stays close
 to the threshold solver's; the paper's rank * n * k is the worst case,
 which the eager column shows.  This sweep fixes n=200, k=2 and grows a
 uniform matroid's budget from 2 to 32.

@@ -67,6 +67,13 @@ EXIT_PARSE = 2
 EXIT_CAP = 3
 EXIT_EPSILON = 4
 
+# The bench size rule: a grid entry may generate at most this many cells,
+# n*k table entries for modular and n*k*universe_size cover-set bits for
+# coverage (universe_size defaults to 2n).  At the cap gen_modular takes
+# about 4 s and 21 MB per seed on a 2-core host (15 s and 82 MB at 2^20
+# cells); past it a config is refused whole, before anything is generated.
+MAX_BENCH_CELLS = 2**18
+
 # Each solver runs on (spec, epsilon, seed, cap) and returns a SolveReport.
 # The lambdas look the solver functions up in this module at call time, so
 # a solver patched here by name is the one that runs.
@@ -244,7 +251,11 @@ def _config_solvers(doc: dict) -> list:
 
 
 def _check_config(doc) -> Optional[str]:
-    """Return an error message for a malformed bench config, else None."""
+    """Return an error message for a malformed bench config, else None.
+
+    This includes the size rule: an entry that would generate more than
+    ``MAX_BENCH_CELLS`` cells refuses the whole config, so no row is run.
+    The library generators stay unbounded."""
     if not isinstance(doc, dict):
         return "top level: expected an object"
     grid = doc.get("grid")
@@ -296,6 +307,13 @@ def _check_config(doc) -> Optional[str]:
             )
         if not isinstance(entry["seeds"], list) or not _typed(entry["seeds"], INTS):
             return f"{where}.seeds: expected a list of integers"
+        cells = entry["n"] * entry["k"]
+        if entry["family"] == "coverage":
+            cells *= entry.get("universe_size", 2 * entry["n"])
+        if cells > MAX_BENCH_CELLS:
+            unit = "n*k*universe_size" if entry["family"] == "coverage" else "n*k"
+            return (f"{where}: generates {cells} cells ({unit}), above the bench "
+                    f"limit of {MAX_BENCH_CELLS}")
     return None
 
 

@@ -481,14 +481,24 @@ def marginal_gain(
 
 
 class GainState:
-    """Running assignment and value of one solver run, with counted gains.
+    """Running assignment and value of one solver run, with counted gains
+    and a bound on every (element, position) pair.
 
-    Starts at the empty assignment with value 0.  A state prices one way:
-    a whole row, the gains of one element at all k positions, at k EO
-    calls.  :meth:`best` returns the best of one element's row;
+    Starts at the empty assignment with value 0.  Pricing a pair, the gain
+    of one element at one position, costs 1 EO call.  :meth:`best` prices
+    one element's whole row, its k positions, and returns the best of it;
     :meth:`place` commits one placement, adding the priced gain to
     ``value``.  The gain of ``e`` at ``i`` is the one
     ``marginal_gain(f, assignment, e, i, counters, base=value)`` gives.
+
+    Every pair keeps its *pair bound*, the gain last priced for it, and
+    every element its *row bound*, the largest of its pair bounds, in
+    ``_bound``.  By orthant submodularity a gain only shrinks as the
+    assignment grows, so each pair bound caps its pair's current gain and
+    each row bound caps the element's best gain.  A row's first pricing
+    sets its bounds; :meth:`_price` re-prices a row through them, one
+    pair at a time in descending bound order, and stops as soon as the
+    pairs left cannot clear a bar or beat the best gain it has found.
 
     The labels live in a private mutable list, so :meth:`place` writes one
     label instead of copying an n-tuple.  ``assignment`` is a read-only
@@ -497,24 +507,22 @@ class GainState:
     make the checks of :meth:`Assignment.check_open` with its messages; a
     refused placement leaves the labels and ``value`` as they were.  The
     solvers price the elements they walk, all open by construction,
-    through the unchecked :meth:`_best` and its batched forms:
-    :meth:`_bests` (each element's best gain; threshold's opening scan)
-    and the lazy greedy pair :meth:`_first_best` and :meth:`_next_best`
-    (greedy's opening and each iteration after a placement).  A batched
-    call charges what its per-element loop charges, k EO calls per row
-    priced.
+    through the unchecked :meth:`_best`, :meth:`_price` and the batched
+    forms: :meth:`_bests` (threshold's opening scan) and the lazy greedy
+    pair :meth:`_first_best` and :meth:`_next_best`.  A batched call
+    charges what its per-element loop charges, 1 EO call per pair priced.
 
     This default goes through ``f.evaluate`` and so works for every
     function; it is the reference path, and its batched calls are loops
-    over :meth:`_best`.  Function families override
-    :meth:`KSubFunction.gain_state` with states that price a row without
+    over :meth:`_best` and :meth:`_price`.  Function families override
+    :meth:`KSubFunction.gain_state` with states that price a pair without
     a full evaluation, and a batched call only where one pass measured
     faster on a benchmark workload: the modular :meth:`_bests` (the
     opening scan of the ``n = 800`` modular solves) and the coverage
     :meth:`_first_best` and :meth:`_next_best` (greedy on the coverage
     solves).  The families' values are sum-exact (see
     :func:`_sum_exact`), so the incremental gains are exact and every path
-    gives identical gains, values and solver runs.
+    gives identical gains, bounds, counts, values and solver runs.
     """
 
     def __init__(self, f: KSubFunction, counters: Optional[OracleCounters] = None):
@@ -523,6 +531,8 @@ class GainState:
         self.value = 0.0
         self._labels = [0] * f.n
         self._assignment: Optional[Assignment] = None
+        self._pairs: list[Optional[list[float]]] = [None] * f.n  # pair bounds per row
+        self._bound = [0.0] * f.n  # row bounds; set by a row's first pricing
 
     @property
     def assignment(self) -> Assignment:
@@ -546,17 +556,56 @@ class GainState:
     def _best(self, e: int) -> tuple[float, int]:
         """:meth:`best` without the check of ``e``, which must be an unplaced
         ``int`` element; the solvers call this on the elements they walk.
+        The k gains become ``e``'s pair bounds and their maximum its row
+        bound.
 
         This default evaluates the k extended assignments, one EO call
         each, and subtracts ``value``; overrides count the k EO calls
-        through :meth:`_charge_rows` and price the k positions together.
+        through :meth:`_charge` and price the k positions together.
         """
-        f, k, counters, value = self.f, self.f.k, self.counters, self.value
-        head, tail = tuple(self._labels[:e]), tuple(self._labels[e + 1:])
-        gains = [f.evaluate(Assignment._trusted(head + (i,) + tail, k), counters) - value
-                 for i in range(1, k + 1)]
-        gain = max(gains)
+        gains = self._pairs[e] = [self._gain(e, i) for i in range(1, self.f.k + 1)]
+        gain = self._bound[e] = max(gains)
         return gain, gains.index(gain) + 1
+
+    def _gain(self, e: int, i: int) -> float:
+        """The gain of open ``e`` at ``i``, as :meth:`_best` prices it; 1 EO call."""
+        labels = self._labels
+        a = Assignment._trusted(tuple(labels[:e]) + (i,) + tuple(labels[e + 1:]), self.f.k)
+        return self.f.evaluate(a, self.counters) - self.value
+
+    def _price(self, e: int, bar: float) -> tuple[float, int]:
+        """Re-price ``e`` through its pair bounds, for a bar of at most its row
+        bound; return its best fresh gain and that pair's position.
+
+        ``e`` must be an unplaced ``int`` element whose row was priced
+        before.  The pairs are priced in descending bound order, the
+        lowest position first on ties, at 1 EO call each, and the walk
+        stops at the first pair whose bound is below ``bar``, or below the
+        best fresh gain, or equal to it at a higher position.  So when the
+        returned gain is at least ``bar`` it is the row's best gain and the
+        position its lowest best one, as :meth:`best` gives them; below
+        ``bar``, every gain of the row is below ``bar``.  A ``bar`` of
+        ``-math.inf`` always gives the row's best.  Each priced pair's
+        bound becomes its gain, and the row bound the largest pair bound.
+        """
+        pairs = self._pairs[e]
+        # Each step takes the largest value in pairs, the lowest index on
+        # ties.  A priced pair holds its gain, at most the best one, so the
+        # pick is the next pair in descending bound order while one can
+        # still win, and the best pair itself once none can.
+        gain, pos = -math.inf, -1
+        while True:
+            top = max(pairs)
+            if top < bar:
+                break
+            j = pairs.index(top)
+            if j == pos:
+                break
+            g = pairs[j] = self._gain(e, j + 1)
+            if g > gain or (g == gain and j < pos):
+                gain, pos = g, j
+        self._bound[e] = top
+        return gain, pos + 1
 
     def _bests(self, elements: Sequence[int]) -> list[float]:
         """Each element's best gain, as :meth:`_best` gives it; k EO calls per
@@ -564,7 +613,7 @@ class GainState:
 
         This default makes one :meth:`_best` call per element (the coverage
         state's opening scan too); the modular override counts through
-        :meth:`_charge_rows` and prices the whole list in one pass.
+        :meth:`_charge` and prices the whole list in one pass.
         """
         best = self._best
         return [best(e)[0] for e in elements]
@@ -576,9 +625,9 @@ class GainState:
         The best is ``(e, i, gain)``: the largest best gain, the lowest
         element on ties, ``i`` its lowest best position.  None when
         ``elements``, distinct unplaced ``int`` elements, is empty.  Each
-        candidate keeps its gain as a bound for :meth:`_next_best`.  This
-        default keeps them in a heap of ``(-bound, e, i)`` entries; each
-        row is priced by one :meth:`_best` call.
+        candidate keeps its gain as its row bound for :meth:`_next_best`.
+        This default keeps them in a heap of ``(-bound, e, i)`` entries;
+        each row is priced by one :meth:`_best` call.
         """
         best = self._best
         heap = self._heap = []
@@ -596,23 +645,23 @@ class GainState:
         or None once no candidate is left; as :meth:`_first_best` returns it.
 
         Call it after placing what the previous call returned.  Every
-        candidate's bound, the gain last priced for it, is then stale, but
-        it bounds the current gain: by orthant submodularity a gain only
-        shrinks as the assignment grows.  The loop takes the candidate with
-        the largest bound, the lowest element on ties.  The first time it
-        takes one in this call, it tests it with one ``can_add`` (1 IO
-        call), drops it for good if it does not fit (supersets of a
-        dependent set stay dependent), and otherwise prices it (k EO calls)
-        and puts it back with its gain as its bound.  The second time, the
-        gain is fresh and beats every other bound, so it is the candidate
-        the eager scan over every feasible candidate picks: it is taken out
+        candidate's row bound is then stale, but it bounds the current
+        gain.  The loop takes the candidate with the largest bound, the
+        lowest element on ties.  The first time it takes one in this call,
+        it tests it with one ``can_add`` (1 IO call), drops it for good if
+        it does not fit (supersets of a dependent set stay dependent), and
+        otherwise re-prices it with ``_price(e, -math.inf)`` (at most k EO
+        calls, 1 on a row whose pair bounds are exact) and puts it back
+        with its best gain as its bound.  The second time, the gain is
+        fresh and beats every other bound, so it is the candidate the
+        eager scan over every feasible candidate picks: it is taken out
         and returned.  So each candidate is tested and priced at most once
         per call, and only while its bound can still win.  For a function
         that is not k-submodular, such as an unchecked
         :class:`~ksubmax.instances.ExplicitTableFunction`, the bounds may
         not hold and the pick may differ from the eager scan's.
         """
-        heap, best = self._heap, self._best
+        heap, price = self._heap, self._price
         visited = set()
         while heap:
             key, e, i = heap[0]
@@ -621,7 +670,7 @@ class GainState:
                 return e, i, -key
             visited.add(e)
             if can_add(e):
-                gain, i = best(e)
+                gain, i = price(e, -math.inf)
                 heapq.heapreplace(heap, (-gain, e, i))
             else:
                 heapq.heappop(heap)
@@ -635,12 +684,11 @@ class GainState:
         self._assignment = None
         self.value += gain
 
-    def _charge_rows(self, count: int) -> None:
-        """For the family overrides of :meth:`_best`, :meth:`_bests`,
-        :meth:`_first_best` and :meth:`_next_best`: count k EO calls for each
-        of ``count`` rows priced."""
+    def _charge(self, count: int) -> None:
+        """For the family overrides: count ``count`` EO calls, one per pair
+        priced."""
         if self.counters is not None:
-            self.counters.eo_calls += self.f.k * count
+            self.counters.eo_calls += count
 
 
 def _code_steps(n: int, k: int) -> list[int]:

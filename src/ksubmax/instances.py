@@ -342,24 +342,29 @@ def _weight_planes(weights: tuple[float, ...], exponent: int):
 class _ModularGainState(GainState):
     """Modular gains are table lookups: f(p + (e, i)) - f(p) = table[e][i-1].
 
-    They never change, so each row's maximum and its first position are
-    taken once per state, and every best gain after that is a lookup.
-    Lazy greedy still re-prices its candidates after each placement, as it
-    does for every function, but on a modular table the top candidate
-    keeps its gain, so it re-prices about one row per placement.
+    They never change, so every pair bound is exact from a row's first
+    pricing on, and the row bounds are the row maxima, taken once per
+    state with their first positions.  A first pricing charges k EO calls
+    and a re-price 1, the cost of :meth:`GainState._price` on exact bounds
+    (its first pair is the row's best, and every later bound is below it
+    or equal at a higher position); both are lookups.
     """
 
     def __init__(self, f: ModularFunction, counters: Optional[OracleCounters] = None):
         super().__init__(f, counters)
-        self.row_best = list(map(max, f.table))
+        self.row_best = self._bound = list(map(max, f.table))
         self.row_pos = [row.index(gain) + 1 for row, gain in zip(f.table, self.row_best)]
 
     def _best(self, e: int) -> tuple[float, int]:
-        self._charge_rows(1)
+        self._charge(self.f.k)
+        return self.row_best[e], self.row_pos[e]
+
+    def _price(self, e: int, bar: float) -> tuple[float, int]:
+        self._charge(1)
         return self.row_best[e], self.row_pos[e]
 
     def _bests(self, elements: Sequence[int]) -> list[float]:
-        self._charge_rows(len(elements))
+        self._charge(self.f.k * len(elements))
         return list(map(self.row_best.__getitem__, elements))
 
 
@@ -367,35 +372,58 @@ class _CoverageGainState(GainState):
     """Keeps the covered points as a bitmask; a gain weighs only new points.
 
     Lazy greedy runs as a walk instead of the default heap loop.
-    ``bound[e]`` is the last best gain weighed for ``e``, and
-    ``candidates`` the run's candidates, ascending.  :meth:`_next_best`
-    walks them by descending bound (ascending element among equal
-    bounds), testing and weighing each, and stops at the first bound
-    below the best gain found, or equal to it at a larger element.  That
-    visits the rows the heap loop visits, in the same order, so it picks
-    the same candidate and charges the same IO and EO calls.
+    ``candidates`` lists the run's candidates, ascending.
+    :meth:`_next_best` walks them by descending row bound (ascending
+    element among equal bounds), testing each and re-pricing it through
+    its pair bounds, and stops at the first bound below the best gain
+    found, or equal to it at a larger element.  That visits the rows the
+    heap loop visits, in the same order, so it picks the same candidate
+    and charges the same IO and EO calls.
     """
 
     def __init__(self, f: CoverageFunction, counters: Optional[OracleCounters] = None):
         super().__init__(f, counters)
         self.covered = 0
+        self._free = ~0  # the points not covered
+        self._masks, self._weigh = f._masks, f._weight
 
     def _best(self, e: int) -> tuple[float, int]:
-        self._charge_rows(1)
-        weight = self.f._weight
-        free = ~self.covered
-        gains = [weight(mask & free) for mask in self.f._masks[e]]
-        gain = max(gains)
+        self._charge(self.f.k)
+        weigh, free = self._weigh, self._free
+        gains = self._pairs[e] = [weigh(mask & free) for mask in self._masks[e]]
+        gain = self._bound[e] = max(gains)
         return gain, gains.index(gain) + 1
 
+    def _price(self, e: int, bar: float) -> tuple[float, int]:
+        # the walk of GainState._price, weighing the pairs; the first pick
+        # is priced unchecked, as the row bound is at least the bar, and
+        # when it keeps its bound it is the best
+        row, mask, weigh, free = self._pairs[e], self._masks[e], self._weigh, self._free
+        top = max(row)
+        pos = row.index(top)
+        gain = row[pos] = weigh(mask[pos] & free)
+        priced = 1
+        if gain != top:
+            top = max(row)
+            while top >= bar and (top > gain or row.index(top) < pos):
+                j = row.index(top)
+                g = row[j] = weigh(mask[j] & free)
+                priced += 1
+                if g > gain or (g == gain and j < pos):
+                    gain, pos = g, j
+                top = max(row)
+        self._bound[e] = top
+        self._charge(priced)
+        return gain, pos + 1
+
     def _first_best(self, elements: Sequence[int]) -> Optional[tuple[int, int, float]]:
-        self._charge_rows(len(elements))
-        weight, masks, free = self.f._weight, self.f._masks, ~self.covered
-        self.bound = bound = [0.0] * self.f.n
+        self._charge(self.f.k * len(elements))
+        weigh, masks, free = self._weigh, self._masks, self._free
+        pairs, bound = self._pairs, self._bound
         self.candidates = sorted(elements)
         choice = None
         for e in self.candidates:
-            gains = [weight(mask & free) for mask in masks[e]]
+            gains = pairs[e] = [weigh(mask & free) for mask in masks[e]]
             gain = bound[e] = max(gains)
             if choice is None or gain > choice[2]:
                 choice = e, gains.index(gain) + 1, gain
@@ -404,9 +432,10 @@ class _CoverageGainState(GainState):
         return choice
 
     def _next_best(self, can_add: Callable[[int], bool]) -> Optional[tuple[int, int, float]]:
-        weight, masks, free, bound = self.f._weight, self.f._masks, ~self.covered, self.bound
+        bound, pairs, masks, weigh, free = (self._bound, self._pairs, self._masks, self._weigh,
+                                            self._free)
         candidates = self.candidates
-        best_gain, best_e, weighed, dropped = -math.inf, -1, 0, []
+        best_gain, best_e, dropped, priced = -math.inf, -1, [], 0
         for e in sorted(candidates, key=bound.__getitem__, reverse=True):  # stable
             b = bound[e]
             if b < best_gain or (b == best_gain and e > best_e):
@@ -414,22 +443,37 @@ class _CoverageGainState(GainState):
             if not can_add(e):
                 dropped.append(e)
                 continue
-            weighed += 1
-            gains = [weight(mask & free) for mask in masks[e]]
-            gain = bound[e] = max(gains)
+            # _price at bar -inf, inline: the re-price is most of this loop's
+            # steps, and a call per candidate cost greedy time at n = 100
+            row, mask = pairs[e], masks[e]
+            top = max(row)
+            pos = row.index(top)
+            gain = row[pos] = weigh(mask[pos] & free)
+            priced += 1
+            if gain != top:
+                top = max(row)
+                while top > gain or row.index(top) < pos:
+                    j = row.index(top)
+                    g = row[j] = weigh(mask[j] & free)
+                    priced += 1
+                    if g > gain or (g == gain and j < pos):
+                        gain, pos = g, j
+                    top = max(row)
+            bound[e] = gain
             if gain > best_gain or (gain == best_gain and e < best_e):
-                best_gain, best_e, best_gains = gain, e, gains
-        self._charge_rows(weighed)
+                best_gain, best_e, best_i = gain, e, pos + 1
+        self._charge(priced)
         for e in dropped:
             candidates.remove(e)
         if best_e < 0:
             return None
         candidates.remove(best_e)
-        return best_e, best_gains.index(best_gain) + 1, best_gain
+        return best_e, best_i, best_gain
 
     def place(self, e: int, i: int, gain: float) -> None:
         super().place(e, i, gain)
-        self.covered |= self.f._masks[e][i - 1]
+        self.covered |= self._masks[e][i - 1]
+        self._free = ~self.covered
 
 
 class ExplicitTableFunction(KSubFunction):

@@ -22,6 +22,7 @@ explicit family stores bitmasks internally.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import random
 from abc import ABC, abstractmethod
@@ -333,7 +334,8 @@ class ExplicitMatroid(Matroid):
                 _check_element(ground_size - 1 + (high & -high).bit_length(), ground_size)
         object.__setattr__(self, "ground_size", ground_size)
         object.__setattr__(self, "family", frozenset(family))
-        violation, _ = _axiom_violation(sorted(self.family))
+        violation, checks = _axiom_violation(sorted(self.family))
+        object.__setattr__(self, "_axiom_checks", checks)  # for check_matroid_axioms
         if violation is not None:
             axiom, *masks = violation
             raise ValueError("family violates " + {
@@ -548,7 +550,12 @@ def check_matroid_axioms(
     fit, the sampled tests are answered by bitmask membership in that
     list, so the oracle is asked 2^n times in all.  The samples draw
     subsets and elements as they do without the list, so the verdict is
-    the same either way.  The budget must be at least 1 and the seed an
+    the same either way.  An :class:`ExplicitMatroid` whose
+    ``_independent`` is not overridden has passed that exhaustive check
+    on its frozen family when it was built, so it is not listed again: when
+    both counts fit the budget, its verdict holds, exhaustive, with the
+    constructor's count of checks, those of (b) and (c) without the 2^n
+    listing.  The budget must be at least 1 and the seed an
     ``int``, as for the verifiers in :mod:`ksubmax.verify`, so no verdict
     rests on zero checks; it defaults to theirs,
     ``verify.DEFAULT_PAIR_BUDGET``, which is also the budget of ``ksubmax
@@ -557,6 +564,13 @@ def check_matroid_axioms(
     _check_sampling(budget, seed)
     n = m.ground_size
     independent = m.is_independent
+    if type(m)._independent is ExplicitMatroid._independent and 2**n <= budget:
+        # the frozen family passed the constructor's exhaustive check, which
+        # the listing below would repeat on the same sets; only the budget
+        # decides, as there, whether that verdict or a sampled one is given
+        sizes = collections.Counter(mask.bit_count() for mask in m.family)
+        if sum(count * sizes[s + 1] for s, count in sizes.items()) <= budget:
+            return Verdict(True, None, exhaustive=True, checked=m._axiom_checks)
     if 2**n <= budget:
         independents = [mask for mask in range(1 << n) if m._independent(_set_of(mask))]
         violation, checks = _axiom_violation(independents, budget)

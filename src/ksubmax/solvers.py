@@ -129,49 +129,62 @@ def threshold_decreasing_solve(
     every gain is a whole number of those units there, so a gain below the
     old threshold is below the new one too.
 
-    The walk is lazy.  Each element keeps ``bound[e]``, the last best gain
-    computed for it (seeded by the opening singleton scan).  By orthant
-    submodularity a gain can only shrink as the assignment grows, so
-    ``bound[e]`` is an upper bound on the current gain; a candidate with
-    ``bound[e] < w`` cannot be accepted at bar w and is skipped at no
-    oracle cost, staying a candidate.  Otherwise it is visited: one IO call
-    re-checks feasibility, one ``state._best(e)`` prices its k positions at
-    k EO calls and names the best (the lowest position on ties),
-    ``bound[e]`` is updated, and it is accepted if the gain meets the bar.
-    Every acceptance is the one a visit-everything loop makes, in the same
-    order with the same gain, so the assignment and value are identical to
-    that loop's and the recorded rounds are a prefix of its rounds.  This
-    holds for every k-submodular ``f``, monotone or not; an unchecked
+    The walk is lazy, on a bound per (element, position) pair: the gain
+    last priced for that pair, seeded by the opening singleton scan.  By
+    orthant submodularity a gain can only shrink as the assignment grows,
+    so each pair bound caps its pair's current gain, and an element's row
+    bound, the largest of its pair bounds, caps its best gain.  A
+    candidate whose row bound is below the bar w is skipped at no oracle
+    cost and stays a candidate.  Otherwise it is visited with one
+    ``state._price(e, w)``: its pairs are priced in descending bound
+    order, the lowest position first on ties, at 1 EO call each, until
+    the next pair's bound is below w, or below the best fresh gain, or
+    equal to it at a higher position.  Only if the best fresh gain clears
+    w does the visit make its one IO test, and then it places the element
+    (at that gain's lowest best position, the row's as :meth:`GainState.best`
+    gives it) or drops it for good.  Otherwise the element stays a
+    candidate with its row bound updated, and no IO is spent.  An element
+    is placed exactly when a loop that tests and prices every visited
+    element at all k positions places it, at the same position with the
+    same gain.  On a matroid the candidates run out only once the support
+    is a basis, so ``len(support) < r`` ends both loops in the same round:
+    the assignment, value and rounds are identical to that loop's, and the
+    rounds are a prefix of a visit-everything loop's.  A family that is not
+    a matroid may record more rounds here, since an element that no longer
+    fits stays a candidate until its gain clears a bar.  This holds for
+    every k-submodular ``f``, monotone or not; an unchecked
     :class:`ExplicitTableFunction` that is not k-submodular may come out
     differently.
 
     Gains are priced against the running state from ``f.gain_state``: the
-    opening scan prices all n elements in one batched
-    :meth:`GainState._bests` call, and each visit prices one element at
-    all k positions with ``state._best(e)``: the row maximum of the table
-    for modular functions, the weights of newly covered points for
-    coverage, k full evaluations otherwise.  All three are exact on the
-    families' sum-exact values, so the run does not depend on which one
-    prices it.
-    Independence tests go through ``m.independence_state``, one
-    ``_can_add`` per visit; the rank scan is one batched
+    opening scan prices all n*k pairs in one batched
+    :meth:`GainState._bests` call, which sets the bounds, and each visit
+    re-prices through them with ``state._price``: a table lookup for
+    modular functions, whose pair bounds are exact so a visit costs 1 EO,
+    the weights of newly covered points for coverage, one full evaluation
+    per pair otherwise.  All three are exact on the families' sum-exact
+    values, so the run and its counts do not depend on which one prices
+    it.  Independence tests go through ``m.independence_state``, one
+    ``_can_add`` per test; the rank scan is one batched
     :meth:`IndependenceState._extend` on a state of its own, the greedy
     extension of :func:`greedy_basis` without its checks of an order the
     solver builds itself.  Both are constant time per element for the
-    shipped matroid families,
-    ``is_independent`` otherwise, with the same answers and counts either
-    way.  A batched call charges what its per-element loop would: k EO per
-    element priced, 1 IO per element tested.
+    shipped matroid families, ``is_independent`` otherwise, with the same
+    answers and counts either way.  A batched call charges what its
+    per-element loop would: 1 EO per pair priced, 1 IO per element tested.
 
-    Exact oracle accounting: n*k EO for the initial single-element scan
-    plus k EO per candidate visit that passes its IO test (one gain costs
-    one evaluation); n IO for the rank scan, which visits elements by
-    descending singleton value (ties by index) so that d is the value of
-    its first accepted element, plus one IO per candidate visit.  Skipped
-    candidates cost nothing.  If no singleton has a positive value the solver
-    stops before any IO.  Candidates found infeasible are dropped
-    permanently, which is sound because supersets of a dependent set stay
-    dependent.
+    Exact oracle accounting: n*k EO for the opening scan plus 1 EO per
+    pair a visit prices (at most k per visit); n IO for the rank scan,
+    which visits elements by descending singleton value (ties by index)
+    so that d is the value of its first accepted element, plus 1 IO per
+    visit whose best fresh gain clears the bar.  Skipped candidates cost
+    nothing.  So the criterion-4 bounds ``eo <= n*k*(rounds+1)`` and
+    ``io <= n*(rounds+t+1)`` still hold.  The IO count is never above the
+    test-first loop's; the EO count can be, where a visit prices an
+    element that then fails its test.  If no singleton has a positive
+    value the solver stops before any IO.  Candidates found infeasible are
+    dropped permanently, which is sound because supersets of a dependent
+    set stay dependent.
     """
     _check_inputs(f, m)
     _check_epsilon(epsilon)
@@ -201,10 +214,10 @@ def threshold_decreasing_solve(
     if order_seed is not None:
         random.Random(order_seed).shuffle(order)
 
-    bound = single  # last best gain per element: bounds its current gain
-    candidates = order  # unassigned, not yet known infeasible, visit order
+    bound = state._bound  # row bounds: each caps its element's current best gain
+    candidates = order  # unassigned, not found infeasible, visit order
     support = indep.support
-    best = state._best  # every element the run walks is an open int in range(n)
+    price = state._price  # every element the run walks is an open int in range(n)
     can_add = indep._can_add
     stop = (1 - epsilon) * epsilon * d / (2 * r)
     w = d
@@ -215,18 +228,15 @@ def threshold_decreasing_solve(
             if bound[e] < w:
                 survivors.append(e)
                 continue
-            if not can_add(e):
-                continue
-            best_gain, best_i = best(e)
-            bound[e] = best_gain
-            if best_gain >= w:
-                state.place(e, best_i, best_gain)
+            gain, i = price(e, w)
+            if gain < w:
+                survivors.append(e)
+            elif can_add(e):
+                state.place(e, i, gain)
                 indep.add(e)
                 added += 1
                 if len(support) == r:
                     break
-            else:
-                survivors.append(e)
         candidates = survivors
         rounds.append((w, added))
         # rounding may hold a subnormal bar still; it then drops one unit
@@ -249,11 +259,15 @@ def greedy_solve(f: KSubFunction, m: Matroid) -> SolveReport:
     and one gain state from ``f.gain_state``.  The first iteration tests
     every element with one batched :meth:`IndependenceState._feasible`
     and prices the feasible ones with :meth:`GainState._first_best`,
-    which keeps each one's gain as a bound and returns the best.  After
-    each placement, :meth:`GainState._next_best` finds the next best
-    lazily: it tests and re-prices candidates only while their bound, the
-    gain last priced for them, can still beat the fresh gains it has
-    found.  By orthant submodularity every bound is at least the current
+    which sets their pair bounds and row bounds (see :class:`GainState`)
+    and returns the best.  After each placement, :meth:`GainState._next_best`
+    finds the next best lazily: it tests candidates and re-prices them
+    only while their row bound, the best gain last priced for them, can
+    still beat the fresh gains it has found.  A re-price goes through the
+    pair bounds with ``_price(e, -math.inf)``: it prices positions only
+    while one can still be the row's best, so it gives the row's best
+    gain at 1 to k EO calls (1 on a modular table, whose bounds are
+    exact).  By orthant submodularity every bound is at least the current
     gain, so the result is exact for every k-submodular ``f``; an
     unchecked :class:`ExplicitTableFunction` that is not k-submodular may
     come out differently.  A candidate found infeasible is dropped for
@@ -262,11 +276,11 @@ def greedy_solve(f: KSubFunction, m: Matroid) -> SolveReport:
 
     Exact oracle accounting: n IO calls and k EO calls per feasible
     element for the first iteration; after each placement, one IO call
-    per candidate :meth:`GainState._next_best` tests and k EO calls per
-    one it re-prices, about one of each per addition on a modular
-    objective, whose gains never change.  On a k-submodular ``f`` neither
-    count is above the eager loop's, whose ``O(r·n·k)`` EO bill is the
-    paper's bound.
+    per candidate :meth:`GainState._next_best` tests and 1 EO call per
+    pair it re-prices.  The IO count is that of a lazy greedy that
+    re-prices whole rows, and the EO count is never above it.  On a
+    k-submodular ``f`` neither count is above the eager loop's, whose
+    ``O(r·n·k)`` EO bill is the paper's bound.
     """
     _check_inputs(f, m)
     start = time.perf_counter()

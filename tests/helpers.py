@@ -184,6 +184,108 @@ def eager_threshold_solve(
 
 
 
+def reference_lazy_threshold_solve(
+    f: KSubFunction,
+    m: Matroid,
+    epsilon: float,
+    order_seed: Optional[int] = None,
+) -> SolveReport:
+    """The lazy threshold loop with one bound per element, step by step: the
+    assignments, values and rounds ``threshold_decreasing_solve`` must give,
+    and IO counts it must not exceed.
+
+    This is the loop the solver ran before it kept a bound per pair.  Each
+    element keeps the last best gain priced for it.  A candidate whose
+    bound is below the bar is skipped; otherwise it is visited: tested
+    with ``m.is_independent`` (1 IO) and dropped for good if it does not
+    fit, else priced at all k positions through ``reference_gain`` (k EO)
+    and placed if its best gain clears the bar.  The loop stops when the
+    bar reaches its stop value, no candidate is left or the support
+    reaches the rank.
+    """
+    _check_inputs(f, m)
+    start = time.perf_counter()
+    counters = OracleCounters()
+    n, k = f.n, f.k
+    state = f.gain_state(counters)
+    rounds: list[tuple[float, int]] = []
+
+    def report() -> SolveReport:
+        a = state.assignment
+        return SolveReport(assignment=a, value=f.evaluate(a), counters=counters,
+                           rounds=rounds, elapsed=time.perf_counter() - start)
+
+    def price(e):
+        gains = [reference_gain(state, e, i) for i in range(1, k + 1)]
+        gain = max(gains)
+        return gain, gains.index(gain) + 1
+
+    if n == 0:
+        return report()
+    bound = [price(e)[0] for e in range(n)]
+    if max(bound) <= 0.0:
+        return report()
+    basis = greedy_basis(m, sorted(range(n), key=lambda e: (-bound[e], e)), counters)
+    if not basis or bound[basis[0]] <= 0.0:
+        return report()
+    r = len(basis)
+    d = bound[basis[0]]
+    candidates = list(range(n))
+    if order_seed is not None:
+        random.Random(order_seed).shuffle(candidates)
+    support: set[int] = set()
+    stop = (1 - epsilon) * epsilon * d / (2 * r)
+    w = d
+    while w > stop and candidates and len(support) < r:
+        added = 0
+        survivors = []
+        for e in candidates:
+            if bound[e] < w:
+                survivors.append(e)
+                continue
+            if not m.is_independent(support | {e}, counters):
+                continue
+            gain, i = price(e)
+            bound[e] = gain
+            if gain >= w:
+                state.place(e, i, gain)
+                support.add(e)
+                added += 1
+                if len(support) == r:
+                    break
+            else:
+                survivors.append(e)
+        candidates = survivors
+        rounds.append((w, added))
+        w = min(w * (1 - epsilon), math.nextafter(w, 0.0))
+    return report()
+
+
+def reference_pair_walk(bounds: list[float], gains: list[float],
+                        bar: float) -> tuple[float, int, float, int, list[float]]:
+    """The pair walk of ``GainState._price`` as its rule reads, on one row
+    whose pair bounds are ``bounds`` and whose fresh gains are ``gains``.
+
+    The pairs are taken in descending bound order, the lowest position
+    first on ties, and the walk stops at the first pair whose bound is
+    below ``bar``, or below the best fresh gain, or equal to it at a higher
+    position.  Returns the best fresh gain, its position (1-based), the new
+    row bound (the largest new pair bound), the number of pairs priced and
+    the new pair bounds.
+    """
+    bounds = list(bounds)
+    gain, pos, priced = -math.inf, 0, 0
+    for j in sorted(range(len(bounds)), key=lambda j: (-bounds[j], j)):
+        b = bounds[j]
+        if b < bar or b < gain or (b == gain and j + 1 > pos):
+            break
+        bounds[j] = gains[j]
+        priced += 1
+        if gains[j] > gain or (gains[j] == gain and j + 1 < pos):
+            gain, pos = gains[j], j + 1
+    return gain, pos, max(bounds), priced, bounds
+
+
 def reference_greedy_solve(f: KSubFunction, m: Matroid) -> SolveReport:
     """The paper's eager greedy: the feasible set rebuilt every iteration.
 
@@ -227,8 +329,9 @@ def reference_greedy_solve(f: KSubFunction, m: Matroid) -> SolveReport:
 
 
 def reference_lazy_greedy_solve(f: KSubFunction, m: Matroid) -> SolveReport:
-    """The generic lazy greedy loop, step by step: the counts ``greedy_solve``
-    must make on every function and matroid family.
+    """The generic lazy greedy loop, step by step, re-pricing whole rows: the
+    IO count ``greedy_solve`` must make on every function and matroid
+    family, and an EO count it must not exceed.
 
     The opening tests every element (1 IO each) and prices each one that
     fits (k EO each).  Each candidate is kept in a heap keyed by its last
@@ -236,9 +339,11 @@ def reference_lazy_greedy_solve(f: KSubFunction, m: Matroid) -> SolveReport:
     it was last tested and last priced.  The loop takes the top entry:
     if it has not been tested since the last placement, it is tested and
     dropped for good if it does not fit; else if its gain is stale it is
-    re-priced and put back; else it is placed.  Tests go through
-    ``m.is_independent`` and gains through ``reference_gain``, one
-    position at a time.
+    re-priced at all k positions and put back; else it is placed.  This
+    is greedy's re-price before it went through pair bounds, which
+    re-price only the positions that can still be the row's best.  Tests
+    go through ``m.is_independent`` and gains through ``reference_gain``,
+    one position at a time.
     """
     _check_inputs(f, m)
     start = time.perf_counter()
@@ -284,14 +389,16 @@ def reference_lazy_greedy_solve(f: KSubFunction, m: Matroid) -> SolveReport:
 
 def same_greedy_run(got: SolveReport, f: KSubFunction, m: Matroid) -> SolveReport:
     """A greedy run of ``f`` on ``m`` against both references: the eager
-    loop's assignment, value and rounds, and the generic lazy loop's counts,
-    which are no higher than the eager loop's.  Returns the eager run."""
+    loop's assignment, value and rounds, and the generic lazy loop's IO
+    count, with no more EO than that loop, whose counts are no higher than
+    the eager loop's.  Returns the eager run."""
     eager, lazy = reference_greedy_solve(f, m), reference_lazy_greedy_solve(f, m)
     for ref in (eager, lazy):
         assert got.assignment == ref.assignment
-        assert got.value.hex() == ref.value.hex()
+        assert repr(got.value) == repr(ref.value)
         assert got.rounds == ref.rounds == []
-    assert got.counters == lazy.counters
+    assert got.counters.io_calls == lazy.counters.io_calls
+    assert got.counters.eo_calls <= lazy.counters.eo_calls
     assert lazy.counters.eo_calls <= eager.counters.eo_calls
     assert lazy.counters.io_calls <= eager.counters.io_calls
     return eager

@@ -63,12 +63,13 @@ class TestSolve:
 
     def test_threshold_human_lazy(self, instance_file, capsys):
         """The shipped lazy solver: 4 EO scan + 2 IO rank scan, then one
-        visit to element 0 (1 IO, 2 EO) fills the budget and ends the run,
-        so element 1 is never visited."""
+        visit to element 0 (1 EO for the one pair that can clear the bar,
+        1 IO) fills the budget and ends the run, so element 1 is never
+        visited."""
         assert main(["solve", instance_file, "--epsilon", "0.5"]) == 0
         out = capsys.readouterr().out
         assert "value: 5.0" in out
-        assert "eo_calls: 6" in out
+        assert "eo_calls: 5" in out
         assert "io_calls: 3" in out
 
     def test_threshold_json(self, instance_file, capsys):
@@ -454,6 +455,44 @@ class TestBench:
         err = capsys.readouterr().err
         assert f"grid[0].{key}" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("entry,cells", [
+        (dict(GOOD_ENTRY, k=10**8), 4 * 10**8),
+        (dict(GOOD_ENTRY, family="coverage", universe_size=10**12), 4 * 2 * 10**12),
+        (dict(GOOD_ENTRY, n=10**8, budget=1), 2 * 10**8),
+    ])
+    def test_oversize_entry_exits_2_before_generating(self, tmp_path, capsys, entry, cells):
+        """Each of these used to generate unbounded: k = 10**8 and a 10**12
+        point universe ended in a MemoryError traceback with exit 1, and
+        n = 10**8 was still generating after 20 s.  The size rule refuses
+        the whole config at check time, naming the entry, within 1 s and
+        1 MB of traced allocation."""
+        cfg = write_config(tmp_path, {"grid": [GOOD_ENTRY, entry], "solvers": ["greedy"]})
+        tracemalloc.start()
+        try:
+            started = time.perf_counter()
+            code = main(["bench", cfg])
+            elapsed = time.perf_counter() - started
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert elapsed < 1.0 and peak < 2 ** 20, (elapsed, peak)
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"grid[1]: generates {cells} cells" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_entry_at_the_size_limit_is_accepted(self):
+        """The rule is n*k (times universe_size for coverage) at most
+        MAX_BENCH_CELLS; one cell more is refused."""
+        limit = ksubmax.cli.MAX_BENCH_CELLS
+        for entry in (dict(GOOD_ENTRY, n=limit // 4, k=4),
+                      dict(GOOD_ENTRY, family="coverage", n=64, k=4, universe_size=limit // 256)):
+            assert _check_config({"grid": [entry], "solvers": ["greedy"]}) is None
+            entry["k"] += 1
+            assert "above the bench limit" in _check_config({"grid": [entry],
+                                                             "solvers": ["greedy"]})
 
     def test_well_typed_optional_grid_fields_run(self, tmp_path, capsys):
         grid = [

@@ -1,40 +1,74 @@
-"""The lazy threshold solver against the eager reference loop.
+"""The lazy threshold solver against the eager loop and the per-element
+lazy loop.
 
-``threshold_decreasing_solve`` skips a candidate whose last computed best
-gain is below the bar and stops once the support reaches the rank.  On a
-k-submodular function both shortcuts are exact: every acceptance is the
-one the eager loop (``helpers.eager_threshold_solve``) makes.  The gate
-requires the same assignment and value, and no more EO, IO or rounds, on
-the acceptance-criteria grids and on random instances.
+``threshold_decreasing_solve`` keeps a bound per (element, position) pair:
+a visit prices pairs only while they can clear the bar, and tests
+independence only for an element whose best fresh gain clears it.  Two
+references check it (``tests/helpers``): ``eager_threshold_solve``, which
+visits every candidate every round, and
+``reference_lazy_threshold_solve``, the loop with one bound per element
+that tests before it prices all k positions.  The gate requires the
+per-element loop's assignment, ``repr(value)`` and rounds, no more IO than
+it, and no more EO on uniform matroids, where no visit fails on
+independence; and the eager loop's assignment and value with no more IO
+and rounds.  It runs on the acceptance-criteria grids and on random
+instances, over the modular, coverage, explicit-table and
+``CountingWrapper`` functions and the uniform, partition, explicit and
+``ReferenceMatroid`` matroids.
 """
+
+import math
+import random
 
 from hypothesis import given, settings, strategies as st
 
 from ksubmax import (
+    ExplicitTableFunction,
+    GainState,
     ModularFunction,
+    OracleCounters,
+    PartitionMatroid,
+    UniformMatroid,
     gen_coverage,
     gen_explicit_matroid,
     gen_modular,
     gen_partition_matroid,
+    greedy_solve,
     threshold_decreasing_solve,
-    UniformMatroid,
 )
 
-from helpers import eager_threshold_solve, modular_opt
+from helpers import (CountingWrapper, ReferenceMatroid, eager_threshold_solve, modular_opt,
+                     reference_lazy_threshold_solve, reference_pair_walk)
 from test_gain_state import feasibility_instances, ratio_instances
 
 
 def assert_lazy_matches_eager(f, m, epsilon, order_seed=None):
     lazy = threshold_decreasing_solve(f, m, epsilon, order_seed=order_seed)
+    ref = reference_lazy_threshold_solve(f, m, epsilon, order_seed=order_seed)
     eager = eager_threshold_solve(f, m, epsilon, order_seed=order_seed)
-    assert lazy.assignment == eager.assignment
-    assert lazy.value == eager.value
-    assert lazy.counters.eo_calls <= eager.counters.eo_calls
-    assert lazy.counters.io_calls <= eager.counters.io_calls
+    assert lazy.assignment == ref.assignment == eager.assignment
+    assert repr(lazy.value) == repr(ref.value) == repr(eager.value)
+    assert lazy.rounds == ref.rounds
+    assert lazy.counters.io_calls <= ref.counters.io_calls <= eager.counters.io_calls
+    if isinstance(m, UniformMatroid):
+        assert lazy.counters.eo_calls <= ref.counters.eo_calls
+    assert ref.counters.eo_calls <= eager.counters.eo_calls
     # the lazy run stops early at most, and only once eager adds nothing more
     assert lazy.rounds == eager.rounds[: len(lazy.rounds)]
     assert all(added == 0 for _, added in eager.rounds[len(lazy.rounds):])
     return lazy, eager
+
+
+def assert_every_path_matches(f, m, epsilon, order_seed=None):
+    """``assert_lazy_matches_eager`` on ``f`` and ``m``, on the reference
+    matroid and on a counting wrapper of ``f``, whose raw evaluations are
+    its EO calls plus the audit; returns the plain run's pair."""
+    wrapped = CountingWrapper(f)
+    got = threshold_decreasing_solve(wrapped, m, epsilon, order_seed=order_seed)
+    assert wrapped.raw_calls == got.counters.eo_calls + 1
+    assert_lazy_matches_eager(wrapped, m, epsilon, order_seed)
+    assert_lazy_matches_eager(f, ReferenceMatroid(m), epsilon, order_seed)
+    return assert_lazy_matches_eager(f, m, epsilon, order_seed)
 
 
 def test_lazy_equals_eager_on_criteria_grids():
@@ -44,10 +78,12 @@ def test_lazy_equals_eager_on_criteria_grids():
     saved_eo = 0
     grids = (feasibility_instances(count=1000), ratio_instances())
     for grid in grids:
-        for f, m, epsilons in grid:
+        for j, (f, m, epsilons) in enumerate(grid):
+            # every fifth instance also on the wrapped paths
+            check = assert_every_path_matches if j % 5 == 0 else assert_lazy_matches_eager
             for epsilon in epsilons:
                 for order_seed in (None, 7):
-                    lazy, eager = assert_lazy_matches_eager(f, m, epsilon, order_seed)
+                    lazy, eager = check(f, m, epsilon, order_seed)
                     saved_eo += eager.counters.eo_calls - lazy.counters.eo_calls
                     runs += 1
     assert runs == 2 * (1000 + 3 * 450)
@@ -72,11 +108,13 @@ def instances(draw):
     n = draw(st.integers(1, 10))
     k = draw(st.integers(1, 3))
     seed = draw(st.integers(0, 10_000))
-    family = draw(st.sampled_from(("monotone", "nonmonotone", "coverage")))
+    family = draw(st.sampled_from(("monotone", "nonmonotone", "coverage", "table")))
     if family == "coverage":
         f = gen_coverage(n, k, universe_size=2 * n, density=0.4, seed=seed)
     else:
-        f = gen_modular(n, k, monotone=family == "monotone", seed=seed)
+        f = gen_modular(n, k, monotone=family != "nonmonotone", seed=seed)
+        if family == "table" and (k + 1) ** n <= 4096:
+            f = ExplicitTableFunction.tabulate(f)
     kind = draw(st.sampled_from(("uniform", "partition", "explicit")))
     if kind == "uniform":
         m = UniformMatroid(n, draw(st.integers(0, n)))
@@ -95,4 +133,103 @@ def instances(draw):
 )
 def test_lazy_equals_eager_property(instance, epsilon, order_seed):
     f, m = instance
-    assert_lazy_matches_eager(f, m, epsilon, order_seed)
+    assert_every_path_matches(f, m, epsilon, order_seed)
+
+
+def test_lazy_threshold_counts_on_the_readme_instance():
+    """Elements 0 and 1 at k = 2 under budget 1.  The opening prices four
+    pairs and the rank scan tests both elements.  At bar 5.0, element 0's
+    top pair (bound 5.0 at position 1) is priced; its other bound, -3.0, is
+    below the bar, so the walk stops, and the gain clears the bar: one
+    test places it.  So 4 + 1 EO and 2 + 1 IO; the per-element loop
+    priced both positions, 6 EO."""
+    f = ModularFunction([[5.0, -3.0], [2.0, 2.0]])
+    m = UniformMatroid(2, 1)
+    report = threshold_decreasing_solve(f, m, 0.5)
+    assert (report.assignment.labels, report.value) == ((1, 0), 5.0)
+    assert report.counters == OracleCounters(eo_calls=5, io_calls=3)
+    ref = reference_lazy_threshold_solve(f, m, 0.5)
+    assert ref.counters == OracleCounters(eo_calls=6, io_calls=3)
+
+
+def test_lazy_threshold_counts_on_the_blocks_instance():
+    """Block {0, 1} takes one element, block {2} one; k = 1.  The opening
+    prices 3 pairs and the rank scan tests 3 elements.  Bar 5.0: element 0
+    is priced (1 EO), clears the bar and is placed (1 IO); element 1's
+    bound 4.0 is below.  Bar 2.5: element 1 is priced before it is tested
+    (1 EO), clears the bar and is dropped (1 IO).  Bars 1.25 and 0.625:
+    nothing clears until element 2 (1 EO, 1 IO) at 0.625.  So 3 + 3 EO and
+    3 + 3 IO; the per-element loop tested element 1 first and never priced
+    it, 5 EO."""
+    f = ModularFunction([[5.0], [4.0], [1.0]])
+    m = PartitionMatroid(3, [[0, 1], [2]], [1, 1])
+    report = threshold_decreasing_solve(f, m, 0.5)
+    assert (report.assignment.labels, report.value) == ((1, 0, 1), 6.0)
+    assert report.counters == OracleCounters(eo_calls=6, io_calls=6)
+    ref = reference_lazy_threshold_solve(f, m, 0.5)
+    assert ref.counters == OracleCounters(eo_calls=5, io_calls=6)
+
+
+def test_twin_states_charge_the_default_states_counts():
+    """The modular and coverage states charge, on every threshold and greedy
+    run, what the default state charges on the tabulated function, whose pair bounds it keeps
+    the same way; the gains are the same floats, so the runs are too."""
+    runs = 0
+    for seed in range(12):
+        for f in (gen_modular(5, 3, monotone=seed % 2 == 0, seed=seed),
+                  gen_coverage(5, 3, 10, 0.4, seed=seed)):
+            table = ExplicitTableFunction.tabulate(f)
+            for m in (UniformMatroid(5, 1 + seed % 5), gen_partition_matroid(5, seed=seed),
+                      gen_explicit_matroid(5, seed=seed)):
+                for epsilon in (0.1, 0.5):
+                    got = threshold_decreasing_solve(f, m, epsilon)
+                    twin = threshold_decreasing_solve(table, m, epsilon)
+                    assert (got.assignment, got.counters, got.rounds) == (
+                        twin.assignment, twin.counters, twin.rounds)
+                    runs += 1
+                got, twin = greedy_solve(f, m), greedy_solve(table, m)
+                assert (got.assignment, got.counters) == (twin.assignment, twin.counters)
+    assert runs == 12 * 2 * 3 * 2
+
+
+def test_price_matches_a_full_row_and_the_default_state():
+    """``_price(e, bar)`` on the modular, coverage and default states, after
+    random placements and at random bars no higher than the row bound:
+    the same gain, position, pair bounds, row bound and EO on every state
+    as the walk's rule gives them (``helpers.reference_pair_walk``), and,
+    where the gain clears the bar, the row's best as ``best`` gives it.  A bar of ``-inf`` always gives the row's best."""
+    rng = random.Random(5)
+    checked = 0
+    for seed in range(30):
+        n, k = rng.randint(2, 6), rng.randint(1, 4)
+        f = (gen_modular(n, k, monotone=seed % 3 == 0, seed=seed) if seed % 2
+             else gen_coverage(n, k, 2 * n, 0.4, seed=seed))
+        states = [f.gain_state(OracleCounters()),
+                  GainState(ExplicitTableFunction.tabulate(f), OracleCounters())]
+        for state in states:
+            state._bests(range(n))
+        open_ = list(range(n))
+        rng.shuffle(open_)
+        while open_:
+            e = open_.pop()
+            row = states[1]._bound[e]
+            bar = rng.choice([-math.inf, row, row - abs(row) / 2, row - 1.0])
+            fresh = GainState(states[1].f)
+            fresh._labels, fresh.value = list(states[1]._labels), states[1].value
+            fresh._best(e)
+            expected = reference_pair_walk(states[1]._pairs[e], fresh._pairs[e], bar)
+            results = []
+            for state in states:
+                before = state.counters.eo_calls
+                gain, i = state._price(e, bar)
+                results.append((gain, i, state._bound[e], state.counters.eo_calls - before))
+            assert results[0] == results[1] == expected[:4]
+            assert states[1]._pairs[e] == expected[4]
+            gain, i = results[0][:2]
+            if gain >= bar:
+                assert (gain, i) == fresh._best(e)
+            if open_ and gain > -math.inf and gain >= bar:
+                for state in states:
+                    state.place(e, i, gain)
+            checked += 1
+    assert checked > 100

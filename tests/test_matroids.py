@@ -230,6 +230,49 @@ class TestAxiomChecker:
         assert check_matroid_axioms(gen_explicit_matroid(n, seed=seed)).holds
 
 
+class TestExplicitAxiomsCheckedOnce:
+    """An explicit matroid passed the exhaustive axiom check when it was
+    built, so ``check_matroid_axioms`` returns that verdict without listing
+    its 2^n subsets: the listing path's verdict with ``2^n`` fewer checks,
+    and the same sampled verdict where the budget is too small."""
+
+    def test_same_verdict_without_the_listing(self, monkeypatch):
+        calls = []
+        listed = ExplicitMatroid._independent
+        runs = 0
+        for n in range(1, 9):
+            for seed in range(4):
+                m = gen_explicit_matroid(n, seed=seed)
+                for budget in (1, 2 ** n - 1, 2 ** n, 60, 1_000_000):
+                    ref = check_matroid_axioms(FamilyMatroid(n, m.family), budget=budget)
+                    monkeypatch.setattr(ExplicitMatroid, "_independent",
+                                        lambda self, subset: calls.append(1) or
+                                        listed(self, subset))
+                    got = check_matroid_axioms(m, budget=budget)
+                    monkeypatch.setattr(ExplicitMatroid, "_independent", listed)
+                    assert (got.holds, got.exhaustive, got.counterexample) == (
+                        ref.holds, ref.exhaustive, ref.counterexample)
+                    if got.exhaustive:
+                        assert got.checked == ref.checked - 2 ** n
+                        assert not calls
+                    else:
+                        assert got.checked == ref.checked
+                    calls.clear()
+                    runs += 1
+        assert runs == 8 * 4 * 5
+
+    def test_an_overridden_oracle_is_still_listed(self):
+        class Shrunk(ExplicitMatroid):
+            def _independent(self, subset):
+                return len(subset) <= 1 and super()._independent(subset)
+
+        m = Shrunk(3, [0, 1, 2, 4, 3, 5, 6])
+        verdict = check_matroid_axioms(m)
+        assert verdict.holds and verdict.exhaustive
+        assert verdict.checked == check_matroid_axioms(
+            FamilyMatroid(3, {0, 1, 2, 4})).checked
+
+
 class FamilyMatroid(Matroid):
     """Independent iff the subset's bitmask is listed; no axiom is checked."""
 

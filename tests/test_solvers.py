@@ -59,16 +59,18 @@ class TestThresholdSolver:
         """The same instance through the lazy solver.
 
         Opening scan 4 EO, rank scan 2 IO (r = 1, d = 5).  Round one at
-        bar 5 visits element 0 (bound 5 >= 5: 1 IO, 2 EO), accepts it, and
-        the support now has r elements, so the run ends before element 1
-        is visited: 6 EO, 3 IO.
+        bar 5 visits element 0 (bound 5 >= 5): it prices the pair at
+        position 1 (1 EO), whose gain 5 clears the bar; the other pair's
+        bound, -3, is below it, so it is not priced.  One test (1 IO)
+        accepts it, and the support now has r elements, so the run ends
+        before element 1 is visited: 5 EO, 3 IO.
         """
         f = ModularFunction([[5.0, -3.0], [2.0, 2.0]])
         m = UniformMatroid(2, 1)
         rep = threshold_decreasing_solve(f, m, epsilon=0.5)
         assert rep.value == 5.0
         assert rep.assignment.labels == (1, 0)
-        assert rep.counters.eo_calls == 6
+        assert rep.counters.eo_calls == 5
         assert rep.counters.io_calls == 3
         assert rep.rounds == [(5.0, 1)]
 
@@ -180,14 +182,17 @@ class TestGreedySolver:
         """Same table, budget two: greedy takes both elements for 5 + 2.
 
         Iteration one checks both elements (2 IO) and all four pairs (4 EO);
-        iteration two checks the remaining element (1 IO, 2 EO); the third
-        feasibility rebuild finds nothing outside the support (0 IO).
+        iteration two checks the remaining element (1 IO) and re-prices it
+        through its pair bounds, exact on a modular table: its first pair
+        is its best and the second's equal bound sits at a higher
+        position, so 1 EO (the eager loop pays 2); then no candidate is
+        left (0 IO).
         """
         f = ModularFunction([[5.0, -3.0], [2.0, 2.0]])
         rep = greedy_solve(f, UniformMatroid(2, 2))
         assert rep.value == 7.0
         assert rep.assignment.labels == (1, 1)
-        assert rep.counters.eo_calls == 6
+        assert rep.counters.eo_calls == 5
         assert rep.counters.io_calls == 3
         assert rep.rounds == []
 
