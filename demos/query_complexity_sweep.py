@@ -10,7 +10,7 @@ of decay rounds that depends on the rank only inside a logarithm, so
 raising the budget barely moves it.  The shipped greedy
 is lazy: it re-prices only the candidates whose last computed gain could
 still be the best.  On this modular objective the gains never change,
-so it re-prices about one position per addition and its bill stays close
+so it re-prices about one element per addition and its bill stays close
 to the threshold solver's; the paper's rank * n * k is the worst case,
 which the eager column shows.  This sweep fixes n=200, k=2 and grows a
 uniform matroid's budget from 2 to 32.

@@ -507,14 +507,16 @@ class GainState:
     make the checks of :meth:`Assignment.check_open` with its messages; a
     refused placement leaves the labels and ``value`` as they were.  The
     solvers price the elements they walk, all open by construction,
-    through the unchecked :meth:`_best`, :meth:`_price` and the batched
-    forms: :meth:`_bests` (threshold's opening scan) and the lazy greedy
-    pair :meth:`_first_best` and :meth:`_next_best`.  A batched call
-    charges what its per-element loop charges, 1 EO call per pair priced.
+    through the unchecked :meth:`_best`, :meth:`_price` (threshold's
+    visit) and the batched forms: :meth:`_bests` (threshold's opening
+    scan) and the lazy greedy pair :meth:`_first_best` and
+    :meth:`_next_best`, which price whole rows.  A batched call charges
+    what its per-element loop charges, 1 EO call per pair priced.
 
     This default goes through ``f.evaluate`` and so works for every
     function; it is the reference path, and its batched calls are loops
-    over :meth:`_best` and :meth:`_price`.  Function families override
+    over :meth:`_best`, and :meth:`_price` walks over :meth:`_gain`, the
+    price of one pair.  Function families override
     :meth:`KSubFunction.gain_state` with states that price a pair without
     a full evaluation, and a batched call only where one pass measured
     faster on a benchmark workload: the modular :meth:`_bests` (the
@@ -587,21 +589,34 @@ class GainState:
         ``bar``, every gain of the row is below ``bar``.  A ``bar`` of
         ``-math.inf`` always gives the row's best.  Each priced pair's
         bound becomes its gain, and the row bound the largest pair bound.
+        Each pair is priced at most once per call, so a gain that does not
+        compare, such as NaN, ends the walk instead of repeating it; a NaN
+        gain clears no bar.
+
+        Families override :meth:`_gain`, the price of one pair, or this
+        walk as a whole where a row's bounds make it a lookup.
         """
-        pairs = self._pairs[e]
+        pairs, price = self._pairs[e], self._gain
         # Each step takes the largest value in pairs, the lowest index on
         # ties.  A priced pair holds its gain, at most the best one, so the
         # pick is the next pair in descending bound order while one can
-        # still win, and the best pair itself once none can.
-        gain, pos = -math.inf, -1
-        while True:
+        # still win, and the best pair itself once none can.  A pair that
+        # keeps its bound is the best: every bound left is below it, or
+        # equal at a higher position.  The first pick's bound is the row
+        # bound, at least the bar.
+        top = max(pairs)
+        pos = pairs.index(top)
+        gain = g = pairs[pos] = price(e, pos + 1)
+        priced = 1 << pos  # a bit per priced pair
+        while g != top:
             top = max(pairs)
             if top < bar:
                 break
             j = pairs.index(top)
-            if j == pos:
+            if priced >> j & 1:
                 break
-            g = pairs[j] = self._gain(e, j + 1)
+            priced |= 1 << j
+            g = pairs[j] = price(e, j + 1)
             if g > gain or (g == gain and j < pos):
                 gain, pos = g, j
         self._bound[e] = top
@@ -645,14 +660,15 @@ class GainState:
         or None once no candidate is left; as :meth:`_first_best` returns it.
 
         Call it after placing what the previous call returned.  Every
-        candidate's row bound is then stale, but it bounds the current
-        gain.  The loop takes the candidate with the largest bound, the
-        lowest element on ties.  The first time it takes one in this call,
-        it tests it with one ``can_add`` (1 IO call), drops it for good if
-        it does not fit (supersets of a dependent set stay dependent), and
-        otherwise re-prices it with ``_price(e, -math.inf)`` (at most k EO
-        calls, 1 on a row whose pair bounds are exact) and puts it back
-        with its best gain as its bound.  The second time, the gain is
+        candidate's row bound, the best gain last priced for it, is then
+        stale, but it bounds the current gain: by orthant submodularity a
+        gain only shrinks as the assignment grows.  The loop takes the
+        candidate with the largest bound, the lowest element on ties.  The
+        first time it takes one in this call, it tests it with one
+        ``can_add`` (1 IO call), drops it for good if it does not fit
+        (supersets of a dependent set stay dependent), and otherwise
+        re-prices its whole row with :meth:`_best` (k EO calls) and puts it
+        back with its gain as its bound.  The second time, the gain is
         fresh and beats every other bound, so it is the candidate the
         eager scan over every feasible candidate picks: it is taken out
         and returned.  So each candidate is tested and priced at most once
@@ -661,7 +677,7 @@ class GainState:
         :class:`~ksubmax.instances.ExplicitTableFunction`, the bounds may
         not hold and the pick may differ from the eager scan's.
         """
-        heap, price = self._heap, self._price
+        heap, best = self._heap, self._best
         visited = set()
         while heap:
             key, e, i = heap[0]
@@ -670,7 +686,7 @@ class GainState:
                 return e, i, -key
             visited.add(e)
             if can_add(e):
-                gain, i = price(e, -math.inf)
+                gain, i = best(e)
                 heapq.heapreplace(heap, (-gain, e, i))
             else:
                 heapq.heappop(heap)

@@ -371,14 +371,15 @@ class _ModularGainState(GainState):
 class _CoverageGainState(GainState):
     """Keeps the covered points as a bitmask; a gain weighs only new points.
 
-    Lazy greedy runs as a walk instead of the default heap loop.
-    ``candidates`` lists the run's candidates, ascending.
-    :meth:`_next_best` walks them by descending row bound (ascending
-    element among equal bounds), testing each and re-pricing it through
-    its pair bounds, and stops at the first bound below the best gain
-    found, or equal to it at a larger element.  That visits the rows the
-    heap loop visits, in the same order, so it picks the same candidate
-    and charges the same IO and EO calls.
+    :meth:`_gain` weighs one pair's new points, so threshold's visits walk
+    the pair bounds as :meth:`GainState._price` does.  Lazy greedy runs as
+    a walk instead of the default heap loop.  ``candidates`` lists the
+    run's candidates, ascending.  :meth:`_next_best` walks them by
+    descending row bound (ascending element among equal bounds), testing
+    and weighing each whole row, and stops at the first bound below the
+    best gain found, or equal to it at a larger element.  That visits the
+    rows the heap loop visits, in the same order, so it picks the same
+    candidate and charges the same IO and EO calls.
     """
 
     def __init__(self, f: CoverageFunction, counters: Optional[OracleCounters] = None):
@@ -389,41 +390,24 @@ class _CoverageGainState(GainState):
 
     def _best(self, e: int) -> tuple[float, int]:
         self._charge(self.f.k)
-        weigh, free = self._weigh, self._free
-        gains = self._pairs[e] = [weigh(mask & free) for mask in self._masks[e]]
+        weight, free = self.f._weight, self._free
+        gains = self._pairs[e] = [weight(mask & free) for mask in self.f._masks[e]]
         gain = self._bound[e] = max(gains)
         return gain, gains.index(gain) + 1
 
-    def _price(self, e: int, bar: float) -> tuple[float, int]:
-        # the walk of GainState._price, weighing the pairs; the first pick
-        # is priced unchecked, as the row bound is at least the bar, and
-        # when it keeps its bound it is the best
-        row, mask, weigh, free = self._pairs[e], self._masks[e], self._weigh, self._free
-        top = max(row)
-        pos = row.index(top)
-        gain = row[pos] = weigh(mask[pos] & free)
-        priced = 1
-        if gain != top:
-            top = max(row)
-            while top >= bar and (top > gain or row.index(top) < pos):
-                j = row.index(top)
-                g = row[j] = weigh(mask[j] & free)
-                priced += 1
-                if g > gain or (g == gain and j < pos):
-                    gain, pos = g, j
-                top = max(row)
-        self._bound[e] = top
-        self._charge(priced)
-        return gain, pos + 1
+    def _gain(self, e: int, i: int) -> float:
+        if self.counters is not None:
+            self.counters.eo_calls += 1
+        return self._weigh(self._masks[e][i - 1] & self._free)
 
     def _first_best(self, elements: Sequence[int]) -> Optional[tuple[int, int, float]]:
         self._charge(self.f.k * len(elements))
-        weigh, masks, free = self._weigh, self._masks, self._free
+        weight, masks, free = self.f._weight, self.f._masks, self._free
         pairs, bound = self._pairs, self._bound
         self.candidates = sorted(elements)
         choice = None
         for e in self.candidates:
-            gains = pairs[e] = [weigh(mask & free) for mask in masks[e]]
+            gains = pairs[e] = [weight(mask & free) for mask in masks[e]]
             gain = bound[e] = max(gains)
             if choice is None or gain > choice[2]:
                 choice = e, gains.index(gain) + 1, gain
@@ -432,10 +416,10 @@ class _CoverageGainState(GainState):
         return choice
 
     def _next_best(self, can_add: Callable[[int], bool]) -> Optional[tuple[int, int, float]]:
-        bound, pairs, masks, weigh, free = (self._bound, self._pairs, self._masks, self._weigh,
-                                            self._free)
+        weight, masks, free = self.f._weight, self.f._masks, self._free
+        pairs, bound = self._pairs, self._bound
         candidates = self.candidates
-        best_gain, best_e, dropped, priced = -math.inf, -1, [], 0
+        best_gain, best_e, weighed, dropped = -math.inf, -1, 0, []
         for e in sorted(candidates, key=bound.__getitem__, reverse=True):  # stable
             b = bound[e]
             if b < best_gain or (b == best_gain and e > best_e):
@@ -443,36 +427,22 @@ class _CoverageGainState(GainState):
             if not can_add(e):
                 dropped.append(e)
                 continue
-            # _price at bar -inf, inline: the re-price is most of this loop's
-            # steps, and a call per candidate cost greedy time at n = 100
-            row, mask = pairs[e], masks[e]
-            top = max(row)
-            pos = row.index(top)
-            gain = row[pos] = weigh(mask[pos] & free)
-            priced += 1
-            if gain != top:
-                top = max(row)
-                while top > gain or row.index(top) < pos:
-                    j = row.index(top)
-                    g = row[j] = weigh(mask[j] & free)
-                    priced += 1
-                    if g > gain or (g == gain and j < pos):
-                        gain, pos = g, j
-                    top = max(row)
-            bound[e] = gain
+            weighed += 1
+            gains = pairs[e] = [weight(mask & free) for mask in masks[e]]
+            gain = bound[e] = max(gains)
             if gain > best_gain or (gain == best_gain and e < best_e):
-                best_gain, best_e, best_i = gain, e, pos + 1
-        self._charge(priced)
+                best_gain, best_e, best_gains = gain, e, gains
+        self._charge(self.f.k * weighed)
         for e in dropped:
             candidates.remove(e)
         if best_e < 0:
             return None
         candidates.remove(best_e)
-        return best_e, best_i, best_gain
+        return best_e, best_gains.index(best_gain) + 1, best_gain
 
     def place(self, e: int, i: int, gain: float) -> None:
         super().place(e, i, gain)
-        self.covered |= self._masks[e][i - 1]
+        self.covered |= self.f._masks[e][i - 1]
         self._free = ~self.covered
 
 

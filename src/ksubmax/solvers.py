@@ -181,7 +181,10 @@ def threshold_decreasing_solve(
     nothing.  So the criterion-4 bounds ``eo <= n*k*(rounds+1)`` and
     ``io <= n*(rounds+t+1)`` still hold.  The IO count is never above the
     test-first loop's; the EO count can be, where a visit prices an
-    element that then fails its test.  If no singleton has a positive
+    element that then fails its test, and then even above the eager
+    loop's, which drops such an element unpriced.  On a uniform matroid
+    no visit fails its test before the run ends, so the EO count is
+    above neither.  If no singleton has a positive
     value the solver stops before any IO.  Candidates found infeasible are
     dropped permanently, which is sound because supersets of a dependent
     set stay dependent.
@@ -229,7 +232,7 @@ def threshold_decreasing_solve(
                 survivors.append(e)
                 continue
             gain, i = price(e, w)
-            if gain < w:
+            if not gain >= w:  # a NaN gain clears no bar
                 survivors.append(e)
             elif can_add(e):
                 state.place(e, i, gain)
@@ -259,15 +262,11 @@ def greedy_solve(f: KSubFunction, m: Matroid) -> SolveReport:
     and one gain state from ``f.gain_state``.  The first iteration tests
     every element with one batched :meth:`IndependenceState._feasible`
     and prices the feasible ones with :meth:`GainState._first_best`,
-    which sets their pair bounds and row bounds (see :class:`GainState`)
-    and returns the best.  After each placement, :meth:`GainState._next_best`
-    finds the next best lazily: it tests candidates and re-prices them
-    only while their row bound, the best gain last priced for them, can
-    still beat the fresh gains it has found.  A re-price goes through the
-    pair bounds with ``_price(e, -math.inf)``: it prices positions only
-    while one can still be the row's best, so it gives the row's best
-    gain at 1 to k EO calls (1 on a modular table, whose bounds are
-    exact).  By orthant submodularity every bound is at least the current
+    which keeps each one's gain as a bound and returns the best.  After
+    each placement, :meth:`GainState._next_best` finds the next best
+    lazily: it tests and re-prices candidates only while their bound, the
+    gain last priced for them, can still beat the fresh gains it has
+    found.  By orthant submodularity every bound is at least the current
     gain, so the result is exact for every k-submodular ``f``; an
     unchecked :class:`ExplicitTableFunction` that is not k-submodular may
     come out differently.  A candidate found infeasible is dropped for
@@ -276,11 +275,11 @@ def greedy_solve(f: KSubFunction, m: Matroid) -> SolveReport:
 
     Exact oracle accounting: n IO calls and k EO calls per feasible
     element for the first iteration; after each placement, one IO call
-    per candidate :meth:`GainState._next_best` tests and 1 EO call per
-    pair it re-prices.  The IO count is that of a lazy greedy that
-    re-prices whole rows, and the EO count is never above it.  On a
-    k-submodular ``f`` neither count is above the eager loop's, whose
-    ``O(r·n·k)`` EO bill is the paper's bound.
+    per candidate :meth:`GainState._next_best` tests and k EO calls per
+    one it re-prices, about one of each per addition on a modular
+    objective, whose gains never change.  On a k-submodular ``f`` neither
+    count is above the eager loop's, whose ``O(r·n·k)`` EO bill is the
+    paper's bound.
     """
     _check_inputs(f, m)
     start = time.perf_counter()

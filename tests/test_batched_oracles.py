@@ -332,14 +332,17 @@ def test_shipped_states_define_only_the_batched_hooks_that_pay():
     The modular greedy (about one row re-priced per placement), the
     coverage opening scan of threshold (once per solve) and the explicit
     matroid state (at most 16 elements) run the default loops, so a copy
-    of a loop that buys no speed cannot come back unnoticed.  Every gain
-    state prices its own pairs in ``_best`` and ``_price``; the coverage
-    ``_next_best`` re-prices through its pair bounds inline."""
-    hooks = {"_best", "_price", "_bests", "_first_best", "_next_best", "_feasible", "_extend"}
+    of a loop that buys no speed cannot come back unnoticed.  Threshold's
+    pair walk ``_price`` is written once, in the default state, over the
+    per-pair ``_gain``; the coverage state prices one pair in ``_gain``,
+    and only the modular state, whose bounds are exact, replaces the walk
+    with a lookup."""
+    hooks = {"_best", "_gain", "_price", "_bests", "_first_best", "_next_best", "_feasible",
+             "_extend"}
     defined = {
-        GainState: {"_best", "_price", "_bests", "_first_best", "_next_best"},
+        GainState: {"_best", "_gain", "_price", "_bests", "_first_best", "_next_best"},
         _ModularGainState: {"_best", "_price", "_bests"},
-        _CoverageGainState: {"_best", "_price", "_first_best", "_next_best"},
+        _CoverageGainState: {"_best", "_gain", "_first_best", "_next_best"},
         IndependenceState: {"_feasible", "_extend"},
         _UniformIndependenceState: {"_feasible", "_extend"},
         _PartitionIndependenceState: {"_feasible", "_extend"},

@@ -20,9 +20,9 @@ A guard also requires that the solvers never fall back to
 function and matroid families.  A second guard requires that the rank
 scan (``greedy_basis``, ``rank``) makes only batched oracle calls there,
 and counts greedy's per-element calls: one ``_can_add`` per IO call past
-its batched opening test, one ``_best`` per row its default opening
-prices, and one ``_price`` per re-price, at 1 EO on a modular row; the
-coverage opening prices its rows inline and makes no ``_best`` call.
+its batched opening test, and one ``_best`` per row priced by the default
+heap loop; the coverage walk prices its rows inline and makes no
+``_best`` call.
 """
 
 from hypothesis import given, settings
@@ -180,14 +180,12 @@ def test_greedy_and_rank_scan_per_element_calls(monkeypatch):
     """The rank scan never reaches a per-element ``_best`` of any gain state
     or ``_can_add`` of the uniform and partition states.  Greedy tests its
     opening in one batch and then makes one ``_can_add`` per IO call past
-    the opening's ``n``.  On the modular state, whose greedy runs the
-    default loops, it prices each opening row through ``_best`` (k EO)
-    and each re-price through ``_price`` (1 EO); the coverage opening
-    prices its rows inline, with no ``_best`` call."""
-    calls = {"_best": 0, "_price": 0, "_can_add": 0}
+    the opening's ``n``.  It prices every row through ``_best`` on the
+    modular state, whose greedy runs the default loops, and none on the
+    coverage state, whose walk prices its rows inline."""
+    calls = {"_best": 0, "_can_add": 0}
     for owner, name in ((GainState, "_best"), (_ModularGainState, "_best"),
-                        (_CoverageGainState, "_best"), (_ModularGainState, "_price"),
-                        (_UniformIndependenceState, "_can_add"),
+                        (_CoverageGainState, "_best"), (_UniformIndependenceState, "_can_add"),
                         (_PartitionIndependenceState, "_can_add")):
         monkeypatch.setattr(owner, name, _counted(calls, name, getattr(owner, name)))
     runs = 0
@@ -199,15 +197,13 @@ def test_greedy_and_rank_scan_per_element_calls(monkeypatch):
                 basis.append(e)
         assert greedy_basis(m, order) == basis
         assert rank(m) == len(basis)
-        assert calls == {"_best": 0, "_price": 0, "_can_add": 0}
+        assert calls == {"_best": 0, "_can_add": 0}
 
         report = greedy_solve(f, m)
-        if isinstance(f, CoverageFunction):
-            assert calls["_best"] == calls["_price"] == 0
-        else:
-            assert f.k * calls["_best"] + calls["_price"] == report.counters.eo_calls
+        rows = report.counters.eo_calls // f.k
+        assert calls["_best"] == (0 if isinstance(f, CoverageFunction) else rows)
         if not isinstance(m, ExplicitMatroid):  # its states loop over _can_add
             assert calls["_can_add"] == report.counters.io_calls - f.n
-        calls.update(_best=0, _price=0, _can_add=0)
+        calls.update(_best=0, _can_add=0)
         runs += 1
     assert runs == 3 * 3 * 3 * 3

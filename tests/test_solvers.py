@@ -182,17 +182,14 @@ class TestGreedySolver:
         """Same table, budget two: greedy takes both elements for 5 + 2.
 
         Iteration one checks both elements (2 IO) and all four pairs (4 EO);
-        iteration two checks the remaining element (1 IO) and re-prices it
-        through its pair bounds, exact on a modular table: its first pair
-        is its best and the second's equal bound sits at a higher
-        position, so 1 EO (the eager loop pays 2); then no candidate is
-        left (0 IO).
+        iteration two checks the remaining element (1 IO, 2 EO); the third
+        feasibility rebuild finds nothing outside the support (0 IO).
         """
         f = ModularFunction([[5.0, -3.0], [2.0, 2.0]])
         rep = greedy_solve(f, UniformMatroid(2, 2))
         assert rep.value == 7.0
         assert rep.assignment.labels == (1, 1)
-        assert rep.counters.eo_calls == 5
+        assert rep.counters.eo_calls == 6
         assert rep.counters.io_calls == 3
         assert rep.rounds == []
 
